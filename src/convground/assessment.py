@@ -19,7 +19,7 @@ from .knowledge import (
     GroundedKnowledge,
     _field_values_equivalent,
     facts,
-    keys_equivalent,
+    find_equivalent,
     knowledge_from_facts,
     merge_columns,
     terms_equivalent,
@@ -119,14 +119,14 @@ def _classify(existing: Fact, incoming: Fact) -> Verdict:
 def assess(kb: GroundedKnowledge, delta: GroundedKnowledge) -> list[AssessmentOutcome]:
     """Classify every incoming fact of ``delta`` against ``kb``."""
     kb_facts = facts(kb)
+    kb_keys = [f.key for f in kb_facts]
     outcomes: list[AssessmentOutcome] = []
     for incoming in facts(delta):
-        existing = next(
-            (f for f in kb_facts if keys_equivalent(f.key, incoming.key)), None
-        )
-        if existing is None:
+        i = find_equivalent(incoming.key, kb_keys)
+        if i is None:
             outcomes.append(AssessmentOutcome(incoming, Verdict.NOVEL))
         else:
+            existing = kb_facts[i]
             verdict = _classify(existing, incoming)
             outcomes.append(AssessmentOutcome(incoming, verdict, existing.key))
     return outcomes
@@ -159,33 +159,27 @@ def plan_ops(outcomes: list[AssessmentOutcome]) -> list[GraphOp]:
     return ops
 
 
-def merge(
-    kb: GroundedKnowledge, delta: GroundedKnowledge, ops: list[GraphOp]
-) -> GroundedKnowledge:
-    """Apply graph operations (from :func:`plan_ops`) to the knowledge base."""
+def merge(kb: GroundedKnowledge, ops: list[GraphOp]) -> GroundedKnowledge:
+    """Apply graph operations (from :func:`plan_ops`) to the knowledge base.
+
+    Each operation locates its target by key equivalence, not by exact key.
+    """
     current = facts(kb)
-
-    def locate(key: FactKey) -> int:
-        for i, fact in enumerate(current):
-            if keys_equivalent(fact.key, key):
-                return i
-        raise StateError(f"operation targets missing fact {key}")
-
     for op in ops:
-        if op.op is OpKind.INSTANTIATE_NODE:
-            locate(op.target)
+        i = find_equivalent(op.target, [fact.key for fact in current])
+        if op.op is OpKind.CREATE_NODE:
+            if i is not None:
+                raise StateError(f"create targets existing fact {op.target}")
+            current.append(Fact(op.target, op.payload))
+        elif i is None:
+            raise StateError(f"operation targets missing fact {op.target}")
         elif op.op is OpKind.REMOVE_NODE:
-            del current[locate(op.target)]
+            del current[i]
         elif op.op is OpKind.UPDATE_NODE:
-            i = locate(op.target)
             existing = current[i]
             incoming = Fact(op.target, op.payload)
             current[i] = Fact(existing.key, _merged_value(existing, incoming))
-        else:  # CREATE_NODE
-            for fact in current:
-                if keys_equivalent(fact.key, op.target):
-                    raise StateError(f"create targets existing fact {op.target}")
-            current.append(Fact(op.target, op.payload))
+        # INSTANTIATE_NODE only requires its target to exist.
     return knowledge_from_facts(current)
 
 
@@ -195,4 +189,4 @@ def commit(
     """Assess, plan, and merge in one step."""
     outcomes = assess(kb, delta)
     ops = plan_ops(outcomes)
-    return merge(kb, delta, ops), outcomes, ops
+    return merge(kb, ops), outcomes, ops

@@ -6,7 +6,7 @@ import argparse
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -206,10 +206,7 @@ def cmd_evaluate(cfg: RunConfig) -> int:
         Path(cfg.out).write_text(
             render_report(report, ReportFormat.MACHINE) + "\n", encoding="utf-8"
         )
-    if cfg.format is ReportFormat.MARKDOWN:
-        print(render_report(report, ReportFormat.MARKDOWN))
-    else:
-        print(render_report(report, ReportFormat.MACHINE))
+    print(render_report(report, cfg.format))
     print(report.summary_line())
     return 0
 
@@ -249,63 +246,60 @@ def _build_parser() -> argparse.ArgumentParser:
         "information-seeking dialogues.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p: argparse.ArgumentParser) -> None:
+    # Each subcommand gets only the flags it reads; each dest is a RunConfig field.
+    annotate, ground, evaluate, prompts = (
+        sub.add_parser(name) for name in ("annotate", "ground", "evaluate", "prompts")
+    )
+    for p in (annotate, ground, evaluate, prompts):
         p.add_argument("--corpus", type=Path, help="dialogue corpus (JSONL)")
+    for p in (annotate, ground, evaluate):
         p.add_argument("--gold", type=Path, help="gold annotations (JSONL)")
-        p.add_argument("--predictions", type=Path, help="predictions (JSONL)")
-        p.add_argument("--cache", type=Path, help="record/replay cache file")
-        p.add_argument(
-            "--mode",
-            choices=[m.value for m in CacheMode],
-            default=CacheMode.REPLAY.value,
-            help="completion mode (default: replay)",
-        )
-        p.add_argument("--model", default=DEFAULT_MODEL, help="model identifier")
-        p.add_argument("--endpoint", help="chat-completions endpoint URL")
-        p.add_argument(
-            "--incremental-kb",
-            action="store_true",
-            help="feed the grounded knowledge base back into extraction prompts",
-        )
-        p.add_argument(
-            "--all-turns",
-            action="store_true",
-            help="annotate every turn instead of gold-annotated turns only",
-        )
-        p.add_argument("--jobs", type=int, default=1, help="dialogues in parallel")
         p.add_argument("--out", type=Path, help="output path")
-        p.add_argument(
-            "--format",
-            choices=[f.value for f in ReportFormat],
-            default=ReportFormat.MARKDOWN.value,
-            help="report format",
-        )
-
-    for name in ("annotate", "ground", "evaluate"):
-        add_common(sub.add_parser(name))
-    prompts_parser = sub.add_parser("prompts")
-    add_common(prompts_parser)
-    prompts_parser.add_argument("dialogue_id")
-    prompts_parser.add_argument("turn_index", type=int)
+    for p in (ground, evaluate):
+        p.add_argument("--predictions", type=Path, help="predictions (JSONL)")
+    annotate.add_argument("--cache", type=Path, help="record/replay cache file")
+    annotate.add_argument(
+        "--mode",
+        dest="cache_mode",
+        choices=[m.value for m in CacheMode],
+        default=CacheMode.REPLAY.value,
+        help="completion mode (default: replay)",
+    )
+    annotate.add_argument(
+        "--model", dest="model_name", default=DEFAULT_MODEL, help="model identifier"
+    )
+    annotate.add_argument("--endpoint", help="chat-completions endpoint URL")
+    annotate.add_argument(
+        "--incremental-kb",
+        action="store_true",
+        help="feed the grounded knowledge base back into extraction prompts",
+    )
+    annotate.add_argument(
+        "--all-turns",
+        action="store_true",
+        help="annotate every turn instead of gold-annotated turns only",
+    )
+    annotate.add_argument("--jobs", type=int, default=1, help="dialogues in parallel")
+    evaluate.add_argument(
+        "--format",
+        choices=[f.value for f in ReportFormat],
+        default=ReportFormat.MARKDOWN.value,
+        help="report format",
+    )
+    prompts.add_argument("dialogue_id")
+    prompts.add_argument("turn_index", type=int)
     return parser
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        corpus=args.corpus,
-        gold=args.gold,
-        predictions=args.predictions,
-        cache=args.cache,
-        cache_mode=CacheMode(args.mode),
-        model_name=args.model,
-        endpoint=args.endpoint,
-        incremental_kb=args.incremental_kb,
-        all_turns=args.all_turns,
-        jobs=args.jobs,
-        out=args.out,
-        format=ReportFormat(args.format),
-    )
+    given = {
+        f.name: getattr(args, f.name) for f in fields(RunConfig) if hasattr(args, f.name)
+    }
+    if "cache_mode" in given:
+        given["cache_mode"] = CacheMode(given["cache_mode"])
+    if "format" in given:
+        given["format"] = ReportFormat(given["format"])
+    return RunConfig(**given)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

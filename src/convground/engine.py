@@ -35,17 +35,21 @@ class PendingContribution:
 
 
 @dataclass(frozen=True)
-class HistoryEntry:
+class TurnTrace:
+    """What one turn did: its label, extracted facts and committed graph ops."""
+
     turn_index: int
     label: GroundingLabel
+    facts: GroundedKnowledge
     ops: tuple[GraphOp, ...] = ()
+    warning: Optional[str] = None
 
 
 @dataclass(frozen=True)
 class GroundingState:
     grounded: GroundedKnowledge = EMPTY_KNOWLEDGE
     pending: Optional[PendingContribution] = None
-    history: tuple[HistoryEntry, ...] = ()
+    history: tuple[TurnTrace, ...] = ()
 
 
 class FeedbackKind(enum.Enum):
@@ -125,26 +129,15 @@ def observe_label(
         if not turn_facts.is_empty:
             combined, _, _ = commit(combined, turn_facts)
         grounded, _, ops = commit(state.grounded, combined)
+        entry = TurnTrace(turn.index, label, turn_facts, tuple(ops))
         return replace(
-            state,
-            grounded=grounded,
-            pending=None,
-            history=state.history + (HistoryEntry(turn.index, label, tuple(ops)),),
+            state, grounded=grounded, pending=None, history=state.history + (entry,)
         )
     # Clarification and no-event leave both grounded and pending content as-is.
     return replace(
         state,
-        history=state.history + (HistoryEntry(turn.index, label),),
+        history=state.history + (TurnTrace(turn.index, label, turn_facts),),
     )
-
-
-@dataclass(frozen=True)
-class TurnTrace:
-    turn_index: int
-    label: GroundingLabel
-    facts: GroundedKnowledge
-    ops: tuple[GraphOp, ...] = ()
-    warning: Optional[str] = None
 
 
 def process_dialogue(
@@ -157,7 +150,6 @@ def process_dialogue(
     empty facts and a warning in the trace.
     """
     state = GroundingState()
-    trace: list[TurnTrace] = []
     history: list[Turn] = []
     for turn in dialogue.turns:
         history.append(turn)
@@ -175,10 +167,10 @@ def process_dialogue(
         if turn.role is Role.PROVIDER and not facts.is_empty:
             state = present(state, facts, turn)
         state = observe_label(state, label, turn, facts)
-        trace.append(
-            TurnTrace(turn.index, label, facts, state.history[-1].ops, warning)
-        )
-    return state, trace
+        if warning is not None:
+            *earlier, last = state.history
+            state = replace(state, history=(*earlier, replace(last, warning=warning)))
+    return state, list(state.history)
 
 
 def gold_labeler(annotations: list[GoldAnnotation]) -> Labeler:

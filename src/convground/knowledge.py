@@ -80,7 +80,8 @@ class ColumnKnowledge:
             and self.min_value > self.max_value
         ):
             raise ValueError(
-                f"min_value {self.min_value} exceeds max_value {self.max_value}"
+                f"column {self.column_name!r}: min_value {self.min_value} "
+                f"exceeds max_value {self.max_value}"
             )
 
     def fields(self) -> dict[str, Any]:
@@ -111,13 +112,13 @@ class GroundedKnowledge:
     def __post_init__(self) -> None:
         if not isinstance(self.column_info, tuple):
             object.__setattr__(self, "column_info", tuple(self.column_info))
-        names = [c.column_name for c in self.column_info]
-        for i in range(len(names)):
-            for j in range(i + 1, len(names)):
-                if terms_equivalent(names[i], names[j]):
-                    raise ValueError(
-                        f"columns {names[i]!r} and {names[j]!r} have equivalent names"
-                    )
+        keys = [FactKey("column", c.column_name) for c in self.column_info]
+        for j, key in enumerate(keys):
+            i = find_equivalent(key, keys[:j])
+            if i is not None:
+                raise ValueError(
+                    f"columns {keys[i].column!r} and {key.column!r} have equivalent names"
+                )
 
     @property
     def is_empty(self) -> bool:
@@ -182,18 +183,18 @@ def facts(knowledge: GroundedKnowledge) -> list[Fact]:
 def knowledge_from_facts(fact_list: Iterable[Fact]) -> GroundedKnowledge:
     """Rebuild a knowledge object from facts, folding equivalent columns together."""
     scalars: dict[str, Any] = {}
+    keys: list[FactKey] = []
     columns: list[ColumnKnowledge] = []
     for fact in fact_list:
-        if fact.key.field == "column":
-            incoming = fact.value
-            for i, existing in enumerate(columns):
-                if terms_equivalent(existing.column_name, incoming.column_name):
-                    columns[i] = merge_columns(existing, incoming)
-                    break
-            else:
-                columns.append(incoming)
-        else:
+        if fact.key.field != "column":
             scalars[fact.key.field] = fact.value
+            continue
+        i = find_equivalent(fact.key, keys)
+        if i is None:
+            keys.append(fact.key)
+            columns.append(fact.value)
+        else:
+            columns[i] = merge_columns(columns[i], fact.value)
     return GroundedKnowledge(column_info=tuple(columns), **scalars)
 
 
@@ -203,6 +204,20 @@ def keys_equivalent(a: FactKey, b: FactKey) -> bool:
     if a.field == "column":
         return terms_equivalent(a.column or "", b.column or "")
     return True
+
+
+def find_equivalent(key: FactKey, candidates: Iterable[FactKey]) -> Optional[int]:
+    """Position of the first candidate equivalent to ``key``, or None.
+
+    This is the one place that decides which existing fact or column a key
+    refers to. :func:`terms_equivalent` is not transitive ("area" matches
+    both "area size" and "area total", which do not match each other), so
+    the first match in candidate order wins.
+    """
+    for i, candidate in enumerate(candidates):
+        if keys_equivalent(candidate, key):
+            return i
+    return None
 
 
 def merge_columns(existing: ColumnKnowledge, incoming: ColumnKnowledge) -> ColumnKnowledge:
@@ -420,22 +435,6 @@ def canonicalize(raw: Any) -> GroundedKnowledge:
             raise SchemaError(f"column_info: expected a list, got {info!r}")
         entries.extend(_canonicalize_entry(e) for e in info)
 
-    # Fold duplicate columns (equivalent names) into one entry; later
-    # occurrences enrich or overwrite the earlier one.
-    columns: list[ColumnKnowledge] = []
-    for incoming in entries:
-        for i, existing in enumerate(columns):
-            if terms_equivalent(existing.column_name, incoming.column_name):
-                try:
-                    columns[i] = merge_columns(existing, incoming)
-                except ValueError as exc:
-                    raise SchemaError(
-                        f"column {existing.column_name!r}: {exc}"
-                    ) from None
-                break
-        else:
-            columns.append(incoming)
-
     kwargs: dict[str, Any] = {}
     if "table_domain" in data:
         kwargs["table_domain"] = _as_text("table_domain", data["table_domain"])
@@ -446,16 +445,21 @@ def canonicalize(raw: Any) -> GroundedKnowledge:
     if "column_count" in data:
         kwargs["column_count"] = _as_count("column_count", data["column_count"])
 
-    row_count = kwargs.get("row_count")
+    # Duplicate columns (equivalent names) fold into one entry; later
+    # occurrences enrich or overwrite the earlier one.
+    fact_list = [Fact(FactKey(name), value) for name, value in kwargs.items()]
+    fact_list.extend(Fact(FactKey("column", e.column_name), e) for e in entries)
+    try:
+        knowledge = knowledge_from_facts(fact_list)
+    except ValueError as exc:
+        raise SchemaError(str(exc)) from None
+
+    row_count = knowledge.row_count
     if row_count is not None:
-        for column in columns:
+        for column in knowledge.column_info:
             if column.distinct_count is not None and column.distinct_count > row_count:
                 raise SchemaError(
                     f"column {column.column_name!r}: distinct_count "
                     f"{column.distinct_count} exceeds row_count {row_count}"
                 )
-
-    try:
-        return GroundedKnowledge(column_info=tuple(columns), **kwargs)
-    except ValueError as exc:
-        raise SchemaError(str(exc)) from None
+    return knowledge

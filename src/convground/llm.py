@@ -13,8 +13,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Optional, Sequence, Union
 
-import requests
-
 from .dialogue import GroundingLabel, Turn
 from .knowledge import GroundedKnowledge, SchemaError, canonicalize, normalize_term
 from .prompts import ChatMessage
@@ -132,6 +130,28 @@ def _resolve_url(endpoint: str) -> str:
     return url
 
 
+def _post(url: str, body: dict[str, Any], headers: dict[str, str]) -> tuple[int, str]:
+    """POST ``body`` as JSON; return the status code and the response text.
+
+    Raises ``OSError`` when the endpoint cannot be reached or the connection
+    breaks. The HTTP client is imported here so that offline runs never load it.
+    """
+    import http.client
+    import urllib.error
+    import urllib.request
+
+    request = urllib.request.Request(
+        url, data=json.dumps(body).encode("utf-8"), headers=headers, method="POST"
+    )
+    try:
+        with urllib.request.urlopen(request, timeout=60) as response:
+            return response.status, response.read().decode("utf-8")
+    except urllib.error.HTTPError as exc:
+        return exc.code, exc.read().decode("utf-8", errors="replace")
+    except http.client.HTTPException as exc:
+        raise ConnectionError(f"{type(exc).__name__}: {exc}") from exc
+
+
 def _send(
     request: CompletionRequest,
     endpoint: str,
@@ -144,20 +164,15 @@ def _send(
     last_error: Optional[Exception] = None
     for attempt in range(_MAX_ATTEMPTS):
         try:
-            response = requests.post(
-                _resolve_url(endpoint),
-                json=request.wire_body(),
-                headers=headers,
-                timeout=60,
-            )
-        except requests.RequestException as exc:
+            status, text = _post(_resolve_url(endpoint), request.wire_body(), headers)
+        except OSError as exc:
             last_error = exc
             if attempt + 1 < _MAX_ATTEMPTS:
                 sleep(_BACKOFF_SECONDS * 2**attempt)
             continue
-        if response.status_code != 200:
-            raise ApiError(response.status_code, response.text)
-        data = response.json()
+        if status != 200:
+            raise ApiError(status, text)
+        data = json.loads(text)
         return data["choices"][0]["message"]["content"]
     raise TransportError(f"endpoint unreachable after {_MAX_ATTEMPTS} attempts: {last_error}")
 

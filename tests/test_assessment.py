@@ -103,13 +103,13 @@ class TestMergeErrors:
     def test_op_on_missing_fact_raises(self):
         op = GraphOp(OpKind.REMOVE_NODE, FactKey("row_count"))
         with pytest.raises(StateError, match="row_count"):
-            merge(EMPTY_KNOWLEDGE, EMPTY_KNOWLEDGE, [op])
+            merge(EMPTY_KNOWLEDGE, [op])
 
     def test_create_on_existing_fact_raises(self):
         kb = canonicalize({"row_count": 500})
         op = GraphOp(OpKind.CREATE_NODE, FactKey("row_count"), 98)
         with pytest.raises(StateError):
-            merge(kb, EMPTY_KNOWLEDGE, [op])
+            merge(kb, [op])
 
 
 def test_graph_op_serialization():
@@ -128,6 +128,6 @@ def test_delta_absorption_on_fixture_deltas(gold):
     for annotations in gold.values():
         for annotation in annotations:
             delta = annotation.knowledge_delta
-            kb = merge(kb, delta, plan_ops(assess(kb, delta)))
+            kb = merge(kb, plan_ops(assess(kb, delta)))
             after = assess(kb, delta)
             assert all(o.verdict is Verdict.MATCH for o in after)

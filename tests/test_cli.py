@@ -1,4 +1,7 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -175,3 +178,17 @@ class TestPrompts:
 def test_unknown_subcommand_rejected():
     with pytest.raises(SystemExit):
         run("frobnicate")
+
+
+def test_cli_import_loads_no_http_client():
+    # Offline commands must not pay for importing an HTTP client at start-up.
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import sys; import convground.cli; "
+        "print(sorted({'requests', 'urllib.request'} & set(sys.modules)))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        cwd=src, capture_output=True, text=True, check=True, timeout=60,
+    ).stdout
+    assert out.strip() == "[]"

@@ -175,7 +175,7 @@ class TestGoldReplay:
             dialogues_by_id["A"], gold_labeler(gold["A"]), gold_extractor(gold["A"])
         )
         assert len(state.history) == len(dialogues_by_id["A"].turns)
-        assert len(trace) == len(dialogues_by_id["A"].turns)
+        assert trace == list(state.history)
 
     def test_failing_extractor_downgrades_to_no_event(self, dialogues_by_id):
         def broken(history):
@@ -189,6 +189,7 @@ class TestGoldReplay:
         assert state.grounded.is_empty
         assert all(t.label is GroundingLabel.NO_EVENT for t in trace)
         assert all(t.warning for t in trace)
+        assert trace == list(state.history)
 
 
 class TestChooseFeedback:

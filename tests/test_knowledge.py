@@ -186,7 +186,7 @@ class TestCanonicalize:
 class TestMerge:
     def test_create_into_empty(self):
         delta = canonicalize({"row_count": 98})
-        merged = merge(EMPTY_KNOWLEDGE, delta, plan_ops(assess(EMPTY_KNOWLEDGE, delta)))
+        merged = merge(EMPTY_KNOWLEDGE, plan_ops(assess(EMPTY_KNOWLEDGE, delta)))
         assert merged == delta
 
     def test_corrected_column_list_wins(self):
@@ -196,23 +196,23 @@ class TestMerge:
         delta = canonicalize(
             {"column_names": ["year", "title", "author", "short text description", "category"]}
         )
-        merged = merge(kb, delta, plan_ops(assess(kb, delta)))
+        merged = merge(kb, plan_ops(assess(kb, delta)))
         assert [c.column_name for c in merged.column_info] == [
             "year", "title", "author", "short text description", "category"
         ]
 
     def test_empty_delta_is_identity(self):
         kb = canonicalize({"table_domain": "media", "row_count": 500})
-        assert merge(kb, EMPTY_KNOWLEDGE, []) == kb
+        assert merge(kb, []) == kb
 
     def test_partial_match_enriches_column(self):
         kb = canonicalize({"column_names": ["author"]})
         delta = canonicalize({"column_name": "author", "distinct_count": 417})
-        merged = merge(kb, delta, plan_ops(assess(kb, delta)))
+        merged = merge(kb, plan_ops(assess(kb, delta)))
         assert merged.column_info[0].distinct_count == 417
 
     def test_conflict_newest_value_wins(self):
         kb = canonicalize({"row_count": 500})
         delta = canonicalize({"row_count": 98})
-        merged = merge(kb, delta, plan_ops(assess(kb, delta)))
+        merged = merge(kb, plan_ops(assess(kb, delta)))
         assert merged.row_count == 98

@@ -1,4 +1,6 @@
+import http.server
 import json
+import threading
 
 import pytest
 
@@ -18,7 +20,7 @@ from convground import (
     parse_label,
     rule_based_label,
 )
-from convground.llm import ApiError, TransportError, request_hash
+from convground.llm import ApiError, TransportError, _post, request_hash
 from convground.prompts import (
     EXTRACTION_EXAMPLES,
     ChatMessage,
@@ -149,27 +151,16 @@ class TestCache:
         assert result.text == "Output label: implicit"
 
 
-class _FakeResponse:
-    def __init__(self, status_code, payload=None, text=""):
-        self.status_code = status_code
-        self._payload = payload
-        self.text = text
-
-    def json(self):
-        return self._payload
-
-
 class TestLiveTransport:
     def test_record_persists_response(self, tmp_path, monkeypatch):
         calls = []
 
-        def fake_post(url, json=None, headers=None, timeout=None):
-            calls.append((url, json))
-            return _FakeResponse(
-                200, {"choices": [{"message": {"content": "Output label: explicit"}}]}
-            )
+        def fake_post(url, body, headers):
+            calls.append((url, body))
+            reply = {"choices": [{"message": {"content": "Output label: explicit"}}]}
+            return 200, json.dumps(reply)
 
-        monkeypatch.setattr("convground.llm.requests.post", fake_post)
+        monkeypatch.setattr("convground.llm._post", fake_post)
         cache = ResponseCache(tmp_path / "cache.jsonl")
         request = make_request()
         result = complete(
@@ -186,23 +177,20 @@ class TestLiveTransport:
 
     def test_non_success_status_raises_api_error(self, monkeypatch):
         monkeypatch.setattr(
-            "convground.llm.requests.post",
-            lambda *a, **kw: _FakeResponse(429, text="rate limited"),
+            "convground.llm._post", lambda *a, **kw: (429, "rate limited")
         )
         with pytest.raises(ApiError, match="429"):
             complete(make_request(), CacheMode.LIVE, endpoint="http://example.test")
 
     def test_transport_failure_retries_then_raises(self, monkeypatch):
-        import requests as requests_module
-
         attempts = []
 
         def failing_post(*args, **kwargs):
             attempts.append(1)
-            raise requests_module.ConnectionError("refused")
+            raise ConnectionError("refused")
 
         sleeps = []
-        monkeypatch.setattr("convground.llm.requests.post", failing_post)
+        monkeypatch.setattr("convground.llm._post", failing_post)
         with pytest.raises(TransportError):
             complete(
                 make_request(),
@@ -212,6 +200,39 @@ class TestLiveTransport:
             )
         assert len(attempts) == 3
         assert sleeps == [0.5, 1.0]
+
+
+def test_post_round_trips_through_a_local_server():
+    received = []
+
+    class Handler(http.server.BaseHTTPRequestHandler):
+        def do_POST(self):
+            body = self.rfile.read(int(self.headers["Content-Length"]))
+            received.append((self.path, self.headers["Content-Type"], json.loads(body)))
+            status, reply = (429, b"rate limited") if self.path == "/busy" else (200, b"{}")
+            self.send_response(status)
+            self.end_headers()
+            self.wfile.write(reply)
+
+        def log_message(self, *args):
+            pass
+
+    server = http.server.HTTPServer(("127.0.0.1", 0), Handler)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    base = f"http://127.0.0.1:{server.server_port}"
+    headers = {"Content-Type": "application/json"}
+    try:
+        assert _post(base + "/ok", {"temperature": 0}, headers) == (200, "{}")
+        assert _post(base + "/busy", {}, headers) == (429, "rate limited")
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert received[0] == ("/ok", "application/json", {"temperature": 0})
+    with pytest.raises(OSError):
+        _post(base + "/ok", {}, headers)
 
 
 class TestRuleBasedLabel:

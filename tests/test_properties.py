@@ -1,11 +1,13 @@
 """Property-based checks of the knowledge and assessment algebra."""
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import given, settings
 
 from convground import (
     EMPTY_KNOWLEDGE,
     ColumnKnowledge,
+    FactKey,
     GroundedKnowledge,
     Verdict,
     assess,
@@ -16,6 +18,7 @@ from convground import (
     knowledge_from_facts,
     terms_equivalent,
 )
+from convground.knowledge import find_equivalent
 
 # Single-word names from disjoint vocabularies so that no two generated
 # columns ever have equivalent names.
@@ -123,3 +126,54 @@ def test_terms_equivalent_reflexive_on_contentful_terms(term):
 @given(st.text(max_size=30), st.text(max_size=30))
 def test_terms_equivalent_symmetric(a, b):
     assert terms_equivalent(a, b) == terms_equivalent(b, a)
+
+
+# Overlapping names: "area" is equivalent to "area size" and to "area total",
+# which are not equivalent to each other, so the first match decides.
+OVERLAPPING = st.sampled_from(("area", "area size", "area total", "size", "total"))
+
+
+def overlap(a, b):
+    """Reference equivalence for OVERLAPPING names: one token set contains the other."""
+    ta, tb = set(a.split()), set(b.split())
+    return ta <= tb or tb <= ta
+
+
+KEYS = st.one_of(st.just(FactKey("row_count")), OVERLAPPING.map(lambda n: FactKey("column", n)))
+
+
+@given(KEYS, st.lists(KEYS, max_size=6))
+def test_find_equivalent_returns_first_equivalent_index(key, candidates):
+    matches = [
+        i for i, c in enumerate(candidates)
+        if c.field == key.field and (c.field != "column" or overlap(c.column, key.column))
+    ]
+    assert find_equivalent(key, candidates) == (matches[0] if matches else None)
+
+
+@given(st.lists(st.tuples(OVERLAPPING, st.integers(min_value=0, max_value=9)), max_size=6))
+def test_canonicalize_folds_like_first_match_fold(entries):
+    folded = []  # [name, distinct_count], first-seen name kept
+    for name, count in entries:
+        slot = next((s for s in folded if overlap(s[0], name)), None)
+        if slot is None:
+            folded.append([name, count])
+        else:
+            slot[1] = count
+    kb = canonicalize({"column_info": [
+        {"column_name": name, "distinct_count": count} for name, count in entries
+    ]})
+    assert [[c.column_name, c.distinct_count] for c in kb.column_info] == folded
+
+
+@given(st.lists(OVERLAPPING, max_size=5))
+def test_constructor_rejects_exactly_equivalent_pairs(names):
+    has_pair = any(
+        overlap(a, b) for i, a in enumerate(names) for b in names[i + 1:]
+    )
+    columns = tuple(ColumnKnowledge(name) for name in names)
+    if has_pair:
+        with pytest.raises(ValueError, match="equivalent names"):
+            GroundedKnowledge(column_info=columns)
+    else:
+        assert GroundedKnowledge(column_info=columns).column_info == columns
