@@ -163,24 +163,33 @@ def merge(kb: GroundedKnowledge, ops: list[GraphOp]) -> GroundedKnowledge:
     """Apply graph operations (from :func:`plan_ops`) to the knowledge base.
 
     Each operation locates its target by key equivalence, not by exact key.
+    Instantiate, update and remove ops refer to the knowledge base's own
+    facts, so they never hit a fact that an earlier create in the same list
+    made. Two incoming facts may both refer to one committed fact; once an
+    earlier op removed it, later ops that target it are skipped.
     """
-    current = facts(kb)
+    kept = facts(kb)
+    created: list[Fact] = []
+    removed: list[FactKey] = []
     for op in ops:
-        i = find_equivalent(op.target, [fact.key for fact in current])
         if op.op is OpKind.CREATE_NODE:
-            if i is not None:
+            if find_equivalent(op.target, [f.key for f in kept + created]) is not None:
                 raise StateError(f"create targets existing fact {op.target}")
-            current.append(Fact(op.target, op.payload))
-        elif i is None:
+            created.append(Fact(op.target, op.payload))
+            continue
+        i = find_equivalent(op.target, [fact.key for fact in kept])
+        if i is None:
+            if find_equivalent(op.target, removed) is not None:
+                continue
             raise StateError(f"operation targets missing fact {op.target}")
-        elif op.op is OpKind.REMOVE_NODE:
-            del current[i]
+        if op.op is OpKind.REMOVE_NODE:
+            removed.append(kept.pop(i).key)
         elif op.op is OpKind.UPDATE_NODE:
-            existing = current[i]
+            existing = kept[i]
             incoming = Fact(op.target, op.payload)
-            current[i] = Fact(existing.key, _merged_value(existing, incoming))
+            kept[i] = Fact(existing.key, _merged_value(existing, incoming))
         # INSTANTIATE_NODE only requires its target to exist.
-    return knowledge_from_facts(current)
+    return knowledge_from_facts(kept + created)
 
 
 def commit(

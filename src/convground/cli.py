@@ -28,6 +28,8 @@ from .llm import (
     CacheMissError,
     CacheMode,
     CompletionRequest,
+    KnowledgeParseError,
+    LabelParseError,
     ResponseCache,
     complete,
     parse_knowledge_json,
@@ -62,9 +64,16 @@ def _annotate_dialogue(
     targets: list[int],
     cfg: RunConfig,
     cache: Optional[ResponseCache],
-) -> tuple[list[GoldAnnotation], list[str]]:
+) -> tuple[list[GoldAnnotation], list[str], list[str]]:
+    """Annotate the target turns of one dialogue.
+
+    Returns the annotations, then one line per turn whose reply is not in
+    the cache and one per turn whose reply could not be parsed; those turns
+    are skipped and the others still run.
+    """
     annotations: list[GoldAnnotation] = []
     misses: list[str] = []
+    unparseable: list[str] = []
     kb = EMPTY_KNOWLEDGE
     for turn_index in targets:
         history = dialogue.turns[:turn_index]
@@ -92,8 +101,12 @@ def _annotate_dialogue(
                 f"dialogue {dialogue.id} turn {turn_index}: {exc.request_hash}"
             )
             continue
-        label = parse_label(label_text)
-        knowledge = parse_knowledge_json(knowledge_text)
+        try:
+            label = parse_label(label_text)
+            knowledge = parse_knowledge_json(knowledge_text)
+        except (LabelParseError, KnowledgeParseError) as exc:
+            unparseable.append(f"dialogue {dialogue.id} turn {turn_index}: {exc}")
+            continue
         annotations.append(GoldAnnotation(turn_index, label, knowledge))
         if cfg.incremental_kb and label in (
             GroundingLabel.EXPLICIT,
@@ -102,7 +115,7 @@ def _annotate_dialogue(
             # Incremental mode: the extracted delta feeds the running KB
             # instead of regenerating everything from scratch next turn.
             kb, _, _ = commit(kb, knowledge)
-    return annotations, misses
+    return annotations, misses, unparseable
 
 
 def cmd_annotate(cfg: RunConfig) -> int:
@@ -120,33 +133,31 @@ def cmd_annotate(cfg: RunConfig) -> int:
 
     cache = ResponseCache(cfg.cache) if cfg.cache else None
 
-    def targets_for(dialogue: Dialogue) -> list[int]:
+    def annotate(dialogue: Dialogue):
         if cfg.all_turns:
-            return [t.index for t in dialogue.turns]
-        return [a.turn_index for a in gold.get(dialogue.id, [])]
+            targets = [t.index for t in dialogue.turns]
+        else:
+            targets = [a.turn_index for a in gold.get(dialogue.id, [])]
+        return _annotate_dialogue(dialogue, targets, cfg, cache)
 
-    results: dict[str, list[GoldAnnotation]] = {}
-    all_misses: list[str] = []
     if cfg.jobs > 1:
         with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            futures = {
-                d.id: pool.submit(_annotate_dialogue, d, targets_for(d), cfg, cache)
-                for d in dialogues
-            }
-            for d in dialogues:
-                annotations, misses = futures[d.id].result()
-                results[d.id] = annotations
-                all_misses.extend(misses)
+            outcomes = list(pool.map(annotate, dialogues))
     else:
-        for d in dialogues:
-            annotations, misses = _annotate_dialogue(d, targets_for(d), cfg, cache)
-            results[d.id] = annotations
-            all_misses.extend(misses)
-
-    if all_misses:
-        print("cache misses:", file=sys.stderr)
-        for miss in all_misses:
-            print(f"  {miss}", file=sys.stderr)
+        outcomes = [annotate(d) for d in dialogues]
+    results: dict[str, list[GoldAnnotation]] = {}
+    misses: list[str] = []
+    unparseable: list[str] = []
+    for d, (annotations, dialogue_misses, dialogue_unparseable) in zip(dialogues, outcomes):
+        results[d.id] = annotations
+        misses.extend(dialogue_misses)
+        unparseable.extend(dialogue_unparseable)
+    for title, lines in (("cache misses", misses), ("unparseable replies", unparseable)):
+        if lines:
+            print(f"{title}:", file=sys.stderr)
+            for line in lines:
+                print(f"  {line}", file=sys.stderr)
+    if misses or unparseable:
         return 1
     save_annotations(results, cfg.out)
     total = sum(len(v) for v in results.values())

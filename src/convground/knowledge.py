@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Any, Iterable, Optional, Sequence, Union
+from typing import Any, Callable, Iterable, Optional, Sequence, Union
 
 Scalar = Union[int, float, str]
 
@@ -242,6 +242,8 @@ def merge_columns(existing: ColumnKnowledge, incoming: ColumnKnowledge) -> Colum
 # ---------------------------------------------------------------------------
 
 def _scalars_equivalent(a: Scalar, b: Scalar) -> bool:
+    """Equivalence of two list values; :func:`_lists_equivalent` applies it
+    through token sets computed once per list."""
     if isinstance(a, str) and isinstance(b, str):
         return a == b or terms_equivalent(a, b)
     if isinstance(a, str) or isinstance(b, str):
@@ -250,7 +252,26 @@ def _scalars_equivalent(a: Scalar, b: Scalar) -> bool:
 
 
 def _lists_equivalent(a: Sequence[Scalar], b: Sequence[Scalar]) -> bool:
-    return _perfect_matching(list(a), list(b), _scalars_equivalent)
+    """Multiset equivalence under :func:`_scalars_equivalent`.
+
+    Each string is normalised once per call, not once per compared pair. A
+    non-string gets an empty token set, so, like a string without content
+    tokens, only ``==`` can match it (and no string equals a non-string).
+    Both sides are sorted first so that equal values meet at the same
+    position, where the matcher tries them before anything else.
+    """
+    if len(a) != len(b):
+        return False
+    a, b = sorted(a, key=str), sorted(b, key=str)
+    no_tokens: frozenset[str] = frozenset()
+    ta = [normalize_term(v) if isinstance(v, str) else no_tokens for v in a]
+    tb = [normalize_term(v) if isinstance(v, str) else no_tokens for v in b]
+
+    def eq(i: int, j: int) -> bool:
+        x, y = ta[i], tb[j]
+        return a[i] == b[j] or (bool(x) and bool(y) and (x <= y or y <= x))
+
+    return _perfect_matching(len(a), len(b), eq)
 
 
 def _field_values_equivalent(name: str, a: Any, b: Any) -> bool:
@@ -288,29 +309,58 @@ def fact_equivalent(a: Fact, b: Fact) -> bool:
     return a.value == b.value
 
 
-def _perfect_matching(left: list, right: list, eq) -> bool:
-    """True iff a one-to-one matching covers both lists under ``eq``."""
-    if len(left) != len(right):
-        return False
-    used = [False] * len(right)
+def _perfect_matching(n_left: int, n_right: int, eq: Callable[[int, int], bool]) -> bool:
+    """True iff a one-to-one matching pairs every index on both sides under ``eq(i, j)``.
 
-    def assign(i: int) -> bool:
-        if i == len(left):
-            return True
-        for j, candidate in enumerate(right):
-            if not used[j] and eq(left[i], candidate):
-                used[j] = True
-                if assign(i + 1):
-                    return True
-                used[j] = False
+    Kuhn's augmenting-path algorithm: each left index in turn searches,
+    depth first, for a path that ends at an unmatched right index. Every
+    left index the search reaches first tries the unmatched right indices,
+    in ascending order, then steps through each matched right index it is
+    equivalent to, at most once per search, to that index's owner. So each
+    search calls ``eq`` at most ``n_left * n_right`` times. A left index
+    with no augmenting path can never be matched later, so the first failed
+    search decides. The search keeps its own stack, so long lists cannot
+    exhaust the interpreter's recursion limit.
+    """
+    if n_left != n_right:
         return False
-
-    return assign(0)
+    owner = [-1] * n_right  # left index matched to each right index, or -1
+    free = list(range(n_right))  # unmatched right indices, ascending
+    for root in range(n_left):
+        visited = [False] * n_right
+        lefts, cursors, vias = [root], [0], []  # vias[k] links lefts[k] to lefts[k + 1]
+        while True:
+            i = lefts[-1]
+            j = next((j for j in free if eq(i, j)), -1)
+            if j >= 0:
+                free.remove(j)
+                for k, via in enumerate(vias):
+                    owner[via] = lefts[k]
+                owner[j] = i
+                break
+            while True:
+                i, j = lefts[-1], cursors[-1]
+                while j < n_right and (owner[j] < 0 or visited[j] or not eq(i, j)):
+                    j += 1
+                if j < n_right:
+                    break
+                lefts.pop()
+                cursors.pop()
+                if not lefts:
+                    return False
+                vias.pop()
+            cursors[-1] = j + 1
+            visited[j] = True
+            vias.append(j)
+            lefts.append(owner[j])
+            cursors.append(0)
+    return True
 
 
 def knowledge_equivalent(a: GroundedKnowledge, b: GroundedKnowledge) -> bool:
     """True iff the fact sets of both sides admit a perfect matching."""
-    return _perfect_matching(facts(a), facts(b), fact_equivalent)
+    fa, fb = facts(a), facts(b)
+    return _perfect_matching(len(fa), len(fb), lambda i, j: fact_equivalent(fa[i], fb[j]))
 
 
 # ---------------------------------------------------------------------------

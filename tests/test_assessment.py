@@ -8,6 +8,7 @@ from convground import (
     Verdict,
     assess,
     canonicalize,
+    commit,
     merge,
     plan_ops,
 )
@@ -110,6 +111,25 @@ class TestMergeErrors:
         op = GraphOp(OpKind.CREATE_NODE, FactKey("row_count"), 98)
         with pytest.raises(StateError):
             merge(kb, [op])
+
+
+def test_merge_never_targets_a_node_created_earlier_in_the_list():
+    # Both incoming columns conflict with "area" but not with each other; the
+    # second RemoveNode of "area" must not delete the just-created "area size".
+    kb = canonicalize({"column_info": [{"column_name": "area", "max_value": 5}]})
+    delta = canonicalize({"column_info": [
+        {"column_name": "area size", "max_value": 6},
+        {"column_name": "area total", "max_value": 7},
+    ]})
+    merged, outcomes, ops = commit(kb, delta)
+    assert [o.verdict for o in outcomes] == [Verdict.CONFLICT, Verdict.CONFLICT]
+    assert [op.op for op in ops] == [
+        OpKind.REMOVE_NODE, OpKind.CREATE_NODE, OpKind.REMOVE_NODE, OpKind.CREATE_NODE,
+    ]
+    assert merged.column_info == (
+        ColumnKnowledge("area size", max_value=6),
+        ColumnKnowledge("area total", max_value=7),
+    )
 
 
 def test_graph_op_serialization():

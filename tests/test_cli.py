@@ -71,6 +71,33 @@ class TestAnnotate:
         assert "dialogue A turn 2" in err
         assert not (tmp_path / "out.jsonl").exists()
 
+    def test_unparseable_replies_are_listed_and_other_turns_run(self, tmp_path, capsys):
+        records = [
+            json.loads(line)
+            for line in Path(CACHE).read_text(encoding="utf-8").splitlines()
+        ]
+        # The first record is the label reply for dialogue A turn 2, the last
+        # the extraction reply for the final gold turn of dialogue B.
+        records[0]["response"] = "Output label: unsure"
+        records[-1]["response"] = "Output JSON: {'row_count': "
+        cache = tmp_path / "cache.jsonl"
+        cache.write_text(
+            "".join(json.dumps(r) + "\n" for r in records), encoding="utf-8"
+        )
+        code = run(
+            "annotate", "--corpus", CORPUS, "--gold", GOLD,
+            "--cache", str(cache), "--out", str(tmp_path / "out.jsonl"),
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        lines = err.splitlines()
+        assert lines[0] == "unparseable replies:"
+        assert lines[1].startswith("  dialogue A turn 2: no grounding label found")
+        assert lines[2].startswith("  dialogue B turn 14: ")
+        assert len(lines) == 3
+        assert not (tmp_path / "out.jsonl").exists()
+
     def test_replay_without_cache_is_an_error(self, tmp_path):
         assert run(
             "annotate", "--corpus", CORPUS, "--gold", GOLD,

@@ -15,7 +15,7 @@ from convground import (
     plan_ops,
     terms_equivalent,
 )
-from convground.knowledge import EMPTY_KNOWLEDGE
+from convground.knowledge import EMPTY_KNOWLEDGE, _perfect_matching
 
 
 class TestNormalizeTerm:
@@ -124,6 +124,34 @@ class TestKnowledgeEquivalent:
                 )
                 expected = (dialogue_id, annotation.turn_index) in equivalent_turns
                 assert verdict is expected, (dialogue_id, annotation.turn_index)
+
+    def test_long_value_lists_in_reversed_order(self):
+        values = [f"city {i}" for i in range(2500)] + list(range(2500))
+        gold = GroundedKnowledge(column_info=(ColumnKnowledge("city", values=tuple(values)),))
+        same = GroundedKnowledge(
+            column_info=(ColumnKnowledge("city", values=tuple(reversed(values))),)
+        )
+        differs = GroundedKnowledge(
+            column_info=(ColumnKnowledge("city", values=tuple(reversed(values[:-1] + [-1]))),)
+        )
+        assert knowledge_equivalent(same, gold)
+        assert not knowledge_equivalent(differs, gold)
+
+
+def test_matching_is_polynomial_on_a_near_miss():
+    # Eleven repeats and one value only the other side lacks: backtracking
+    # tries every ordering of the repeats, about 11! calls.
+    left = ["area"] * 12
+    right = ["area"] * 11 + ["budget"]
+    calls = 0
+
+    def eq(i, j):
+        nonlocal calls
+        calls += 1
+        return left[i] == right[j]
+
+    assert not _perfect_matching(12, 12, eq)
+    assert calls <= 12 ** 3
 
 
 class TestCanonicalize:

@@ -1,5 +1,7 @@
 """Property-based checks of the knowledge and assessment algebra."""
 
+import itertools
+
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
@@ -18,7 +20,7 @@ from convground import (
     knowledge_from_facts,
     terms_equivalent,
 )
-from convground.knowledge import find_equivalent
+from convground.knowledge import _lists_equivalent, _scalars_equivalent, find_equivalent
 
 # Single-word names from disjoint vocabularies so that no two generated
 # columns ever have equivalent names.
@@ -177,3 +179,20 @@ def test_constructor_rejects_exactly_equivalent_pairs(names):
             GroundedKnowledge(column_info=columns)
     else:
         assert GroundedKnowledge(column_info=columns).column_info == columns
+
+
+# Overlapping terms with repeats, plus numeric-only text whose token set is
+# empty (so only == matches it) and the numbers it must not match.
+LIST_VALUES = st.sampled_from(
+    ("area", "Area", "area size", "area total", "size", "12", "12.0", 12, 12.0)
+)
+
+
+@given(st.lists(LIST_VALUES, max_size=6), st.lists(LIST_VALUES, max_size=6))
+@settings(max_examples=200)
+def test_lists_equivalent_agrees_with_brute_force(a, b):
+    expected = len(a) == len(b) and any(
+        all(_scalars_equivalent(x, y) for x, y in zip(a, order))
+        for order in itertools.permutations(b)
+    )
+    assert _lists_equivalent(a, b) == expected
