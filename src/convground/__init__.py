@@ -73,7 +73,6 @@ from .llm import (
     complete,
     parse_knowledge_json,
     parse_label,
-    rule_based_label,
 )
 from .prompts import (
     ChatMessage,

@@ -21,8 +21,7 @@ from .knowledge import (
     facts,
     find_equivalent,
     knowledge_from_facts,
-    merge_columns,
-    terms_equivalent,
+    merged_value,
 )
 
 
@@ -78,46 +77,32 @@ class GraphOp:
         return out
 
 
-def _merged_value(existing: Fact, incoming: Fact) -> Any:
-    """The value the existing fact would take after an update."""
-    if existing.key.field == "column":
-        return merge_columns(existing.value, incoming.value)
-    if existing.key.field in ("table_domain", "table_content"):
-        # Text keeps the longer surface form; ties keep the committed one.
-        if len(str(incoming.value)) > len(str(existing.value)):
-            return incoming.value
-        return existing.value
-    return incoming.value
-
-
 def _classify(existing: Fact, incoming: Fact) -> Verdict:
     field = existing.key.field
-    if field in ("row_count", "column_count"):
-        return Verdict.MATCH if existing.value == incoming.value else Verdict.CONFLICT
-    if field in ("table_domain", "table_content"):
-        if existing.value == incoming.value:
-            return Verdict.MATCH
-        if terms_equivalent(str(existing.value), str(incoming.value)):
-            updated = _merged_value(existing, incoming)
-            return Verdict.MATCH if updated == existing.value else Verdict.PARTIAL_MATCH
+    if field == "column":
+        # Overlapping fields must agree; new fields enrich.
+        ex, inc = existing.value.fields(), incoming.value.fields()
+        agree = all(_field_values_equivalent(n, ex[n], inc[n]) for n in set(ex) & set(inc))
+    else:
+        agree = _field_values_equivalent(field, existing.value, incoming.value)
+    if not agree:
         return Verdict.CONFLICT
-    # Column entry: overlapping fields must agree; new fields enrich.
-    ex, inc = existing.value, incoming.value
-    exf, incf = ex.fields(), inc.fields()
-    for name in set(exf) & set(incf):
-        if not _field_values_equivalent(name, exf[name], incf[name]):
-            return Verdict.CONFLICT
     try:
-        updated = merge_columns(ex, inc)
+        updated = merged_value(field, existing.value, incoming.value)
     except ValueError:
         # Field-wise union is inconsistent (e.g. min above max): treat as a
         # disagreement and replace wholesale.
         return Verdict.CONFLICT
-    return Verdict.MATCH if updated == ex else Verdict.PARTIAL_MATCH
+    return Verdict.MATCH if updated == existing.value else Verdict.PARTIAL_MATCH
 
 
 def assess(kb: GroundedKnowledge, delta: GroundedKnowledge) -> list[AssessmentOutcome]:
-    """Classify every incoming fact of ``delta`` against ``kb``."""
+    """Classify every incoming fact of ``delta`` against ``kb``.
+
+    This is the one place that picks the committed fact an incoming fact
+    targets. A conflict retires its target for the rest of the delta, so no
+    later outcome refers to a fact that the conflict replaced.
+    """
     kb_facts = facts(kb)
     kb_keys = [f.key for f in kb_facts]
     outcomes: list[AssessmentOutcome] = []
@@ -125,10 +110,12 @@ def assess(kb: GroundedKnowledge, delta: GroundedKnowledge) -> list[AssessmentOu
         i = find_equivalent(incoming.key, kb_keys)
         if i is None:
             outcomes.append(AssessmentOutcome(incoming, Verdict.NOVEL))
-        else:
-            existing = kb_facts[i]
-            verdict = _classify(existing, incoming)
-            outcomes.append(AssessmentOutcome(incoming, verdict, existing.key))
+            continue
+        existing = kb_facts[i]
+        verdict = _classify(existing, incoming)
+        outcomes.append(AssessmentOutcome(incoming, verdict, existing.key))
+        if verdict is Verdict.CONFLICT:
+            del kb_facts[i], kb_keys[i]
     return outcomes
 
 
@@ -162,34 +149,28 @@ def plan_ops(outcomes: list[AssessmentOutcome]) -> list[GraphOp]:
 def merge(kb: GroundedKnowledge, ops: list[GraphOp]) -> GroundedKnowledge:
     """Apply graph operations (from :func:`plan_ops`) to the knowledge base.
 
-    Each operation locates its target by key equivalence, not by exact key.
-    Instantiate, update and remove ops refer to the knowledge base's own
-    facts, so they never hit a fact that an earlier create in the same list
-    made. Two incoming facts may both refer to one committed fact; once an
-    earlier op removed it, later ops that target it are skipped.
+    Each operation names its target by exact key, as :func:`assess` picked
+    it. Instantiate, update and remove ops need a fact of ``kb`` that no
+    earlier op removed; a create needs a key that neither ``kb`` nor an
+    earlier create holds; anything else raises :class:`StateError`. A created
+    column whose name is equivalent to a kept one folds into it.
     """
-    kept = facts(kb)
-    created: list[Fact] = []
-    removed: list[FactKey] = []
+    kept = {fact.key: fact for fact in facts(kb)}
+    created: dict[FactKey, Fact] = {}
     for op in ops:
         if op.op is OpKind.CREATE_NODE:
-            if find_equivalent(op.target, [f.key for f in kept + created]) is not None:
+            if op.target in kept or op.target in created:
                 raise StateError(f"create targets existing fact {op.target}")
-            created.append(Fact(op.target, op.payload))
-            continue
-        i = find_equivalent(op.target, [fact.key for fact in kept])
-        if i is None:
-            if find_equivalent(op.target, removed) is not None:
-                continue
+            created[op.target] = Fact(op.target, op.payload)
+        elif op.target not in kept:
             raise StateError(f"operation targets missing fact {op.target}")
-        if op.op is OpKind.REMOVE_NODE:
-            removed.append(kept.pop(i).key)
+        elif op.op is OpKind.REMOVE_NODE:
+            del kept[op.target]
         elif op.op is OpKind.UPDATE_NODE:
-            existing = kept[i]
-            incoming = Fact(op.target, op.payload)
-            kept[i] = Fact(existing.key, _merged_value(existing, incoming))
+            value = merged_value(op.target.field, kept[op.target].value, op.payload)
+            kept[op.target] = Fact(op.target, value)
         # INSTANTIATE_NODE only requires its target to exist.
-    return knowledge_from_facts(kept + created)
+    return knowledge_from_facts([*kept.values(), *created.values()])
 
 
 def commit(

@@ -126,12 +126,11 @@ def cmd_annotate(cfg: RunConfig) -> int:
     try:
         dialogues = load_dialogues(cfg.corpus)
         gold = load_gold(cfg.gold, dialogues) if cfg.gold else None
+        cache = ResponseCache(cfg.cache) if cfg.cache else None
     except CorpusError as exc:
         return _fail(str(exc))
     if not cfg.all_turns and gold is None:
         return _fail("annotate needs --gold to select turns (or pass --all-turns)")
-
-    cache = ResponseCache(cfg.cache) if cfg.cache else None
 
     def annotate(dialogue: Dialogue):
         if cfg.all_turns:

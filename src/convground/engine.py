@@ -10,7 +10,7 @@ confirmed it yet.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 from .assessment import AssessmentOutcome, GraphOp, Verdict, commit
@@ -146,8 +146,10 @@ def process_dialogue(
     """Run a dialogue through the engine with injected labeler/extractor.
 
     Provider turns whose extraction is non-empty count as presentations.
-    A labeler or extractor failure downgrades the turn to no-event with
-    empty facts and a warning in the trace.
+    A labeler or extractor failure (a ``ValueError``, ``KeyError`` or
+    ``RuntimeError``: unparseable replies, schema violations, cache misses,
+    API and transport errors) downgrades the turn to no-event with empty
+    facts and a warning in the trace. Any other exception propagates.
     """
     state = GroundingState()
     history: list[Turn] = []
@@ -156,11 +158,11 @@ def process_dialogue(
         warning = None
         try:
             facts = extractor(history)
-        except Exception as exc:
+        except (ValueError, KeyError, RuntimeError) as exc:
             facts, warning = EMPTY_KNOWLEDGE, f"extractor failed: {exc}"
         try:
             label = labeler(history)
-        except Exception as exc:
+        except (ValueError, KeyError, RuntimeError) as exc:
             label, warning = GroundingLabel.NO_EVENT, f"labeler failed: {exc}"
         if warning is not None:
             label, facts = GroundingLabel.NO_EVENT, EMPTY_KNOWLEDGE

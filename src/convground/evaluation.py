@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 from .dialogue import GoldAnnotation, GroundingLabel

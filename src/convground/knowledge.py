@@ -55,7 +55,13 @@ def terms_equivalent(a: str, b: str) -> bool:
     return sa <= sb or sb <= sa
 
 
+def _texts_equivalent(a: str, b: str) -> bool:
+    """Equal text is always equivalent, even without content tokens ("2020", "%")."""
+    return a == b or terms_equivalent(a, b)
+
+
 _COLUMN_FIELDS = ("description", "values", "distinct_count", "min_value", "max_value")
+_TEXT_FIELDS = frozenset({"table_domain", "table_content", "description"})
 
 
 @dataclass(frozen=True)
@@ -201,9 +207,7 @@ def knowledge_from_facts(fact_list: Iterable[Fact]) -> GroundedKnowledge:
 def keys_equivalent(a: FactKey, b: FactKey) -> bool:
     if a.field != b.field:
         return False
-    if a.field == "column":
-        return terms_equivalent(a.column or "", b.column or "")
-    return True
+    return a.field != "column" or _texts_equivalent(a.column or "", b.column or "")
 
 
 def find_equivalent(key: FactKey, candidates: Iterable[FactKey]) -> Optional[int]:
@@ -224,17 +228,26 @@ def merge_columns(existing: ColumnKnowledge, incoming: ColumnKnowledge) -> Colum
     """Fold an incoming column entry into an existing equivalent one.
 
     The first-seen column name is kept stable (renaming could collide with
-    other committed columns); descriptions keep the longer surface form;
-    every other incoming field overwrites.
+    other committed columns); each field present on both sides takes its
+    :func:`merged_value`.
     """
     merged = dict(existing.fields())
     for name, value in incoming.fields().items():
-        if name == "description" and "description" in merged:
-            if len(str(value)) > len(str(merged["description"])):
-                merged["description"] = value
-        else:
-            merged[name] = value
+        merged[name] = merged_value(name, merged[name], value) if name in merged else value
     return ColumnKnowledge(column_name=existing.column_name, **merged)
+
+
+def merged_value(field: str, existing: Any, incoming: Any) -> Any:
+    """The value a committed ``field`` takes when an incoming value updates it.
+
+    Text keeps the longer surface form (ties keep the committed one), a
+    column merges field by field, and any other value is overwritten.
+    """
+    if field == "column":
+        return merge_columns(existing, incoming)
+    if field in _TEXT_FIELDS:
+        return incoming if len(str(incoming)) > len(str(existing)) else existing
+    return incoming
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +258,7 @@ def _scalars_equivalent(a: Scalar, b: Scalar) -> bool:
     """Equivalence of two list values; :func:`_lists_equivalent` applies it
     through token sets computed once per list."""
     if isinstance(a, str) and isinstance(b, str):
-        return a == b or terms_equivalent(a, b)
+        return _texts_equivalent(a, b)
     if isinstance(a, str) or isinstance(b, str):
         return False
     return a == b
@@ -274,16 +287,24 @@ def _lists_equivalent(a: Sequence[Scalar], b: Sequence[Scalar]) -> bool:
     return _perfect_matching(len(a), len(b), eq)
 
 
-def _field_values_equivalent(name: str, a: Any, b: Any) -> bool:
-    if name == "description":
-        return a == b or terms_equivalent(str(a), str(b))
-    if name == "values":
+def _field_values_equivalent(field: str, a: Any, b: Any) -> bool:
+    """The one equivalence rule for two values of a schema field.
+
+    Text compares through :func:`_texts_equivalent`, ``values`` lists as
+    multisets requiring a perfect one-to-one matching, columns field by
+    field, and numbers exactly.
+    """
+    if field == "column":
+        return columns_equivalent(a, b)
+    if field == "values":
         return _lists_equivalent(a, b)
+    if field in _TEXT_FIELDS:
+        return _texts_equivalent(str(a), str(b))
     return a == b
 
 
 def columns_equivalent(a: ColumnKnowledge, b: ColumnKnowledge) -> bool:
-    if not terms_equivalent(a.column_name, b.column_name):
+    if not _texts_equivalent(a.column_name, b.column_name):
         return False
     fa, fb = a.fields(), b.fields()
     if set(fa) != set(fb):
@@ -296,17 +317,11 @@ def fact_equivalent(a: Fact, b: Fact) -> bool:
 
     Keys must agree: ``table_domain`` and ``table_content`` are never
     cross-matched, and column keys match when their names are equivalent
-    terms. Numeric values compare exactly, text values through
-    :func:`terms_equivalent`, and lists as multisets requiring a perfect
-    one-to-one matching.
+    terms. Values then compare by :func:`_field_values_equivalent`.
     """
-    if not keys_equivalent(a.key, b.key):
-        return False
-    if a.key.field == "column":
-        return columns_equivalent(a.value, b.value)
-    if a.key.field in ("table_domain", "table_content"):
-        return a.value == b.value or terms_equivalent(str(a.value), str(b.value))
-    return a.value == b.value
+    return keys_equivalent(a.key, b.key) and _field_values_equivalent(
+        a.key.field, a.value, b.value
+    )
 
 
 def _perfect_matching(n_left: int, n_right: int, eq: Callable[[int, int], bool]) -> bool:

@@ -9,12 +9,12 @@ import json
 import os
 import re
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Optional, Sequence, Union
+from typing import Any, Callable, Optional, Union
 
-from .dialogue import GroundingLabel, Turn
-from .knowledge import GroundedKnowledge, SchemaError, canonicalize, normalize_term
+from .dialogue import CorpusError, GroundingLabel, _iter_records
+from .knowledge import GroundedKnowledge, SchemaError, canonicalize
 from .prompts import ChatMessage
 
 DEFAULT_MODEL = "gpt-3.5-turbo-1106"
@@ -103,11 +103,14 @@ class ResponseCache:
         self.path = Path(path)
         self._responses: dict[str, str] = {}
         if self.path.exists():
-            with open(self.path, encoding="utf-8") as handle:
-                for line in handle:
-                    if line.strip():
-                        record = json.loads(line)
-                        self._responses[record["hash"]] = record["response"]
+            for line_no, record in _iter_records(self.path):
+                try:
+                    self._responses[record["hash"]] = record["response"]
+                except (KeyError, TypeError):
+                    raise CorpusError(
+                        f"{self.path}: line {line_no}: expected an object with "
+                        "'hash' and 'response'"
+                    ) from None
 
     def __len__(self) -> int:
         return len(self._responses)
@@ -282,38 +285,3 @@ def _combine_objects(objects: list) -> dict:
         combined.setdefault("column_info", [])
         combined["column_info"] = list(combined["column_info"]) + columns
     return combined
-
-
-# ---------------------------------------------------------------------------
-# Rule-based baseline labeler.
-# ---------------------------------------------------------------------------
-
-ACK_LEXICON = (
-    "good to know", "got it", "thank you", "thanks",
-    "okay", "ok", "great", "fine", "sure",
-)
-
-_ACK_PATTERN = re.compile(
-    r"\b(?:" + "|".join(re.escape(p) for p in ACK_LEXICON) + r")\b"
-)
-
-
-def rule_based_label(history: Sequence[Turn]) -> GroundingLabel:
-    """Deterministic baseline: acknowledgment lexicon plus question heuristics.
-
-    An acknowledgment without a question mark is explicit grounding. A
-    question whose content tokens overlap the previous two turns counts as
-    clarification of introduced material; any other question (and anything
-    else) is implicit.
-    """
-    last = history[-1]
-    if _ACK_PATTERN.search(last.text.lower()) and "?" not in last.text:
-        return GroundingLabel.EXPLICIT
-    if "?" in last.text:
-        context: set[str] = set()
-        for turn in history[-3:-1]:
-            context |= normalize_term(turn.text)
-        if normalize_term(last.text) & context:
-            return GroundingLabel.CLARIFICATION
-        return GroundingLabel.IMPLICIT
-    return GroundingLabel.IMPLICIT

@@ -13,7 +13,13 @@ from convground import (
     plan_ops,
 )
 from convground.assessment import AssessmentOutcome
-from convground.knowledge import EMPTY_KNOWLEDGE, ColumnKnowledge, Fact, facts
+from convground.knowledge import (
+    EMPTY_KNOWLEDGE,
+    ColumnKnowledge,
+    Fact,
+    facts,
+    knowledge_equivalent,
+)
 
 
 class TestAssess:
@@ -114,22 +120,60 @@ class TestMergeErrors:
 
 
 def test_merge_never_targets_a_node_created_earlier_in_the_list():
-    # Both incoming columns conflict with "area" but not with each other; the
-    # second RemoveNode of "area" must not delete the just-created "area size".
+    # Both incoming columns are equivalent to "area" but not to each other.
+    # The first conflict retires "area", so the second column is novel and no
+    # op can delete the just-created "area size".
     kb = canonicalize({"column_info": [{"column_name": "area", "max_value": 5}]})
     delta = canonicalize({"column_info": [
         {"column_name": "area size", "max_value": 6},
         {"column_name": "area total", "max_value": 7},
     ]})
     merged, outcomes, ops = commit(kb, delta)
-    assert [o.verdict for o in outcomes] == [Verdict.CONFLICT, Verdict.CONFLICT]
+    assert [o.verdict for o in outcomes] == [Verdict.CONFLICT, Verdict.NOVEL]
     assert [op.op for op in ops] == [
-        OpKind.REMOVE_NODE, OpKind.CREATE_NODE, OpKind.REMOVE_NODE, OpKind.CREATE_NODE,
+        OpKind.REMOVE_NODE, OpKind.CREATE_NODE, OpKind.CREATE_NODE,
     ]
     assert merged.column_info == (
         ColumnKnowledge("area size", max_value=6),
         ColumnKnowledge("area total", max_value=7),
     )
+
+
+def test_conflict_created_column_folds_into_a_surviving_equivalent_one():
+    # "area" refers to "area size" (the first equivalent column) and conflicts
+    # with it; the recreated "area" is equivalent to the kept "area total".
+    kb = canonicalize({"column_info": [
+        {"column_name": "area size", "max_value": 5},
+        {"column_name": "area total", "max_value": 6},
+    ]})
+    delta = canonicalize({"column_info": [{"column_name": "area", "max_value": 7}]})
+    merged, outcomes, _ = commit(kb, delta)
+    assert [o.verdict for o in outcomes] == [Verdict.CONFLICT]
+    assert merged.column_info == (ColumnKnowledge("area total", max_value=7),)
+
+
+def test_conflict_retires_its_target_for_the_rest_of_the_delta():
+    # "area size" replaces "area"; "area total" no longer refers to the retired
+    # "area", so its description is kept as a column of its own.
+    kb = canonicalize({"column_info": [{"column_name": "area", "max_value": 5}]})
+    delta = canonicalize({"column_info": [
+        {"column_name": "area size", "max_value": 6},
+        {"column_name": "area total", "description": "total area of the park"},
+    ]})
+    merged, outcomes, _ = commit(kb, delta)
+    assert [o.verdict for o in outcomes] == [Verdict.CONFLICT, Verdict.NOVEL]
+    assert merged.column_info == (
+        ColumnKnowledge("area size", max_value=6),
+        ColumnKnowledge("area total", description="total area of the park"),
+    )
+
+
+def test_names_without_content_tokens_equal_themselves():
+    kb = canonicalize({"column_names": ["2020", "%", "area"]})
+    merged, outcomes, _ = commit(kb, kb)
+    assert merged == kb
+    assert all(o.verdict is Verdict.MATCH for o in outcomes)
+    assert knowledge_equivalent(kb, kb)
 
 
 def test_graph_op_serialization():

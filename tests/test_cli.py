@@ -98,6 +98,20 @@ class TestAnnotate:
         assert len(lines) == 3
         assert not (tmp_path / "out.jsonl").exists()
 
+    def test_torn_final_cache_line_names_file_and_line(self, tmp_path, capsys):
+        lines = Path(CACHE).read_text(encoding="utf-8").splitlines(keepends=True)
+        cache = tmp_path / "cache.jsonl"
+        cache.write_text("".join(lines[:-1]) + lines[-1][:40], encoding="utf-8")
+        code = run(
+            "annotate", "--corpus", CORPUS, "--gold", GOLD,
+            "--cache", str(cache), "--out", str(tmp_path / "out.jsonl"),
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cache}: line {len(lines)}: ")
+        assert "Traceback" not in err
+        assert not (tmp_path / "out.jsonl").exists()
+
     def test_replay_without_cache_is_an_error(self, tmp_path):
         assert run(
             "annotate", "--corpus", CORPUS, "--gold", GOLD,

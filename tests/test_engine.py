@@ -191,6 +191,15 @@ class TestGoldReplay:
         assert all(t.warning for t in trace)
         assert trace == list(state.history)
 
+    def test_programming_error_in_extractor_propagates(self, dialogues_by_id):
+        def broken(history):
+            raise TypeError("bug")
+
+        with pytest.raises(TypeError, match="bug"):
+            process_dialogue(
+                dialogues_by_id["A"], lambda history: GroundingLabel.EXPLICIT, broken
+            )
+
 
 class TestChooseFeedback:
     def test_novel_continues_implicitly(self):

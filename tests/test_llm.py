@@ -8,17 +8,15 @@ from convground import (
     CacheMissError,
     CacheMode,
     CompletionRequest,
+    CorpusError,
     GroundingLabel,
     ResponseCache,
-    Role,
-    Turn,
     canonicalize,
     complete,
     fixtures,
     knowledge_equivalent,
     parse_knowledge_json,
     parse_label,
-    rule_based_label,
 )
 from convground.llm import ApiError, TransportError, _post, request_hash
 from convground.prompts import (
@@ -139,6 +137,12 @@ class TestCache:
             complete(request, CacheMode.REPLAY, cache=cache)
         assert excinfo.value.request_hash == request_hash(request)
 
+    def test_record_without_response_names_file_and_line(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        path.write_text('{"hash": "a", "response": "x"}\n\n{"hash": "b"}\n', encoding="utf-8")
+        with pytest.raises(CorpusError, match=r"cache\.jsonl: line 3: .*'response'"):
+            ResponseCache(path)
+
     def test_hash_stable_across_message_objects(self):
         assert request_hash(make_request()) == request_hash(make_request())
         assert request_hash(make_request()) != request_hash(make_request("other"))
@@ -233,37 +237,3 @@ def test_post_round_trips_through_a_local_server():
     assert received[0] == ("/ok", "application/json", {"temperature": 0})
     with pytest.raises(OSError):
         _post(base + "/ok", {}, headers)
-
-
-class TestRuleBasedLabel:
-    def test_acknowledgment_is_explicit(self):
-        history = [
-            Turn(1, Role.PROVIDER, "Attributes: year, title, author, short text description, category"),
-            Turn(2, Role.SEEKER, "ok got it"),
-        ]
-        assert rule_based_label(history) is GroundingLabel.EXPLICIT
-
-    def test_question_without_overlap_is_implicit(self):
-        history = [
-            Turn(1, Role.PROVIDER, "Hi, yes sure."),
-            Turn(2, Role.SEEKER, "How many rows are there in the dataset?"),
-        ]
-        assert rule_based_label(history) is GroundingLabel.IMPLICIT
-
-    def test_question_with_content_overlap_is_clarification(self):
-        history = [
-            Turn(1, Role.PROVIDER, "There is a column for the human development index."),
-            Turn(2, Role.SEEKER, "But what does this index represent?"),
-        ]
-        assert rule_based_label(history) is GroundingLabel.CLARIFICATION
-
-    def test_fallback_is_implicit(self):
-        history = [Turn(1, Role.SEEKER, "no worries")]
-        assert rule_based_label(history) is GroundingLabel.IMPLICIT
-
-    def test_acknowledgment_with_question_is_not_explicit(self):
-        history = [
-            Turn(1, Role.PROVIDER, "The dataset has 98 rows."),
-            Turn(2, Role.SEEKER, "thanks, but how many columns does the dataset have?"),
-        ]
-        assert rule_based_label(history) is not GroundingLabel.EXPLICIT

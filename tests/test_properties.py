@@ -11,6 +11,7 @@ from convground import (
     ColumnKnowledge,
     FactKey,
     GroundedKnowledge,
+    OpKind,
     Verdict,
     assess,
     canonicalize,
@@ -196,3 +197,40 @@ def test_lists_equivalent_agrees_with_brute_force(a, b):
         for order in itertools.permutations(b)
     )
     assert _lists_equivalent(a, b) == expected
+
+
+# Names that overlap without transitivity, differ only in case, or have no
+# content tokens at all ("2020", "%"), so only == makes them equivalent.
+POOL_NAMES = ("area", "area size", "area total", "size", "total", "Area", "2020", "%")
+
+
+@st.composite
+def pool_column(draw):
+    entry = {"column_name": draw(st.sampled_from(POOL_NAMES))}
+    if draw(st.booleans()):
+        entry["max_value"] = draw(st.integers(min_value=0, max_value=3))
+    if draw(st.booleans()):
+        entry["description"] = draw(st.sampled_from(("area", "total area", "size", "%")))
+    if draw(st.booleans()):
+        entry["values"] = draw(st.lists(st.sampled_from(POOL_NAMES), max_size=2))
+    return entry
+
+
+POOL_KNOWLEDGE = st.lists(pool_column(), max_size=4).map(
+    lambda entries: canonicalize({"column_info": entries})
+)
+
+
+@given(POOL_KNOWLEDGE, POOL_KNOWLEDGE)
+@settings(max_examples=500, deadline=None)
+def test_commit_over_overlapping_names_targets_exact_keys(kb, delta):
+    _, _, ops = commit(kb, delta)
+    kb_keys = {f.key for f in facts(kb)}
+    targets = [op.target for op in ops if op.op is not OpKind.CREATE_NODE]
+    assert set(targets) <= kb_keys
+    removed = [op.target for op in ops if op.op is OpKind.REMOVE_NODE]
+    assert len(removed) == len(set(removed))
+    merged, outcomes, _ = commit(kb, kb)
+    assert merged == kb
+    assert all(o.verdict is Verdict.MATCH for o in outcomes)
+    assert knowledge_equivalent(kb, kb)
