@@ -17,9 +17,9 @@ from .knowledge import (
     Fact,
     FactKey,
     GroundedKnowledge,
+    KeyIndex,
     _field_values_equivalent,
     facts,
-    find_equivalent,
     knowledge_from_facts,
     merged_value,
 )
@@ -104,10 +104,12 @@ def assess(kb: GroundedKnowledge, delta: GroundedKnowledge) -> list[AssessmentOu
     later outcome refers to a fact that the conflict replaced.
     """
     kb_facts = facts(kb)
-    kb_keys = [f.key for f in kb_facts]
+    index = KeyIndex()
+    for fact in kb_facts:
+        index.add(fact.key)
     outcomes: list[AssessmentOutcome] = []
     for incoming in facts(delta):
-        i = find_equivalent(incoming.key, kb_keys)
+        i = index.find(incoming.key)
         if i is None:
             outcomes.append(AssessmentOutcome(incoming, Verdict.NOVEL))
             continue
@@ -115,7 +117,7 @@ def assess(kb: GroundedKnowledge, delta: GroundedKnowledge) -> list[AssessmentOu
         verdict = _classify(existing, incoming)
         outcomes.append(AssessmentOutcome(incoming, verdict, existing.key))
         if verdict is Verdict.CONFLICT:
-            del kb_facts[i], kb_keys[i]
+            index.discard(i)
     return outcomes
 
 

@@ -13,7 +13,7 @@ import enum
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
-from .assessment import AssessmentOutcome, GraphOp, Verdict, commit
+from .assessment import AssessmentOutcome, GraphOp, StateError, Verdict, commit
 from .dialogue import Dialogue, GoldAnnotation, GroundingLabel, Role, Turn
 from .knowledge import EMPTY_KNOWLEDGE, GroundedKnowledge
 
@@ -149,7 +149,10 @@ def process_dialogue(
     A labeler or extractor failure (a ``ValueError``, ``KeyError`` or
     ``RuntimeError``: unparseable replies, schema violations, cache misses,
     API and transport errors) downgrades the turn to no-event with empty
-    facts and a warning in the trace. Any other exception propagates.
+    facts and a warning in the trace. So does a ``ValueError`` or
+    :class:`StateError` from presenting or committing the turn's facts, which
+    also leaves the state as it was before the turn. Any other exception
+    propagates.
     """
     state = GroundingState()
     history: list[Turn] = []
@@ -164,14 +167,17 @@ def process_dialogue(
             label = labeler(history)
         except (ValueError, KeyError, RuntimeError) as exc:
             label, warning = GroundingLabel.NO_EVENT, f"labeler failed: {exc}"
-        if warning is not None:
-            label, facts = GroundingLabel.NO_EVENT, EMPTY_KNOWLEDGE
-        if turn.role is Role.PROVIDER and not facts.is_empty:
-            state = present(state, facts, turn)
-        state = observe_label(state, label, turn, facts)
-        if warning is not None:
-            *earlier, last = state.history
-            state = replace(state, history=(*earlier, replace(last, warning=warning)))
+        if warning is None:
+            try:
+                staged = state
+                if turn.role is Role.PROVIDER and not facts.is_empty:
+                    staged = present(state, facts, turn)
+                state = observe_label(staged, label, turn, facts)
+                continue
+            except (ValueError, StateError) as exc:
+                warning = f"commit failed: {exc}"
+        entry = TurnTrace(turn.index, GroundingLabel.NO_EVENT, EMPTY_KNOWLEDGE, warning=warning)
+        state = replace(state, history=state.history + (entry,))
     return state, list(state.history)
 
 

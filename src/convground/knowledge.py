@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Optional, Sequence, Union
+from typing import Any, Iterable, Optional, Sequence, Union
+
+from .matching import perfect_matching
 
 Scalar = Union[int, float, str]
 
@@ -118,12 +120,13 @@ class GroundedKnowledge:
     def __post_init__(self) -> None:
         if not isinstance(self.column_info, tuple):
             object.__setattr__(self, "column_info", tuple(self.column_info))
-        keys = [FactKey("column", c.column_name) for c in self.column_info]
-        for j, key in enumerate(keys):
-            i = find_equivalent(key, keys[:j])
-            if i is not None:
+        index = KeyIndex()
+        for j, column in enumerate(self.column_info):
+            i = index.add(FactKey("column", column.column_name))
+            if i != j:
                 raise ValueError(
-                    f"columns {keys[i].column!r} and {key.column!r} have equivalent names"
+                    f"columns {self.column_info[i].column_name!r} and "
+                    f"{column.column_name!r} have equivalent names"
                 )
 
     @property
@@ -145,9 +148,6 @@ class GroundedKnowledge:
         if self.column_info:
             out["column_info"] = [c.to_json_dict() for c in self.column_info]
         return out
-
-
-EMPTY_KNOWLEDGE = GroundedKnowledge()
 
 
 # ---------------------------------------------------------------------------
@@ -189,39 +189,81 @@ def facts(knowledge: GroundedKnowledge) -> list[Fact]:
 def knowledge_from_facts(fact_list: Iterable[Fact]) -> GroundedKnowledge:
     """Rebuild a knowledge object from facts, folding equivalent columns together."""
     scalars: dict[str, Any] = {}
-    keys: list[FactKey] = []
+    index = KeyIndex()
     columns: list[ColumnKnowledge] = []
     for fact in fact_list:
         if fact.key.field != "column":
             scalars[fact.key.field] = fact.value
             continue
-        i = find_equivalent(fact.key, keys)
-        if i is None:
-            keys.append(fact.key)
+        i = index.add(fact.key)
+        if i == len(columns):
             columns.append(fact.value)
         else:
             columns[i] = merge_columns(columns[i], fact.value)
     return GroundedKnowledge(column_info=tuple(columns), **scalars)
 
 
-def keys_equivalent(a: FactKey, b: FactKey) -> bool:
-    if a.field != b.field:
-        return False
-    return a.field != "column" or _texts_equivalent(a.column or "", b.column or "")
+def _key_terms(key: FactKey) -> frozenset[Any]:
+    """The content tokens of a column's name, or else the key itself."""
+    tokens = normalize_term(key.column) if key.field == "column" and key.column else None
+    return tokens or frozenset((key,))
 
 
-def find_equivalent(key: FactKey, candidates: Iterable[FactKey]) -> Optional[int]:
-    """Position of the first candidate equivalent to ``key``, or None.
+class KeyIndex:
+    """Fact keys at fixed positions, looked up by equivalence.
 
     This is the one place that decides which existing fact or column a key
-    refers to. :func:`terms_equivalent` is not transitive ("area" matches
-    both "area size" and "area total", which do not match each other), so
-    the first match in candidate order wins.
+    refers to. Two keys are equivalent when one's terms (see
+    :func:`_key_terms`) hold the other's: column names compare as
+    :func:`_texts_equivalent` does, and a top-level field or a name without
+    content tokens ("2020", "%") matches only an equal key. This is not
+    transitive ("area" matches both "area size" and "area total", which do
+    not match each other), so a lookup returns the lowest live position.
+
+    Each key is normalised once, when it is looked up or added, and listed
+    under each of its terms. A candidate sharing ``k`` of the probe's terms
+    holds them all when ``k`` is the probe's term count, and lies within
+    them when ``k`` is its own.
     """
-    for i, candidate in enumerate(candidates):
-        if keys_equivalent(candidate, key):
-            return i
-    return None
+
+    def __init__(self) -> None:
+        self._sizes: list[Optional[int]] = []  # term count; None once discarded
+        self._postings: dict[Any, list[int]] = {}
+
+    def find(self, key: FactKey) -> Optional[int]:
+        """Lowest live position whose key is equivalent to ``key``, or None."""
+        return self._find(_key_terms(key))
+
+    def add(self, key: FactKey) -> int:
+        """Position of the first live key equivalent to ``key``; when there
+        is none, ``key`` takes the next new position, which is returned."""
+        terms = _key_terms(key)
+        i = self._find(terms)
+        if i is None:
+            i = len(self._sizes)
+            self._sizes.append(len(terms))
+            for term in terms:
+                self._postings.setdefault(term, []).append(i)
+        return i
+
+    def discard(self, position: int) -> None:
+        """Retire a position: no later lookup returns it."""
+        self._sizes[position] = None
+
+    def _find(self, terms: frozenset[Any]) -> Optional[int]:
+        shared: dict[int, int] = {}
+        for term in terms:
+            for i in self._postings.get(term, ()):
+                shared[i] = shared.get(i, 0) + 1
+        sizes = self._sizes
+        return min(
+            (i for i, k in shared.items()
+             if sizes[i] is not None and k in (len(terms), sizes[i])),
+            default=None,
+        )
+
+
+EMPTY_KNOWLEDGE = GroundedKnowledge()
 
 
 def merge_columns(existing: ColumnKnowledge, incoming: ColumnKnowledge) -> ColumnKnowledge:
@@ -271,11 +313,14 @@ def _lists_equivalent(a: Sequence[Scalar], b: Sequence[Scalar]) -> bool:
     non-string gets an empty token set, so, like a string without content
     tokens, only ``==`` can match it (and no string equals a non-string).
     Both sides are sorted first so that equal values meet at the same
-    position, where the matcher tries them before anything else.
+    position, where the matcher tries them before anything else; lists that
+    are then equal item by item need no normalisation at all.
     """
     if len(a) != len(b):
         return False
     a, b = sorted(a, key=str), sorted(b, key=str)
+    if a == b:
+        return True
     no_tokens: frozenset[str] = frozenset()
     ta = [normalize_term(v) if isinstance(v, str) else no_tokens for v in a]
     tb = [normalize_term(v) if isinstance(v, str) else no_tokens for v in b]
@@ -284,7 +329,7 @@ def _lists_equivalent(a: Sequence[Scalar], b: Sequence[Scalar]) -> bool:
         x, y = ta[i], tb[j]
         return a[i] == b[j] or (bool(x) and bool(y) and (x <= y or y <= x))
 
-    return _perfect_matching(len(a), len(b), eq)
+    return perfect_matching(len(a), len(b), eq)
 
 
 def _field_values_equivalent(field: str, a: Any, b: Any) -> bool:
@@ -315,67 +360,19 @@ def columns_equivalent(a: ColumnKnowledge, b: ColumnKnowledge) -> bool:
 def fact_equivalent(a: Fact, b: Fact) -> bool:
     """Judge two atomic facts as semantically the same grounded element.
 
-    Keys must agree: ``table_domain`` and ``table_content`` are never
-    cross-matched, and column keys match when their names are equivalent
-    terms. Values then compare by :func:`_field_values_equivalent`.
+    Fields must agree, so ``table_domain`` and ``table_content`` are never
+    cross-matched; values then compare by :func:`_field_values_equivalent`,
+    which compares columns by name as well.
     """
-    return keys_equivalent(a.key, b.key) and _field_values_equivalent(
+    return a.key.field == b.key.field and _field_values_equivalent(
         a.key.field, a.value, b.value
     )
-
-
-def _perfect_matching(n_left: int, n_right: int, eq: Callable[[int, int], bool]) -> bool:
-    """True iff a one-to-one matching pairs every index on both sides under ``eq(i, j)``.
-
-    Kuhn's augmenting-path algorithm: each left index in turn searches,
-    depth first, for a path that ends at an unmatched right index. Every
-    left index the search reaches first tries the unmatched right indices,
-    in ascending order, then steps through each matched right index it is
-    equivalent to, at most once per search, to that index's owner. So each
-    search calls ``eq`` at most ``n_left * n_right`` times. A left index
-    with no augmenting path can never be matched later, so the first failed
-    search decides. The search keeps its own stack, so long lists cannot
-    exhaust the interpreter's recursion limit.
-    """
-    if n_left != n_right:
-        return False
-    owner = [-1] * n_right  # left index matched to each right index, or -1
-    free = list(range(n_right))  # unmatched right indices, ascending
-    for root in range(n_left):
-        visited = [False] * n_right
-        lefts, cursors, vias = [root], [0], []  # vias[k] links lefts[k] to lefts[k + 1]
-        while True:
-            i = lefts[-1]
-            j = next((j for j in free if eq(i, j)), -1)
-            if j >= 0:
-                free.remove(j)
-                for k, via in enumerate(vias):
-                    owner[via] = lefts[k]
-                owner[j] = i
-                break
-            while True:
-                i, j = lefts[-1], cursors[-1]
-                while j < n_right and (owner[j] < 0 or visited[j] or not eq(i, j)):
-                    j += 1
-                if j < n_right:
-                    break
-                lefts.pop()
-                cursors.pop()
-                if not lefts:
-                    return False
-                vias.pop()
-            cursors[-1] = j + 1
-            visited[j] = True
-            vias.append(j)
-            lefts.append(owner[j])
-            cursors.append(0)
-    return True
 
 
 def knowledge_equivalent(a: GroundedKnowledge, b: GroundedKnowledge) -> bool:
     """True iff the fact sets of both sides admit a perfect matching."""
     fa, fb = facts(a), facts(b)
-    return _perfect_matching(len(fa), len(fb), lambda i, j: fact_equivalent(fa[i], fb[j]))
+    return perfect_matching(len(fa), len(fb), lambda i, j: fact_equivalent(fa[i], fb[j]))
 
 
 # ---------------------------------------------------------------------------

@@ -201,6 +201,37 @@ class TestGoldReplay:
             )
 
 
+    def test_failed_commit_downgrades_the_turn_and_later_turns_commit(self):
+        from convground import Dialogue, GoldAnnotation
+
+        turns = [provider_turn(i) for i in (1, 2, 3)]
+        gold = [
+            GoldAnnotation(1, GroundingLabel.IMPLICIT, canonicalize({"column_info": [
+                {"column_name": "area size", "max_value": 9},
+                {"column_name": "area total", "min_value": 5},
+            ]})),
+            # "area" conflicts with "area size" and then folds into
+            # "area total", whose min_value 5 exceeds the incoming max_value 3.
+            GoldAnnotation(2, GroundingLabel.IMPLICIT,
+                           canonicalize({"column_name": "area", "max_value": 3})),
+            GoldAnnotation(3, GroundingLabel.IMPLICIT, canonicalize({"row_count": 50})),
+        ]
+        state, trace = process_dialogue(
+            Dialogue("bad", "geography", tuple(turns)), gold_labeler(gold), gold_extractor(gold)
+        )
+        assert [t.label for t in trace] == [
+            GroundingLabel.IMPLICIT, GroundingLabel.NO_EVENT, GroundingLabel.IMPLICIT
+        ]
+        assert trace[1].warning == (
+            "commit failed: column 'area total': min_value 5 exceeds max_value 3"
+        )
+        assert trace[1].facts.is_empty and trace[1].ops == ()
+        assert state.pending is None
+        assert [c.column_name for c in state.grounded.column_info] == ["area size", "area total"]
+        assert state.grounded.row_count == 50
+        assert trace == list(state.history)
+
+
 class TestChooseFeedback:
     def test_novel_continues_implicitly(self):
         outcomes = assess(EMPTY_KNOWLEDGE, canonicalize({"row_count": 98}))

@@ -1,13 +1,16 @@
 import pytest
 
+from convground import knowledge
 from convground import (
     ColumnKnowledge,
     Fact,
     FactKey,
     GroundedKnowledge,
     SchemaError,
+    Verdict,
     assess,
     canonicalize,
+    commit,
     fact_equivalent,
     knowledge_equivalent,
     merge,
@@ -15,7 +18,8 @@ from convground import (
     plan_ops,
     terms_equivalent,
 )
-from convground.knowledge import EMPTY_KNOWLEDGE, _perfect_matching
+from convground.knowledge import EMPTY_KNOWLEDGE, _lists_equivalent
+from convground.matching import perfect_matching
 
 
 class TestNormalizeTerm:
@@ -150,8 +154,41 @@ def test_matching_is_polynomial_on_a_near_miss():
         calls += 1
         return left[i] == right[j]
 
-    assert not _perfect_matching(12, 12, eq)
+    assert not perfect_matching(12, 12, eq)
     assert calls <= 12 ** 3
+
+
+def count_normalize_calls(monkeypatch):
+    """Count ``knowledge.normalize_term`` calls; returns the list of terms."""
+    calls = []
+    real = knowledge.normalize_term
+
+    def counted(term):
+        calls.append(term)
+        return real(term)
+
+    monkeypatch.setattr(knowledge, "normalize_term", counted)
+    return calls
+
+
+def test_equal_lists_need_no_normalisation(monkeypatch):
+    calls = count_normalize_calls(monkeypatch)
+    values = [f"city {i}" for i in range(64)]
+    assert _lists_equivalent(values, list(reversed(values)))
+    assert calls == []
+
+
+def test_commit_normalises_each_column_name_a_bounded_number_of_times(monkeypatch):
+    # 400 distinct two-word names; each word is shared by 20 of them, so no
+    # two names are equivalent but every lookup meets names with a common token.
+    words = [chr(ord("a") + i) * 3 for i in range(20)]
+    names = [f"{q}side {n}ware" for q in words for n in words]
+    calls = count_normalize_calls(monkeypatch)
+    kb = canonicalize({"column_names": names})
+    merged, outcomes, _ = commit(kb, kb)
+    assert merged == kb
+    assert all(o.verdict is Verdict.MATCH for o in outcomes)
+    assert len(calls) <= 8 * len(names)
 
 
 class TestCanonicalize:

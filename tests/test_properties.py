@@ -21,7 +21,7 @@ from convground import (
     knowledge_from_facts,
     terms_equivalent,
 )
-from convground.knowledge import _lists_equivalent, _scalars_equivalent, find_equivalent
+from convground.knowledge import KeyIndex, _lists_equivalent, _scalars_equivalent
 
 # Single-word names from disjoint vocabularies so that no two generated
 # columns ever have equivalent names.
@@ -142,16 +142,62 @@ def overlap(a, b):
     return ta <= tb or tb <= ta
 
 
-KEYS = st.one_of(st.just(FactKey("row_count")), OVERLAPPING.map(lambda n: FactKey("column", n)))
+# Names that overlap without transitivity, differ only in case, or have no
+# content tokens at all ("2020", "%"), so only == makes them equivalent.
+POOL_NAMES = ("area", "area size", "area total", "size", "total", "Area", "2020", "%")
 
 
-@given(KEYS, st.lists(KEYS, max_size=6))
-def test_find_equivalent_returns_first_equivalent_index(key, candidates):
-    matches = [
-        i for i, c in enumerate(candidates)
-        if c.field == key.field and (c.field != "column" or overlap(c.column, key.column))
-    ]
-    assert find_equivalent(key, candidates) == (matches[0] if matches else None)
+def pool_keys_equivalent(a, b):
+    """Reference key equivalence for POOL_NAMES: equal keys, or column names
+    whose non-empty sets of lowercased words (numbers and "%" dropped) nest."""
+    if a.field != b.field:
+        return False
+    if a == b or a.field != "column":
+        return True
+    ta = {w for w in a.column.lower().split() if w.isalpha()}
+    tb = {w for w in b.column.lower().split() if w.isalpha()}
+    return bool(ta) and bool(tb) and (ta <= tb or tb <= ta)
+
+
+POOL_KEYS = st.one_of(
+    st.just(FactKey("row_count")),
+    st.sampled_from(POOL_NAMES).map(lambda n: FactKey("column", n)),
+)
+INDEX_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("add"), POOL_KEYS),
+        st.tuples(st.just("find"), POOL_KEYS),
+        st.tuples(st.just("discard"), st.integers(min_value=0, max_value=20)),
+    ),
+    max_size=30,
+)
+
+
+@given(INDEX_OPS)
+@settings(max_examples=300)
+def test_key_index_returns_first_live_equivalent_position(ops):
+    index = KeyIndex()
+    slots = []  # the oracle: the key at each position, None once discarded
+    for op, arg in ops:
+        if op == "discard":
+            live = [i for i, key in enumerate(slots) if key is not None]
+            if live:
+                i = live[arg % len(live)]
+                index.discard(i)
+                slots[i] = None
+            continue
+        first = next(
+            (i for i, key in enumerate(slots)
+             if key is not None and pool_keys_equivalent(key, arg)),
+            None,
+        )
+        if op == "find":
+            assert index.find(arg) == first
+            continue
+        if first is None:
+            first = len(slots)
+            slots.append(arg)
+        assert index.add(arg) == first
 
 
 @given(st.lists(st.tuples(OVERLAPPING, st.integers(min_value=0, max_value=9)), max_size=6))
@@ -197,11 +243,6 @@ def test_lists_equivalent_agrees_with_brute_force(a, b):
         for order in itertools.permutations(b)
     )
     assert _lists_equivalent(a, b) == expected
-
-
-# Names that overlap without transitivity, differ only in case, or have no
-# content tokens at all ("2020", "%"), so only == makes them equivalent.
-POOL_NAMES = ("area", "area size", "area total", "size", "total", "Area", "2020", "%")
 
 
 @st.composite
