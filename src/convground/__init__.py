@@ -30,11 +30,8 @@ from .dialogue import (
     save_dialogues,
 )
 from .engine import (
-    FeedbackAct,
-    FeedbackKind,
     GroundingState,
     PendingContribution,
-    choose_feedback,
     gold_extractor,
     gold_labeler,
     observe_label,

@@ -20,7 +20,7 @@ from .knowledge import (
     KeyIndex,
     _field_values_equivalent,
     facts,
-    knowledge_from_facts,
+    fold_facts,
     merged_value,
 )
 
@@ -96,17 +96,27 @@ def _classify(existing: Fact, incoming: Fact) -> Verdict:
     return Verdict.MATCH if updated == existing.value else Verdict.PARTIAL_MATCH
 
 
-def assess(kb: GroundedKnowledge, delta: GroundedKnowledge) -> list[AssessmentOutcome]:
+def _index_of(kb_facts: list[Fact]) -> KeyIndex:
+    index = KeyIndex()
+    for fact in kb_facts:
+        index.add(fact.key)
+    return index
+
+
+def assess(
+    kb: GroundedKnowledge, delta: GroundedKnowledge, index: Optional[KeyIndex] = None
+) -> list[AssessmentOutcome]:
     """Classify every incoming fact of ``delta`` against ``kb``.
 
     This is the one place that picks the committed fact an incoming fact
     targets. A conflict retires its target for the rest of the delta, so no
-    later outcome refers to a fact that the conflict replaced.
+    later outcome refers to a fact that the conflict replaced. ``index`` is
+    a fresh :class:`KeyIndex` of ``facts(kb)``, built here when not given;
+    the conflicts' targets are retired in it, so :func:`merge` can reuse it.
     """
     kb_facts = facts(kb)
-    index = KeyIndex()
-    for fact in kb_facts:
-        index.add(fact.key)
+    if index is None:
+        index = _index_of(kb_facts)
     outcomes: list[AssessmentOutcome] = []
     for incoming in facts(delta):
         i = index.find(incoming.key)
@@ -148,37 +158,50 @@ def plan_ops(outcomes: list[AssessmentOutcome]) -> list[GraphOp]:
     return ops
 
 
-def merge(kb: GroundedKnowledge, ops: list[GraphOp]) -> GroundedKnowledge:
+def merge(
+    kb: GroundedKnowledge, ops: list[GraphOp], index: Optional[KeyIndex] = None
+) -> GroundedKnowledge:
     """Apply graph operations (from :func:`plan_ops`) to the knowledge base.
 
     Each operation names its target by exact key, as :func:`assess` picked
     it. Instantiate, update and remove ops need a fact of ``kb`` that no
     earlier op removed; a create needs a key that neither ``kb`` nor an
     earlier create holds; anything else raises :class:`StateError`. A created
-    column whose name is equivalent to a kept one folds into it.
+    column whose name is equivalent to a kept one folds into it. ``index`` is
+    the :class:`KeyIndex` of ``facts(kb)`` that :func:`assess` left, built
+    here when not given. When every op is an instantiation, ``kb`` itself is
+    returned.
     """
-    kept = {fact.key: fact for fact in facts(kb)}
+    kb_facts = facts(kb)
+    if index is None:
+        index = _index_of(kb_facts)
+    position = {fact.key: i for i, fact in enumerate(kb_facts)}
+    kept = dict(enumerate(kb_facts))
     created: dict[FactKey, Fact] = {}
     for op in ops:
+        i = position.get(op.target)
         if op.op is OpKind.CREATE_NODE:
-            if op.target in kept or op.target in created:
+            if i in kept or op.target in created:
                 raise StateError(f"create targets existing fact {op.target}")
             created[op.target] = Fact(op.target, op.payload)
-        elif op.target not in kept:
+        elif i not in kept:
             raise StateError(f"operation targets missing fact {op.target}")
         elif op.op is OpKind.REMOVE_NODE:
-            del kept[op.target]
+            del kept[i]
+            index.discard(i)
         elif op.op is OpKind.UPDATE_NODE:
-            value = merged_value(op.target.field, kept[op.target].value, op.payload)
-            kept[op.target] = Fact(op.target, value)
+            kept[i] = Fact(op.target, merged_value(op.target.field, kept[i].value, op.payload))
         # INSTANTIATE_NODE only requires its target to exist.
-    return knowledge_from_facts([*kept.values(), *created.values()])
+    if all(op.op is OpKind.INSTANTIATE_NODE for op in ops):
+        return kb
+    return fold_facts(kept, index, created.values())
 
 
 def commit(
     kb: GroundedKnowledge, delta: GroundedKnowledge
 ) -> tuple[GroundedKnowledge, list[AssessmentOutcome], list[GraphOp]]:
-    """Assess, plan, and merge in one step."""
-    outcomes = assess(kb, delta)
+    """Assess, plan, and merge in one step, over one index of ``kb``."""
+    index = _index_of(facts(kb))
+    outcomes = assess(kb, delta, index)
     ops = plan_ops(outcomes)
-    return merge(kb, ops), outcomes, ops
+    return merge(kb, ops, index), outcomes, ops

@@ -74,12 +74,13 @@ def _annotate_dialogue(
     annotations: list[GoldAnnotation] = []
     misses: list[str] = []
     unparseable: list[str] = []
-    kb = EMPTY_KNOWLEDGE
+    kb, kb_json = EMPTY_KNOWLEDGE, None
     for turn_index in targets:
         history = dialogue.turns[:turn_index]
         cls_messages = build_classification_prompt(history)
         if cfg.incremental_kb:
-            kb_json = json.dumps(kb.to_json_dict(), ensure_ascii=False)
+            if kb_json is None:
+                kb_json = json.dumps(kb.to_json_dict(), ensure_ascii=False)
             ext_messages = build_extraction_prompt(history, known_kb_json=kb_json)
         else:
             ext_messages = build_extraction_prompt(history)
@@ -113,8 +114,12 @@ def _annotate_dialogue(
             GroundingLabel.IMPLICIT,
         ):
             # Incremental mode: the extracted delta feeds the running KB
-            # instead of regenerating everything from scratch next turn.
-            kb, _, _ = commit(kb, knowledge)
+            # instead of regenerating everything from scratch next turn. A
+            # commit that changes nothing returns the same object, and the
+            # serialised KB is kept.
+            grown, _, _ = commit(kb, knowledge)
+            if grown is not kb:
+                kb, kb_json = grown, None
     return annotations, misses, unparseable
 
 
@@ -189,6 +194,8 @@ def cmd_ground(cfg: RunConfig) -> int:
                     "label": entry.label.value,
                     "ops": [op.to_json_dict() for op in entry.ops],
                 }
+                if entry.warning is not None:
+                    record["warning"] = entry.warning
                 handle.write(json.dumps(record, ensure_ascii=False) + "\n")
             final = {
                 "dialogue_id": dialogue.id,

@@ -9,11 +9,10 @@ confirmed it yet.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
-from .assessment import AssessmentOutcome, GraphOp, StateError, Verdict, commit
+from .assessment import GraphOp, StateError, commit
 from .dialogue import Dialogue, GoldAnnotation, GroundingLabel, Role, Turn
 from .knowledge import EMPTY_KNOWLEDGE, GroundedKnowledge
 
@@ -50,43 +49,6 @@ class GroundingState:
     grounded: GroundedKnowledge = EMPTY_KNOWLEDGE
     pending: Optional[PendingContribution] = None
     history: tuple[TurnTrace, ...] = ()
-
-
-class FeedbackKind(enum.Enum):
-    EXPLICIT_ACK = "explicit_ack"
-    IMPLICIT_CONTINUE = "implicit_continue"
-    CLARIFY_CONFLICT = "clarify_conflict"
-
-
-_FEEDBACK_TEMPLATES = {
-    FeedbackKind.EXPLICIT_ACK: "Thanks, got it.",
-    FeedbackKind.IMPLICIT_CONTINUE: "Okay, what else can you tell me?",
-    FeedbackKind.CLARIFY_CONFLICT: (
-        "Hmm, that does not match what I noted earlier. Could you clarify?"
-    ),
-}
-
-
-@dataclass(frozen=True)
-class FeedbackAct:
-    kind: FeedbackKind
-    rendered: str
-
-
-def choose_feedback(outcomes: list[AssessmentOutcome]) -> FeedbackAct:
-    """Pick the response type for the most recent assessment.
-
-    Any conflict asks for clarification; novel content continues the
-    dialogue implicitly; pure (partial) matches acknowledge explicitly.
-    """
-    verdicts = {o.verdict for o in outcomes}
-    if Verdict.CONFLICT in verdicts:
-        kind = FeedbackKind.CLARIFY_CONFLICT
-    elif Verdict.NOVEL in verdicts:
-        kind = FeedbackKind.IMPLICIT_CONTINUE
-    else:
-        kind = FeedbackKind.EXPLICIT_ACK
-    return FeedbackAct(kind, _FEEDBACK_TEMPLATES[kind])
 
 
 def present(

@@ -188,19 +188,31 @@ def facts(knowledge: GroundedKnowledge) -> list[Fact]:
 
 def knowledge_from_facts(fact_list: Iterable[Fact]) -> GroundedKnowledge:
     """Rebuild a knowledge object from facts, folding equivalent columns together."""
-    scalars: dict[str, Any] = {}
-    index = KeyIndex()
-    columns: list[ColumnKnowledge] = []
+    return fold_facts({}, KeyIndex(), fact_list)
+
+
+def fold_facts(
+    placed: dict[int, Fact], index: KeyIndex, fact_list: Iterable[Fact]
+) -> GroundedKnowledge:
+    """Fold ``fact_list`` into ``placed``, the facts at their live positions
+    in ``index``: a column joins the first live equivalent one, keeping its
+    name, and a top-level field overwrites. ``index`` opens a position only
+    for a key with no live equivalent, so the columns need no second check.
+    """
     for fact in fact_list:
-        if fact.key.field != "column":
-            scalars[fact.key.field] = fact.value
-            continue
         i = index.add(fact.key)
-        if i == len(columns):
-            columns.append(fact.value)
-        else:
-            columns[i] = merge_columns(columns[i], fact.value)
-    return GroundedKnowledge(column_info=tuple(columns), **scalars)
+        if i in placed and fact.key.field == "column":
+            fact = Fact(placed[i].key, merge_columns(placed[i].value, fact.value))
+        placed[i] = fact
+    # A list, not a generator: a tuple cut down from a generator's larger
+    # guess never draws on the free list of its size, which then grows.
+    columns = [f.value for f in placed.values() if f.key.field == "column"]
+    scalars = {f.key.field: f.value for f in placed.values() if f.key.field != "column"}
+    knowledge = object.__new__(GroundedKnowledge)
+    for name in _SCALAR_FIELDS:
+        object.__setattr__(knowledge, name, scalars.get(name))
+    object.__setattr__(knowledge, "column_info", tuple(columns))
+    return knowledge
 
 
 def _key_terms(key: FactKey) -> frozenset[Any]:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 import enum
+import functools
 import hashlib
 import json
 import os
@@ -90,10 +91,36 @@ class CompletionResult:
     cached: bool
 
 
+# ``json.dumps(value, sort_keys=True, ensure_ascii=False)`` without building
+# an encoder per call.
+_dumps = json.JSONEncoder(sort_keys=True, ensure_ascii=False).encode
+
+
+# ``typed`` keeps apart keys such as 1 and True, which encode differently.
+@functools.lru_cache(maxsize=8, typed=True)
+def _prefix_state(max_tokens: int, head: tuple[ChatMessage, ...]) -> Any:
+    """SHA-256 state after the canonical body's text up to its last message."""
+    parts = "".join(_dumps(m.to_json_dict()) + ", " for m in head)
+    return hashlib.sha256(
+        f'{{"max_tokens": {_dumps(max_tokens)}, "messages": [{parts}'.encode("utf-8")
+    )
+
+
 def request_hash(request: CompletionRequest) -> str:
-    """Stable hash of the request, insensitive to incidental field ordering."""
-    canonical = json.dumps(request.wire_body(), sort_keys=True, ensure_ascii=False)
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    """Stable hash of the request, insensitive to incidental field ordering.
+
+    The SHA-256 of ``json.dumps(request.wire_body(), sort_keys=True,
+    ensure_ascii=False)``, resumed from the state after the text before the
+    last message, which is the same for every prompt of one kind.
+    """
+    messages = request.messages
+    state = _prefix_state(request.max_tokens, messages[:-1]).copy()
+    tail = _dumps(messages[-1].to_json_dict()) if messages else ""
+    state.update(
+        f'{tail}], "model": {_dumps(request.model_name)}, '
+        f'"temperature": {_dumps(request.temperature)}}}'.encode("utf-8")
+    )
+    return state.hexdigest()
 
 
 class ResponseCache:

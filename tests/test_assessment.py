@@ -17,6 +17,8 @@ from convground.knowledge import (
     EMPTY_KNOWLEDGE,
     ColumnKnowledge,
     Fact,
+    GroundedKnowledge,
+    KeyIndex,
     facts,
     knowledge_equivalent,
 )
@@ -166,6 +168,56 @@ def test_conflict_retires_its_target_for_the_rest_of_the_delta():
         ColumnKnowledge("area size", max_value=6),
         ColumnKnowledge("area total", description="total area of the park"),
     )
+
+
+def test_commit_indexes_each_name_once(monkeypatch):
+    calls = []
+    add = KeyIndex.add
+
+    def counting_add(self, key):
+        calls.append(key)
+        return add(self, key)
+
+    monkeypatch.setattr(KeyIndex, "add", counting_add)
+    kb = canonicalize({
+        "table_domain": "parks", "row_count": 500,
+        "column_info": [
+            {"column_name": "area size", "max_value": 9},
+            {"column_name": "name"},
+            {"column_name": "visitors", "min_value": 0},
+            {"column_name": "area total", "description": "total area"},
+            {"column_name": "founded"},
+        ],
+    })
+    delta = canonicalize({
+        "row_count": 98,
+        "column_info": [
+            {"column_name": "name"},
+            {"column_name": "visitors", "max_value": 10},
+            {"column_name": "opening hours"},
+            {"column_name": "area", "max_value": 3},
+        ],
+    })
+    calls.clear()
+    merged, outcomes, _ = commit(kb, delta)
+    assert len(calls) <= len(facts(kb)) + len(facts(delta))
+    assert [o.verdict for o in outcomes] == [
+        Verdict.CONFLICT, Verdict.MATCH, Verdict.PARTIAL_MATCH, Verdict.NOVEL,
+        Verdict.CONFLICT,
+    ]
+    # "area" replaces "area size" and folds into the kept "area total".
+    assert merged == GroundedKnowledge(
+        table_domain="parks", row_count=98,
+        column_info=(
+            ColumnKnowledge("name"),
+            ColumnKnowledge("visitors", min_value=0, max_value=10),
+            ColumnKnowledge("area total", description="total area", max_value=3),
+            ColumnKnowledge("founded"),
+            ColumnKnowledge("opening hours"),
+        ),
+    )
+    # A commit that only confirms facts hands back the knowledge base itself.
+    assert commit(merged, delta)[0] is merged
 
 
 def test_names_without_content_tokens_equal_themselves():

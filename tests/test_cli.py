@@ -5,7 +5,14 @@ from pathlib import Path
 
 import pytest
 
-from convground import fixtures, load_gold
+from convground import (
+    EMPTY_KNOWLEDGE,
+    CompletionResult,
+    commit,
+    fixtures,
+    load_gold,
+    parse_knowledge_json,
+)
 from convground.cli import main
 
 
@@ -70,6 +77,36 @@ class TestAnnotate:
         assert "cache misses:" in err
         assert "dialogue A turn 2" in err
         assert not (tmp_path / "out.jsonl").exists()
+
+    def test_incremental_prompts_carry_the_knowledge_committed_so_far(
+        self, tmp_path, monkeypatch
+    ):
+        # Every turn is accepted; the deltas change, repeat and then
+        # contradict the knowledge base.
+        deltas = ["{'row_count': 500}", "{'row_count': 500}", "{'row_count': 98}"]
+        shown = []
+
+        def fake_complete(request, mode, cache=None, endpoint=None):
+            content = request.messages[-1].content
+            if content.endswith("Output label: "):
+                return CompletionResult("Output label: implicit", cached=True)
+            shown.append(content.split("\n")[0])
+            return CompletionResult(deltas[(len(shown) - 1) % 3], cached=True)
+
+        monkeypatch.setattr("convground.cli.complete", fake_complete)
+        corpus = tmp_path / "one.jsonl"
+        corpus.write_text(
+            Path(CORPUS).read_text(encoding="utf-8").splitlines()[0] + "\n", encoding="utf-8"
+        )
+        assert run(
+            "annotate", "--corpus", str(corpus), "--cache", str(tmp_path / "unused.jsonl"),
+            "--all-turns", "--incremental-kb", "--out", str(tmp_path / "out.jsonl"),
+        ) == 0
+        expected, kb = [], EMPTY_KNOWLEDGE
+        for i in range(len(shown)):
+            expected.append("Already grounded knowledge: " + json.dumps(kb.to_json_dict()))
+            kb, _, _ = commit(kb, parse_knowledge_json(deltas[i % 3]))
+        assert len(shown) > 6 and shown == expected
 
     def test_unparseable_replies_are_listed_and_other_turns_run(self, tmp_path, capsys):
         records = [
@@ -141,6 +178,7 @@ class TestGround:
             if "final_knowledge" in r
         }
         assert set(finals) == {"A", "B"}
+        assert not any("warning" in r for r in records)
         assert finals["A"]["table_domain"] == "media"
         assert finals["A"]["row_count"] == 500
         a_columns = [c["column_name"] for c in finals["A"]["column_info"]]
@@ -154,6 +192,44 @@ class TestGround:
         lines = out.read_text().splitlines()
         expected = sum(len(d.turns) for d in dialogues) + len(dialogues)
         assert len(lines) == expected
+
+    def test_downgraded_turns_carry_their_warning(self, tmp_path):
+        # "area" conflicts with "area size" and folds into "area total", whose
+        # min_value exceeds its max_value, so both acceptances fail to commit.
+        roles = ("provider", "provider", "seeker", "provider")
+        dialogue = {"id": "bad", "domain": "geography", "turns": [
+            {"index": i, "role": role, "text": f"turn {i}"}
+            for i, role in enumerate(roles, start=1)
+        ]}
+        gold = [
+            (1, "implicit", {"column_info": [
+                {"column_name": "area size", "max_value": 9},
+                {"column_name": "area total", "min_value": 5},
+            ]}),
+            (2, "clarification", {"column_name": "area", "max_value": 3}),
+            (3, "explicit", {}),
+            (4, "implicit", {"row_count": 50}),
+        ]
+        corpus, labels, out = (tmp_path / n for n in ("c.jsonl", "g.jsonl", "t.jsonl"))
+        corpus.write_text(json.dumps(dialogue) + "\n", encoding="utf-8")
+        labels.write_text("".join(
+            json.dumps({"dialogue_id": "bad", "turn_index": t, "label": label,
+                        "knowledge": knowledge}) + "\n"
+            for t, label, knowledge in gold
+        ), encoding="utf-8")
+        assert run("ground", "--corpus", str(corpus), "--gold", str(labels),
+                   "--out", str(out)) == 0
+        records = [json.loads(line) for line in out.read_text().splitlines()]
+        warning = "commit failed: column 'area total': min_value 5 exceeds max_value 3"
+        assert [(r["turn"], r["label"], r.get("warning")) for r in records[:4]] == [
+            (1, "implicit", None),
+            (2, "clarification", None),
+            (3, "no_event", warning),
+            (4, "no_event", warning),
+        ]
+        assert [c["column_name"] for c in records[4]["final_knowledge"]["column_info"]] == [
+            "area size", "area total",
+        ]
 
     def test_predictions_as_label_source(self, tmp_path):
         out = tmp_path / "trace.jsonl"

@@ -6,9 +6,7 @@ from convground import (
     GroundingState,
     Role,
     Turn,
-    assess,
     canonicalize,
-    choose_feedback,
     gold_extractor,
     gold_labeler,
     knowledge_equivalent,
@@ -16,7 +14,6 @@ from convground import (
     present,
     process_dialogue,
 )
-from convground.engine import FeedbackKind
 from convground.knowledge import EMPTY_KNOWLEDGE
 
 
@@ -230,26 +227,6 @@ class TestGoldReplay:
         assert [c.column_name for c in state.grounded.column_info] == ["area size", "area total"]
         assert state.grounded.row_count == 50
         assert trace == list(state.history)
-
-
-class TestChooseFeedback:
-    def test_novel_continues_implicitly(self):
-        outcomes = assess(EMPTY_KNOWLEDGE, canonicalize({"row_count": 98}))
-        assert choose_feedback(outcomes).kind is FeedbackKind.IMPLICIT_CONTINUE
-
-    def test_match_acknowledges_explicitly(self):
-        kb = canonicalize({"row_count": 500})
-        act = choose_feedback(assess(kb, kb))
-        assert act.kind is FeedbackKind.EXPLICIT_ACK
-        assert act.rendered == "Thanks, got it."
-
-    def test_conflict_asks_for_clarification(self):
-        kb = canonicalize({"row_count": 500})
-        outcomes = assess(kb, canonicalize({"row_count": 98}))
-        assert choose_feedback(outcomes).kind is FeedbackKind.CLARIFY_CONFLICT
-
-    def test_empty_outcomes_acknowledge(self):
-        assert choose_feedback([]).kind is FeedbackKind.EXPLICIT_ACK
 
 
 def test_empty_dialogue_not_representable():

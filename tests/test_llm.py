@@ -1,3 +1,4 @@
+import hashlib
 import http.server
 import json
 import threading
@@ -146,6 +147,47 @@ class TestCache:
     def test_hash_stable_across_message_objects(self):
         assert request_hash(make_request()) == request_hash(make_request())
         assert request_hash(make_request()) != request_hash(make_request("other"))
+
+    def test_hash_equals_the_canonical_body_digest(self):
+        def oracle(request):
+            canonical = json.dumps(request.wire_body(), sort_keys=True, ensure_ascii=False)
+            return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+        requests = []
+        with open(fixtures.path(fixtures.REPLAY_CACHE), encoding="utf-8") as handle:
+            for line in handle:
+                record = json.loads(line)
+                body = record["request"]
+                request = CompletionRequest(
+                    body["model"],
+                    tuple(ChatMessage(MessageRole(m["role"]), m["content"])
+                          for m in body["messages"]),
+                    body["temperature"],
+                    body["max_tokens"],
+                )
+                assert request_hash(request) == oracle(request) == record["hash"]
+                requests.append(request)
+        assert len(requests) == 22
+        system = ChatMessage(MessageRole.SYSTEM, "système \"quoted\" \\ back\\slash")
+        odd = ChatMessage(MessageRole.USER, 'naïve 数据   "q" \\n \t end')
+        requests += [
+            CompletionRequest(messages=()),
+            make_request(),
+            CompletionRequest(messages=(odd,)),
+            CompletionRequest(messages=(system, odd)),
+            CompletionRequest("modèle-\"x\"", (system, odd), 0.7, 17),
+            CompletionRequest("m", (odd,), 1e-9, 1),
+            CompletionRequest("m", (odd,), 1, True),
+        ]
+        # Two prompt prefixes in turn, as classification and extraction alternate.
+        for i in range(6):
+            head = (system,) if i % 2 else (system, odd)
+            requests.append(CompletionRequest(
+                messages=(*head, ChatMessage(MessageRole.USER, f"turn {i}")),
+                max_tokens=256 + i % 3,
+            ))
+        for request in requests:
+            assert request_hash(request) == oracle(request)
 
     def test_fixture_cache_replays_dialogue_a_turn_4(self, dialogues_by_id):
         cache = ResponseCache(fixtures.path(fixtures.REPLAY_CACHE))

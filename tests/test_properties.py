@@ -1,5 +1,6 @@
 """Property-based checks of the knowledge and assessment algebra."""
 
+import dataclasses
 import itertools
 
 import hypothesis.strategies as st
@@ -265,7 +266,11 @@ POOL_KNOWLEDGE = st.lists(pool_column(), max_size=4).map(
 @given(POOL_KNOWLEDGE, POOL_KNOWLEDGE)
 @settings(max_examples=500, deadline=None)
 def test_commit_over_overlapping_names_targets_exact_keys(kb, delta):
-    _, _, ops = commit(kb, delta)
+    result, _, ops = commit(kb, delta)
+    # Results built without the constructor's equivalent-name check pass it.
+    folded = knowledge_from_facts([*facts(kb), *facts(delta)])
+    for trusted in (kb, delta, result, folded):
+        assert dataclasses.replace(trusted) == trusted
     kb_keys = {f.key for f in facts(kb)}
     targets = [op.target for op in ops if op.op is not OpKind.CREATE_NODE]
     assert set(targets) <= kb_keys
