@@ -25,8 +25,6 @@ class PendingContribution:
     """Presented but not yet accepted facts."""
 
     facts: GroundedKnowledge
-    presented_at: int
-    presenter: Role
 
     def __post_init__(self) -> None:
         if self.facts.is_empty:
@@ -51,9 +49,7 @@ class GroundingState:
     history: tuple[TurnTrace, ...] = ()
 
 
-def present(
-    state: GroundingState, facts: GroundedKnowledge, turn: Turn
-) -> GroundingState:
+def present(state: GroundingState, facts: GroundedKnowledge) -> GroundingState:
     """Stage presented facts in the pending buffer.
 
     A later presentation that corrects or enriches pending facts replaces
@@ -66,10 +62,7 @@ def present(
         combined = facts
     else:
         combined, _, _ = commit(state.pending.facts, facts)
-    return replace(
-        state,
-        pending=PendingContribution(combined, turn.index, turn.role),
-    )
+    return replace(state, pending=PendingContribution(combined))
 
 
 def observe_label(
@@ -133,7 +126,7 @@ def process_dialogue(
             try:
                 staged = state
                 if turn.role is Role.PROVIDER and not facts.is_empty:
-                    staged = present(state, facts, turn)
+                    staged = present(state, facts)
                 state = observe_label(staged, label, turn, facts)
                 continue
             except (ValueError, StateError) as exc:

@@ -308,25 +308,16 @@ def merged_value(field: str, existing: Any, incoming: Any) -> Any:
 # Equivalence judging.
 # ---------------------------------------------------------------------------
 
-def _scalars_equivalent(a: Scalar, b: Scalar) -> bool:
-    """Equivalence of two list values; :func:`_lists_equivalent` applies it
-    through token sets computed once per list."""
-    if isinstance(a, str) and isinstance(b, str):
-        return _texts_equivalent(a, b)
-    if isinstance(a, str) or isinstance(b, str):
-        return False
-    return a == b
-
-
 def _lists_equivalent(a: Sequence[Scalar], b: Sequence[Scalar]) -> bool:
-    """Multiset equivalence under :func:`_scalars_equivalent`.
+    """Multiset equivalence of two ``values`` lists.
 
-    Each string is normalised once per call, not once per compared pair. A
-    non-string gets an empty token set, so, like a string without content
-    tokens, only ``==`` can match it (and no string equals a non-string).
-    Both sides are sorted first so that equal values meet at the same
-    position, where the matcher tries them before anything else; lists that
-    are then equal item by item need no normalisation at all.
+    Two strings match when :func:`_texts_equivalent` holds, any other pair
+    only when ``==``. Each string is normalised once per call, not once per
+    compared pair. A non-string gets an empty token set, so, like a string
+    without content tokens, only ``==`` can match it (and no string equals a
+    non-string). Both sides are sorted first so that equal values meet at
+    the same position, where the matcher tries them before anything else;
+    lists that are then equal item by item need no normalisation at all.
     """
     if len(a) != len(b):
         return False

@@ -9,6 +9,7 @@ import hashlib
 import json
 import os
 import re
+import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -96,30 +97,87 @@ class CompletionResult:
 _dumps = json.JSONEncoder(sort_keys=True, ensure_ascii=False).encode
 
 
-# ``typed`` keeps apart keys such as 1 and True, which encode differently.
+class _Resume:
+    """SHA-256 states of one head's canonical body, open inside the content of
+    the last message (its first key under ``sort_keys``)."""
+
+    __slots__ = ("max_tokens", "head", "start", "last")
+
+    def __init__(self, max_tokens: int, head: tuple[ChatMessage, ...]):
+        self.max_tokens = max_tokens
+        self.head = head
+        parts = "".join(_dumps(m.to_json_dict()) + ", " for m in head)
+        self.start = hashlib.sha256(
+            f'{{"max_tokens": {_dumps(max_tokens)}, "messages": [{parts}{{"content": "'
+            .encode("utf-8")
+        )
+        # (content prefix, state after it); replaced whole, and a stored state
+        # is only ever copied, so threads can only miss.
+        self.last: tuple[str, Any] = ("", self.start)
+
+
+# The resume points of the latest heads, newest first; replaced whole.
+_resumes: tuple[_Resume, ...] = ()
+
+
+def _resume_point(max_tokens: int, head: tuple[ChatMessage, ...]) -> _Resume:
+    global _resumes
+    for resume in _resumes:
+        # Tuples compare the same message objects without calling ``__eq__``;
+        # the type check keeps apart 1, 1.0 and True, which encode differently.
+        if (
+            resume.head == head
+            and resume.max_tokens == max_tokens
+            and type(resume.max_tokens) is type(max_tokens)
+        ):
+            return resume
+    resume = _Resume(max_tokens, head)
+    _resumes = (resume, *_resumes[:7])
+    return resume
+
+
 @functools.lru_cache(maxsize=8, typed=True)
-def _prefix_state(max_tokens: int, head: tuple[ChatMessage, ...]) -> Any:
-    """SHA-256 state after the canonical body's text up to its last message."""
-    parts = "".join(_dumps(m.to_json_dict()) + ", " for m in head)
-    return hashlib.sha256(
-        f'{{"max_tokens": {_dumps(max_tokens)}, "messages": [{parts}'.encode("utf-8")
+def _closing(role: str, model_name: str, temperature: float) -> bytes:
+    """The canonical body's text after the last message's content."""
+    return (
+        f'", "role": {_dumps(role)}}}], "model": {_dumps(model_name)}, '
+        f'"temperature": {_dumps(temperature)}}}'.encode("utf-8")
     )
+
+
+def _escaped(text: str) -> bytes:
+    """``text`` as it appears inside a JSON string. Escaping is per character,
+    so the escape of a concatenation is the concatenation of the escapes."""
+    return json.encoder.encode_basestring(text)[1:-1].encode("utf-8")
 
 
 def request_hash(request: CompletionRequest) -> str:
     """Stable hash of the request, insensitive to incidental field ordering.
 
     The SHA-256 of ``json.dumps(request.wire_body(), sort_keys=True,
-    ensure_ascii=False)``, resumed from the state after the text before the
-    last message, which is the same for every prompt of one kind.
+    ensure_ascii=False)``. The state before the last message is the same for
+    every prompt of one kind, and the last message's content up to its last
+    newline (the dialogue so far) is where the next turn's content resumes,
+    so only the text added since is escaped and hashed.
     """
     messages = request.messages
-    state = _prefix_state(request.max_tokens, messages[:-1]).copy()
-    tail = _dumps(messages[-1].to_json_dict()) if messages else ""
-    state.update(
-        f'{tail}], "model": {_dumps(request.model_name)}, '
-        f'"temperature": {_dumps(request.temperature)}}}'.encode("utf-8")
-    )
+    if not messages:
+        return hashlib.sha256(_dumps(request.wire_body()).encode("utf-8")).hexdigest()
+    last = messages[-1]
+    content = last.content
+    resume = _resume_point(request.max_tokens, messages[:-1])
+    prefix, state = resume.last
+    if not content.startswith(prefix):
+        prefix, state = "", resume.start
+    state = state.copy()
+    done = len(prefix)
+    cut = content.rfind("\n")
+    if cut > done:
+        state.update(_escaped(content[done:cut]))
+        resume.last = (content[:cut], state.copy())
+        done = cut
+    state.update(_escaped(content[done:]))
+    state.update(_closing(last.role.value, request.model_name, request.temperature))
     return state.hexdigest()
 
 
@@ -129,6 +187,7 @@ class ResponseCache:
     def __init__(self, path: Union[str, Path]):
         self.path = Path(path)
         self._responses: dict[str, str] = {}
+        self._lock = threading.Lock()
         if self.path.exists():
             for line_no, record in _iter_records(self.path):
                 try:
@@ -146,11 +205,14 @@ class ResponseCache:
         return self._responses.get(key)
 
     def put(self, key: str, request: CompletionRequest, response: str) -> None:
-        self._responses[key] = response
+        """Store and append one record; safe to call from several threads."""
         record = {"hash": key, "request": request.wire_body(), "response": response}
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        with open(self.path, "a", encoding="utf-8") as handle:
-            handle.write(json.dumps(record, ensure_ascii=False) + "\n")
+        line = (json.dumps(record, ensure_ascii=False) + "\n").encode("utf-8")
+        with self._lock:
+            self._responses[key] = response
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            with open(self.path, "ab") as handle:
+                handle.write(line)
 
 
 def _resolve_url(endpoint: str) -> str:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -91,35 +92,58 @@ EXTRACTION_EXAMPLES = (
 )
 
 
+# The last serialised history, kept so that the next turn's prompts format only
+# the turns added since. One tuple, replaced whole: a thread that reads another
+# dialogue's entry only misses.
+_last_history: tuple[tuple[Turn, ...], str] = ((), "")
+
+
 def serialize_history(history: Sequence[Turn]) -> str:
-    """Render the dialogue history as a single space-joined line."""
-    return " ".join(f"{turn.role.value}: {turn.text}" for turn in history)
+    """Render the dialogue history as a single space-joined line.
+
+    When ``history`` starts with the same ``Turn`` objects as the previous
+    call's, only the turns after them are formatted.
+    """
+    global _last_history
+    turns, text = _last_history
+    if turns and len(history) >= len(turns) and all(map(operator.is_, turns, history)):
+        added = history[len(turns):]
+        if added:
+            text += " " + " ".join(f"{turn.role.value}: {turn.text}" for turn in added)
+    else:
+        text = " ".join(f"{turn.role.value}: {turn.text}" for turn in history)
+    _last_history = (tuple(history), text)
+    return text
 
 
-def _build(
-    system: str,
-    examples: Sequence[tuple[str, str]],
-    history: Sequence[Turn],
-    answer_cue: str,
-) -> list[ChatMessage]:
-    if not history:
-        raise ValueError("history must contain at least one turn")
+def _head(system: str, examples: Sequence[tuple[str, str]]) -> tuple[ChatMessage, ...]:
     messages = [ChatMessage(MessageRole.SYSTEM, system)]
     for user, assistant in examples:
         messages.append(ChatMessage(MessageRole.USER, user))
         messages.append(ChatMessage(MessageRole.ASSISTANT, assistant))
-    messages.append(
-        ChatMessage(
-            MessageRole.USER,
-            f"Input dialogue: {serialize_history(history)}\n{answer_cue}",
-        )
-    )
-    return messages
+    return tuple(messages)
+
+
+# The system and few-shot messages, the same for every prompt of one kind.
+_CLASSIFICATION_HEAD = _head(CLASSIFICATION_SYSTEM, CLASSIFICATION_EXAMPLES)
+_EXTRACTION_HEAD = _head(EXTRACTION_SYSTEM, EXTRACTION_EXAMPLES)
+
+
+def _build(
+    head: tuple[ChatMessage, ...],
+    history: Sequence[Turn],
+    answer_cue: str,
+    preamble: str = "",
+) -> list[ChatMessage]:
+    if not history:
+        raise ValueError("history must contain at least one turn")
+    final = f"{preamble}Input dialogue: {serialize_history(history)}\n{answer_cue}"
+    return [*head, ChatMessage(MessageRole.USER, final)]
 
 
 def build_classification_prompt(history: Sequence[Turn]) -> list[ChatMessage]:
     """Three-shot prompt asking for the grounding label of the last turn."""
-    return _build(CLASSIFICATION_SYSTEM, CLASSIFICATION_EXAMPLES, history, "Output label: ")
+    return _build(_CLASSIFICATION_HEAD, history, "Output label: ")
 
 
 def build_extraction_prompt(
@@ -132,11 +156,7 @@ def build_extraction_prompt(
     new (incremental mode); by default the model regenerates from the full
     history alone.
     """
-    messages = _build(EXTRACTION_SYSTEM, EXTRACTION_EXAMPLES, history, "Output JSON: ")
-    if known_kb_json is not None:
-        final = messages[-1]
-        messages[-1] = ChatMessage(
-            final.role,
-            f"Already grounded knowledge: {known_kb_json}\n{final.content}",
-        )
-    return messages
+    preamble = (
+        "" if known_kb_json is None else f"Already grounded knowledge: {known_kb_json}\n"
+    )
+    return _build(_EXTRACTION_HEAD, history, "Output JSON: ", preamble)

@@ -124,7 +124,7 @@ def test_criterion_4_clarification_guard(dialogues_by_id, gold):
             history.append(turn)
             delta = extractor(history)
             if turn.role is Role.PROVIDER and not delta.is_empty:
-                state = present(state, delta, turn)
+                state = present(state, delta)
             state = observe_label(state, labeler(history), turn, delta)
             if turn.index >= 8:
                 visible = [c.column_name for c in state.grounded.column_info]

@@ -65,6 +65,48 @@ class TestAnnotate:
             ) == 0
         assert serial.read_bytes() == parallel.read_bytes()
 
+    def test_parallel_jobs_match_serial_on_a_recorded_multi_dialogue_corpus(
+        self, tmp_path, monkeypatch
+    ):
+        # Six dialogues of 12 turns whose text needs JSON escaping; replies are
+        # recorded from a fake endpoint by four threads, then replayed with
+        # the knowledge base fed back into every extraction prompt.
+        texts = ['the "area" column', "max\\min", "a\nb", "naïve 🙂", "ok", "\u2028 done"]
+        corpus = tmp_path / "corpus.jsonl"
+        with open(corpus, "w", encoding="utf-8") as handle:
+            for d in range(6):
+                turns = [
+                    {"index": i + 1, "role": ("seeker", "provider")[(i + d) % 2],
+                     "text": f"d{d} t{i} {texts[(i + d) % len(texts)]}"}
+                    for i in range(12)
+                ]
+                handle.write(json.dumps({"id": f"D{d}", "turns": turns}) + "\n")
+
+        def fake_post(url, body, headers):
+            content = body["messages"][-1]["content"]
+            if content.endswith("Output label: "):
+                reply = ("implicit", "explicit", "clarification")[len(content) % 3]
+            else:
+                reply = json.dumps({"row_count": len(content) % 7, "column_info": [
+                    {"column_name": f"c{len(content) % 5}", "max_value": len(content)}
+                ]})
+            return 200, json.dumps({"choices": [{"message": {"content": reply}}]})
+
+        monkeypatch.setattr("convground.llm._post", fake_post)
+        cache = tmp_path / "cache.jsonl"
+        common = ("annotate", "--corpus", str(corpus), "--cache", str(cache),
+                  "--all-turns", "--incremental-kb")
+        assert run(*common, "--mode", "record", "--endpoint", "http://example.test",
+                   "--jobs", "4", "--out", str(tmp_path / "recorded.jsonl")) == 0
+        assert len(cache.read_bytes().splitlines()) == 6 * 12 * 2
+        outputs = []
+        for jobs in ("1", "4", "1"):
+            out = tmp_path / f"replayed_{len(outputs)}.jsonl"
+            assert run(*common, "--jobs", jobs, "--out", str(out)) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1] == outputs[2]
+        assert outputs[0] == (tmp_path / "recorded.jsonl").read_bytes()
+
     def test_empty_cache_exits_one_and_lists_misses(self, tmp_path, capsys):
         empty = tmp_path / "empty.jsonl"
         empty.write_text("", encoding="utf-8")

@@ -27,9 +27,7 @@ def seeker_turn(index, text="ok got it"):
 
 class TestPresent:
     def test_presented_facts_stay_pending(self):
-        state = present(
-            GroundingState(), canonicalize({"row_count": 500}), provider_turn(5, "500")
-        )
+        state = present(GroundingState(), canonicalize({"row_count": 500}))
         assert state.pending is not None
         assert state.pending.facts.row_count == 500
         assert state.grounded.is_empty
@@ -38,27 +36,25 @@ class TestPresent:
         state = present(
             GroundingState(),
             canonicalize({"column_names": ["year", "title", "author", "short text description"]}),
-            provider_turn(7),
         )
         state = present(
             state,
             canonicalize({"column_names": ["year", "title", "author",
                                            "short text description", "category"]}),
-            provider_turn(10),
         )
         names = [c.column_name for c in state.pending.facts.column_info]
         assert names == ["year", "title", "author", "short text description", "category"]
 
     def test_empty_facts_noop(self):
         state = GroundingState()
-        assert present(state, EMPTY_KNOWLEDGE, provider_turn(1)) is state
+        assert present(state, EMPTY_KNOWLEDGE) is state
 
 
 class TestObserveLabel:
     def test_explicit_commits_pending(self):
         pending = canonicalize({"column_names": ["year", "title", "author",
                                                  "short text description", "category"]})
-        state = present(GroundingState(), pending, provider_turn(10))
+        state = present(GroundingState(), pending)
         state = observe_label(state, GroundingLabel.EXPLICIT, seeker_turn(11))
         assert state.pending is None
         assert len(state.grounded.column_info) == 5
@@ -68,7 +64,6 @@ class TestObserveLabel:
         state = present(
             GroundingState(),
             canonicalize({"table_content": "time travel works of fiction"}),
-            provider_turn(3),
         )
         state = observe_label(
             state,
@@ -83,7 +78,6 @@ class TestObserveLabel:
         state = present(
             GroundingState(),
             canonicalize({"column_names": ["year", "title", "author", "short text description"]}),
-            provider_turn(7),
         )
         clarifying = canonicalize(
             {"column_names": ["year", "title", "author", "short text description",
@@ -154,7 +148,7 @@ class TestGoldReplay:
             facts = extractor(history)
             label = labeler(history)
             if turn.role is Role.PROVIDER and not facts.is_empty:
-                state = present(state, facts, turn)
+                state = present(state, facts)
             state = observe_label(state, label, turn, facts)
             if turn.index >= 8:
                 committed = [c.column_name for c in state.grounded.column_info]

@@ -1,6 +1,7 @@
 import hashlib
 import http.server
 import json
+import sys
 import threading
 
 import pytest
@@ -19,12 +20,23 @@ from convground import (
     parse_knowledge_json,
     parse_label,
 )
-from convground.llm import ApiError, TransportError, _post, request_hash
+from convground.dialogue import Role, Turn
+from convground.llm import (
+    DEFAULT_MAX_TOKENS,
+    DEFAULT_MODEL,
+    DEFAULT_TEMPERATURE,
+    ApiError,
+    TransportError,
+    _post,
+    request_hash,
+)
 from convground.prompts import (
     EXTRACTION_EXAMPLES,
     ChatMessage,
     MessageRole,
     build_classification_prompt,
+    build_extraction_prompt,
+    serialize_history,
 )
 
 
@@ -32,6 +44,11 @@ def make_request(text="hello"):
     return CompletionRequest(
         messages=(ChatMessage(MessageRole.USER, text),)
     )
+
+
+def canonical_digest(request):
+    canonical = json.dumps(request.wire_body(), sort_keys=True, ensure_ascii=False)
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
 class TestParseLabel:
@@ -149,10 +166,6 @@ class TestCache:
         assert request_hash(make_request()) != request_hash(make_request("other"))
 
     def test_hash_equals_the_canonical_body_digest(self):
-        def oracle(request):
-            canonical = json.dumps(request.wire_body(), sort_keys=True, ensure_ascii=False)
-            return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-
         requests = []
         with open(fixtures.path(fixtures.REPLAY_CACHE), encoding="utf-8") as handle:
             for line in handle:
@@ -165,7 +178,7 @@ class TestCache:
                     body["temperature"],
                     body["max_tokens"],
                 )
-                assert request_hash(request) == oracle(request) == record["hash"]
+                assert request_hash(request) == canonical_digest(request) == record["hash"]
                 requests.append(request)
         assert len(requests) == 22
         system = ChatMessage(MessageRole.SYSTEM, "système \"quoted\" \\ back\\slash")
@@ -186,8 +199,109 @@ class TestCache:
                 messages=(*head, ChatMessage(MessageRole.USER, f"turn {i}")),
                 max_tokens=256 + i % 3,
             ))
+        # Two dialogues grow a turn at a time, interleaved, with both prompt
+        # kinds per turn, a knowledge base that changes between turns, and
+        # text that JSON escapes or that is not ASCII.
+        odd_texts = [
+            'say "hi"', "back\\slash", "two\nlines", "tab\there", "ctl\x01x",
+            "sep\u2028x", "naïve 数据", "emoji 🙂", "plain",
+        ]
+        dialogues = [
+            [Turn(i + 1, Role.SEEKER if i % 2 else Role.PROVIDER, f"{d}{i} {text}")
+             for i, text in enumerate(odd_texts)]
+            for d in ("a", "b")
+        ]
+        configs = [
+            (DEFAULT_MODEL, DEFAULT_TEMPERATURE, DEFAULT_MAX_TOKENS),
+            ("modèle \"m\"\n", 0.3, 64),
+            ("m", 0, True),
+        ]
+        for turn in range(1, len(odd_texts) + 1):
+            for d, turns in enumerate(dialogues):
+                history = turns[:turn]
+                kb_json = json.dumps({"row_count": turn // 3, "note": odd_texts[turn - 1]},
+                                     ensure_ascii=False)
+                model, temperature, max_tokens = configs[(turn + d) % len(configs)]
+                for messages in (
+                    build_classification_prompt(history),
+                    build_extraction_prompt(history),
+                    build_extraction_prompt(history, known_kb_json=kb_json),
+                ):
+                    requests.append(
+                        CompletionRequest(model, tuple(messages), temperature, max_tokens)
+                    )
         for request in requests:
-            assert request_hash(request) == oracle(request)
+            assert request_hash(request) == canonical_digest(request)
+
+    def test_hashing_a_growing_dialogue_escapes_each_turn_a_bounded_number_of_times(
+        self, monkeypatch
+    ):
+        # Characters passed through the JSON string escaper while building and
+        # hashing both prompts for every turn of one 200-turn dialogue. Hashing
+        # the whole history again for every turn escapes about 100 times the
+        # dialogue's text.
+        turns = [
+            Turn(i + 1, Role.SEEKER if i % 2 else Role.PROVIDER, f"turn {i} says {'x' * 40}")
+            for i in range(200)
+        ]
+        text_length = len(serialize_history(turns))
+        escaped = []
+        escape = json.encoder.encode_basestring
+
+        def counting_escape(text):
+            escaped.append(len(text))
+            return escape(text)
+
+        monkeypatch.setattr(json.encoder, "encode_basestring", counting_escape)
+        for turn in range(1, len(turns) + 1):
+            history = turns[:turn]
+            for messages in (
+                build_classification_prompt(history),
+                build_extraction_prompt(history, known_kb_json='{"row_count": 5}'),
+            ):
+                request_hash(CompletionRequest(messages=tuple(messages)))
+        assert 0 < sum(escaped) < 4 * text_length
+
+    def test_threads_sharing_the_prompt_and_hash_memos_get_exact_results(self):
+        # More threads than cores, switching often, each growing its own
+        # dialogue: a thread may only miss the other's memo entries.
+        dialogues = [
+            [Turn(i + 1, Role.SEEKER if i % 2 else Role.PROVIDER, f'd{d} t{i} "q"\n')
+             for i in range(30)]
+            for d in range(8)
+        ]
+        failures = []
+
+        def grow(turns):
+            for turn in range(1, len(turns) + 1):
+                history = turns[:turn]
+                text = " ".join(f"{t.role.value}: {t.text}" for t in history)
+                kb_json = json.dumps({"row_count": turn // 4})
+                for messages, content in (
+                    (build_classification_prompt(history),
+                     f"Input dialogue: {text}\nOutput label: "),
+                    (build_extraction_prompt(history, known_kb_json=kb_json),
+                     f"Already grounded knowledge: {kb_json}\n"
+                     f"Input dialogue: {text}\nOutput JSON: "),
+                ):
+                    request = CompletionRequest(messages=tuple(messages))
+                    if messages[-1].content != content:
+                        failures.append(("prompt", turns[0].text, turn))
+                    if request_hash(request) != canonical_digest(request):
+                        failures.append(("hash", turns[0].text, turn))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=grow, args=(turns,)) for turns in dialogues]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
 
     def test_fixture_cache_replays_dialogue_a_turn_4(self, dialogues_by_id):
         cache = ResponseCache(fixtures.path(fixtures.REPLAY_CACHE))
@@ -220,6 +334,41 @@ class TestLiveTransport:
         replay = complete(request, CacheMode.REPLAY, cache=cache)
         assert replay.text == result.text
         assert replay.cached is True
+
+    def test_record_from_several_threads_writes_every_record_once(
+        self, tmp_path, monkeypatch
+    ):
+        def fake_post(url, body, headers):
+            # Long replies make a torn or interleaved line likely if writes race.
+            content = body["messages"][-1]["content"] * 2000
+            return 200, json.dumps({"choices": [{"message": {"content": content}}]})
+
+        monkeypatch.setattr("convground.llm._post", fake_post)
+        cache = ResponseCache(tmp_path / "cache.jsonl")
+        requests = [make_request(f"request {i} ") for i in range(64)]
+
+        def record(chunk):
+            for request in chunk:
+                complete(request, CacheMode.RECORD, cache=cache, endpoint="http://example.test")
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=record, args=(requests[i::4],)) for i in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        lines = (tmp_path / "cache.jsonl").read_text(encoding="utf-8").splitlines()
+        records = [json.loads(line) for line in lines]
+        assert sorted(r["hash"] for r in records) == sorted(map(request_hash, requests))
+        reloaded = ResponseCache(tmp_path / "cache.jsonl")
+        for request in requests:
+            expected = request.messages[-1].content * 2000
+            assert reloaded.get(request_hash(request)) == expected
 
     def test_non_success_status_raises_api_error(self, monkeypatch):
         monkeypatch.setattr(
