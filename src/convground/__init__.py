@@ -27,11 +27,9 @@ from .dialogue import (
     load_dialogues,
     load_gold,
     save_annotations,
-    save_dialogues,
 )
 from .engine import (
     GroundingState,
-    PendingContribution,
     gold_extractor,
     gold_labeler,
     observe_label,

@@ -4,9 +4,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -25,12 +24,15 @@ from .evaluation import CoverageError, ReportFormat, render_report, score
 from .knowledge import EMPTY_KNOWLEDGE
 from .llm import (
     DEFAULT_MODEL,
+    ENDPOINT_ENV,
+    ApiError,
     CacheMissError,
     CacheMode,
     CompletionRequest,
     KnowledgeParseError,
     LabelParseError,
     ResponseCache,
+    TransportError,
     complete,
     parse_knowledge_json,
     parse_label,
@@ -38,78 +40,69 @@ from .llm import (
 from .prompts import build_classification_prompt, build_extraction_prompt
 
 
-@dataclass
-class RunConfig:
-    corpus: Optional[Path] = None
-    gold: Optional[Path] = None
-    predictions: Optional[Path] = None
-    cache: Optional[Path] = None
-    cache_mode: CacheMode = CacheMode.REPLAY
-    model_name: str = DEFAULT_MODEL
-    endpoint: Optional[str] = None
-    incremental_kb: bool = False
-    all_turns: bool = False
-    jobs: int = 1
-    out: Optional[Path] = None
-    format: ReportFormat = ReportFormat.MARKDOWN
-
-
 def _fail(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return 1
 
 
+# Why a turn was skipped, in the order the groups are reported.
+_SKIPPED = ("cache misses", "unparseable replies", "request errors")
+
+
 def _annotate_dialogue(
     dialogue: Dialogue,
     targets: list[int],
-    cfg: RunConfig,
+    args: argparse.Namespace,
+    mode: CacheMode,
     cache: Optional[ResponseCache],
-) -> tuple[list[GoldAnnotation], list[str], list[str]]:
+) -> tuple[list[GoldAnnotation], list[tuple[str, str]]]:
     """Annotate the target turns of one dialogue.
 
-    Returns the annotations, then one line per turn whose reply is not in
-    the cache and one per turn whose reply could not be parsed; those turns
-    are skipped and the others still run.
+    Returns the annotations and, per skipped turn, its ``_SKIPPED`` group and
+    a line naming the turn and the cause: a reply that is not in the cache or
+    could not be parsed, or a request the endpoint refused or never answered.
+    The other turns still run.
     """
     annotations: list[GoldAnnotation] = []
-    misses: list[str] = []
-    unparseable: list[str] = []
+    skipped: list[tuple[str, str]] = []
     kb, kb_json = EMPTY_KNOWLEDGE, None
     for turn_index in targets:
         history = dialogue.turns[:turn_index]
         cls_messages = build_classification_prompt(history)
-        if cfg.incremental_kb:
+        if args.incremental_kb:
             if kb_json is None:
                 kb_json = json.dumps(kb.to_json_dict(), ensure_ascii=False)
             ext_messages = build_extraction_prompt(history, known_kb_json=kb_json)
         else:
             ext_messages = build_extraction_prompt(history)
+        where = f"dialogue {dialogue.id} turn {turn_index}"
         try:
             label_text = complete(
-                CompletionRequest(cfg.model_name, tuple(cls_messages)),
-                cfg.cache_mode,
+                CompletionRequest(args.model_name, tuple(cls_messages)),
+                mode,
                 cache=cache,
-                endpoint=cfg.endpoint,
+                endpoint=args.endpoint,
             ).text
             knowledge_text = complete(
-                CompletionRequest(cfg.model_name, tuple(ext_messages)),
-                cfg.cache_mode,
+                CompletionRequest(args.model_name, tuple(ext_messages)),
+                mode,
                 cache=cache,
-                endpoint=cfg.endpoint,
+                endpoint=args.endpoint,
             ).text
         except CacheMissError as exc:
-            misses.append(
-                f"dialogue {dialogue.id} turn {turn_index}: {exc.request_hash}"
-            )
+            skipped.append(("cache misses", f"{where}: {exc.request_hash}"))
+            continue
+        except (ApiError, TransportError) as exc:
+            skipped.append(("request errors", f"{where}: {exc}"))
             continue
         try:
             label = parse_label(label_text)
             knowledge = parse_knowledge_json(knowledge_text)
         except (LabelParseError, KnowledgeParseError) as exc:
-            unparseable.append(f"dialogue {dialogue.id} turn {turn_index}: {exc}")
+            skipped.append(("unparseable replies", f"{where}: {exc}"))
             continue
         annotations.append(GoldAnnotation(turn_index, label, knowledge))
-        if cfg.incremental_kb and label in (
+        if args.incremental_kb and label in (
             GroundingLabel.EXPLICIT,
             GroundingLabel.IMPLICIT,
         ):
@@ -120,74 +113,79 @@ def _annotate_dialogue(
             grown, _, _ = commit(kb, knowledge)
             if grown is not kb:
                 kb, kb_json = grown, None
-    return annotations, misses, unparseable
+    return annotations, skipped
 
 
-def cmd_annotate(cfg: RunConfig) -> int:
-    if cfg.corpus is None or cfg.out is None:
+def cmd_annotate(args: argparse.Namespace) -> int:
+    if args.corpus is None or args.out is None:
         return _fail("annotate requires --corpus and --out")
-    if cfg.cache_mode is CacheMode.REPLAY and cfg.cache is None:
+    mode = CacheMode(args.cache_mode)
+    if mode is CacheMode.REPLAY and args.cache is None:
         return _fail("replay mode requires --cache")
+    if mode is not CacheMode.REPLAY and not (args.endpoint or os.environ.get(ENDPOINT_ENV)):
+        return _fail(f"{mode.value} mode requires --endpoint or {ENDPOINT_ENV}")
     try:
-        dialogues = load_dialogues(cfg.corpus)
-        gold = load_gold(cfg.gold, dialogues) if cfg.gold else None
-        cache = ResponseCache(cfg.cache) if cfg.cache else None
+        dialogues = load_dialogues(args.corpus)
+        gold = load_gold(args.gold, dialogues) if args.gold else None
+        cache = ResponseCache(args.cache) if args.cache else None
     except CorpusError as exc:
         return _fail(str(exc))
-    if not cfg.all_turns and gold is None:
+    if not args.all_turns and gold is None:
         return _fail("annotate needs --gold to select turns (or pass --all-turns)")
 
     def annotate(dialogue: Dialogue):
-        if cfg.all_turns:
+        if args.all_turns:
             targets = [t.index for t in dialogue.turns]
         else:
             targets = [a.turn_index for a in gold.get(dialogue.id, [])]
-        return _annotate_dialogue(dialogue, targets, cfg, cache)
+        return _annotate_dialogue(dialogue, targets, args, mode, cache)
 
-    if cfg.jobs > 1:
-        with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
+    if args.jobs > 1:
+        # Imported here: it loads logging and queue, which serial runs never need.
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
             outcomes = list(pool.map(annotate, dialogues))
     else:
         outcomes = [annotate(d) for d in dialogues]
     results: dict[str, list[GoldAnnotation]] = {}
-    misses: list[str] = []
-    unparseable: list[str] = []
-    for d, (annotations, dialogue_misses, dialogue_unparseable) in zip(dialogues, outcomes):
+    skipped: dict[str, list[str]] = {title: [] for title in _SKIPPED}
+    for d, (annotations, dialogue_skipped) in zip(dialogues, outcomes):
         results[d.id] = annotations
-        misses.extend(dialogue_misses)
-        unparseable.extend(dialogue_unparseable)
-    for title, lines in (("cache misses", misses), ("unparseable replies", unparseable)):
+        for title, line in dialogue_skipped:
+            skipped[title].append(line)
+    for title, lines in skipped.items():
         if lines:
             print(f"{title}:", file=sys.stderr)
             for line in lines:
                 print(f"  {line}", file=sys.stderr)
-    if misses or unparseable:
+    if any(skipped.values()):
         return 1
-    save_annotations(results, cfg.out)
+    save_annotations(results, args.out)
     total = sum(len(v) for v in results.values())
-    print(f"wrote {total} predictions to {cfg.out}")
+    print(f"wrote {total} predictions to {args.out}")
     return 0
 
 
-def cmd_ground(cfg: RunConfig) -> int:
-    if cfg.corpus is None or cfg.out is None:
+def cmd_ground(args: argparse.Namespace) -> int:
+    if args.corpus is None or args.out is None:
         return _fail("ground requires --corpus and --out")
-    source_path = cfg.gold or cfg.predictions
+    source_path = args.gold or args.predictions
     if source_path is None:
         return _fail("ground requires --gold or --predictions as label source")
     try:
-        dialogues = load_dialogues(cfg.corpus)
+        dialogues = load_dialogues(args.corpus)
         source = load_gold(source_path, dialogues)
     except CorpusError as exc:
         return _fail(str(exc))
 
-    with open(cfg.out, "w", encoding="utf-8") as handle:
+    with open(args.out, "w", encoding="utf-8") as handle:
         for dialogue in dialogues:
             annotations = source.get(dialogue.id, [])
-            state, trace = process_dialogue(
+            state = process_dialogue(
                 dialogue, gold_labeler(annotations), gold_extractor(annotations)
             )
-            for entry in trace:
+            for entry in state.history:
                 record = {
                     "dialogue_id": dialogue.id,
                     "turn": entry.turn_index,
@@ -202,47 +200,47 @@ def cmd_ground(cfg: RunConfig) -> int:
                 "final_knowledge": state.grounded.to_json_dict(),
             }
             handle.write(json.dumps(final, ensure_ascii=False) + "\n")
-    print(f"wrote grounding traces for {len(dialogues)} dialogues to {cfg.out}")
+    print(f"wrote grounding traces for {len(dialogues)} dialogues to {args.out}")
     return 0
 
 
-def cmd_evaluate(cfg: RunConfig) -> int:
-    if cfg.gold is None or cfg.predictions is None:
+def cmd_evaluate(args: argparse.Namespace) -> int:
+    if args.gold is None or args.predictions is None:
         return _fail("evaluate requires --gold and --predictions")
     try:
-        dialogues = load_dialogues(cfg.corpus) if cfg.corpus else None
-        gold = load_gold(cfg.gold, dialogues)
-        predictions = load_gold(cfg.predictions, dialogues)
+        dialogues = load_dialogues(args.corpus) if args.corpus else None
+        gold = load_gold(args.gold, dialogues)
+        predictions = load_gold(args.predictions, dialogues)
     except CorpusError as exc:
         return _fail(str(exc))
     try:
         report = score(gold, predictions)
     except CoverageError as exc:
         return _fail(str(exc))
-    if cfg.out is not None:
-        Path(cfg.out).write_text(
+    if args.out is not None:
+        Path(args.out).write_text(
             render_report(report, ReportFormat.MACHINE) + "\n", encoding="utf-8"
         )
-    print(render_report(report, cfg.format))
+    print(render_report(report, ReportFormat(args.format)))
     print(report.summary_line())
     return 0
 
 
-def cmd_prompts(cfg: RunConfig, dialogue_id: str, turn_index: int) -> int:
-    if cfg.corpus is None:
+def cmd_prompts(args: argparse.Namespace) -> int:
+    if args.corpus is None:
         return _fail("prompts requires --corpus")
     try:
-        dialogues = {d.id: d for d in load_dialogues(cfg.corpus)}
+        dialogues = {d.id: d for d in load_dialogues(args.corpus)}
     except CorpusError as exc:
         return _fail(str(exc))
-    if dialogue_id not in dialogues:
-        return _fail(f"unknown dialogue {dialogue_id!r}")
-    dialogue = dialogues[dialogue_id]
+    if args.dialogue_id not in dialogues:
+        return _fail(f"unknown dialogue {args.dialogue_id!r}")
+    dialogue = dialogues[args.dialogue_id]
     try:
-        dialogue.turn(turn_index)
+        dialogue.turn(args.turn_index)
     except KeyError as exc:
         return _fail(str(exc.args[0]))
-    history = dialogue.turns[:turn_index]
+    history = dialogue.turns[:args.turn_index]
     for title, messages in (
         ("classification", build_classification_prompt(history)),
         ("extraction", build_extraction_prompt(history)),
@@ -263,7 +261,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "information-seeking dialogues.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    # Each subcommand gets only the flags it reads; each dest is a RunConfig field.
+    # Each subcommand gets only the flags it reads.
     annotate, ground, evaluate, prompts = (
         sub.add_parser(name) for name in ("annotate", "ground", "evaluate", "prompts")
     )
@@ -308,27 +306,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    given = {
-        f.name: getattr(args, f.name) for f in fields(RunConfig) if hasattr(args, f.name)
-    }
-    if "cache_mode" in given:
-        given["cache_mode"] = CacheMode(given["cache_mode"])
-    if "format" in given:
-        given["format"] = ReportFormat(given["format"])
-    return RunConfig(**given)
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
-    cfg = _config_from_args(args)
     if args.command == "annotate":
-        return cmd_annotate(cfg)
+        return cmd_annotate(args)
     if args.command == "ground":
-        return cmd_ground(cfg)
+        return cmd_ground(args)
     if args.command == "evaluate":
-        return cmd_evaluate(cfg)
-    return cmd_prompts(cfg, args.dialogue_id, args.turn_index)
+        return cmd_evaluate(args)
+    return cmd_prompts(args)
 
 
 if __name__ == "__main__":

@@ -127,20 +127,6 @@ def load_dialogues(path: PathLike) -> list[Dialogue]:
     return dialogues
 
 
-def save_dialogues(dialogues: list[Dialogue], path: PathLike) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        for d in dialogues:
-            record = {
-                "id": d.id,
-                "domain": d.domain_tag,
-                "turns": [
-                    {"index": t.index, "role": t.role.value, "text": t.text}
-                    for t in d.turns
-                ],
-            }
-            handle.write(json.dumps(record, ensure_ascii=False) + "\n")
-
-
 def load_gold(
     path: PathLike, dialogues: Optional[list[Dialogue]] = None
 ) -> dict[str, list[GoldAnnotation]]:

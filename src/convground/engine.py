@@ -21,17 +21,6 @@ Extractor = Callable[[Sequence[Turn]], GroundedKnowledge]
 
 
 @dataclass(frozen=True)
-class PendingContribution:
-    """Presented but not yet accepted facts."""
-
-    facts: GroundedKnowledge
-
-    def __post_init__(self) -> None:
-        if self.facts.is_empty:
-            raise ValueError("pending contribution must carry facts")
-
-
-@dataclass(frozen=True)
 class TurnTrace:
     """What one turn did: its label, extracted facts and committed graph ops."""
 
@@ -44,9 +33,14 @@ class TurnTrace:
 
 @dataclass(frozen=True)
 class GroundingState:
+    """Committed facts, presented facts awaiting acceptance, and one trace per turn."""
+
     grounded: GroundedKnowledge = EMPTY_KNOWLEDGE
-    pending: Optional[PendingContribution] = None
+    pending: GroundedKnowledge = EMPTY_KNOWLEDGE
     history: tuple[TurnTrace, ...] = ()
+
+
+_ACCEPTING = (GroundingLabel.EXPLICIT, GroundingLabel.IMPLICIT)
 
 
 def present(state: GroundingState, facts: GroundedKnowledge) -> GroundingState:
@@ -58,11 +52,10 @@ def present(state: GroundingState, facts: GroundedKnowledge) -> GroundingState:
     """
     if facts.is_empty:
         return state
-    if state.pending is None:
-        combined = facts
-    else:
-        combined, _, _ = commit(state.pending.facts, facts)
-    return replace(state, pending=PendingContribution(combined))
+    if state.pending.is_empty:
+        return replace(state, pending=facts)
+    combined, _, _ = commit(state.pending, facts)
+    return replace(state, pending=combined)
 
 
 def observe_label(
@@ -73,21 +66,20 @@ def observe_label(
 ) -> GroundingState:
     """Advance the state machine with the grounding act of one turn.
 
-    Explicit and implicit acts commit the pending contribution together with
-    the facts extracted from the accepting turn itself. Clarification keeps
-    the pending contribution staged and discards the turn's own facts: a
+    Explicit and implicit acts commit the pending facts together with the
+    facts extracted from the accepting turn itself. Clarification keeps the
+    pending facts staged and discards the turn's own facts: a
     clarifying question's content is unconfirmed. No-event turns only append
     to the history.
     """
-    if label in (GroundingLabel.EXPLICIT, GroundingLabel.IMPLICIT):
-        combined = state.pending.facts if state.pending is not None else EMPTY_KNOWLEDGE
+    if label in _ACCEPTING:
+        combined = state.pending
         if not turn_facts.is_empty:
             combined, _, _ = commit(combined, turn_facts)
         grounded, _, ops = commit(state.grounded, combined)
         entry = TurnTrace(turn.index, label, turn_facts, tuple(ops))
-        return replace(
-            state, grounded=grounded, pending=None, history=state.history + (entry,)
-        )
+        history = state.history + (entry,)
+        return replace(state, grounded=grounded, pending=EMPTY_KNOWLEDGE, history=history)
     # Clarification and no-event leave both grounded and pending content as-is.
     return replace(
         state,
@@ -97,17 +89,19 @@ def observe_label(
 
 def process_dialogue(
     dialogue: Dialogue, labeler: Labeler, extractor: Extractor
-) -> tuple[GroundingState, list[TurnTrace]]:
+) -> GroundingState:
     """Run a dialogue through the engine with injected labeler/extractor.
 
-    Provider turns whose extraction is non-empty count as presentations.
+    Returns the final state; its ``history`` holds one :class:`TurnTrace` per
+    turn. Provider turns whose extraction is non-empty count as presentations.
     A labeler or extractor failure (a ``ValueError``, ``KeyError`` or
     ``RuntimeError``: unparseable replies, schema violations, cache misses,
     API and transport errors) downgrades the turn to no-event with empty
     facts and a warning in the trace. So does a ``ValueError`` or
     :class:`StateError` from presenting or committing the turn's facts, which
-    also leaves the state as it was before the turn. Any other exception
-    propagates.
+    also leaves the grounded knowledge as it was before the turn; an
+    explicit or implicit turn still clears the pending facts, as a
+    successful acceptance would. Any other exception propagates.
     """
     state = GroundingState()
     history: list[Turn] = []
@@ -124,16 +118,16 @@ def process_dialogue(
             label, warning = GroundingLabel.NO_EVENT, f"labeler failed: {exc}"
         if warning is None:
             try:
-                staged = state
-                if turn.role is Role.PROVIDER and not facts.is_empty:
-                    staged = present(state, facts)
+                staged = present(state, facts) if turn.role is Role.PROVIDER else state
                 state = observe_label(staged, label, turn, facts)
                 continue
             except (ValueError, StateError) as exc:
                 warning = f"commit failed: {exc}"
+                if label in _ACCEPTING:
+                    state = replace(state, pending=EMPTY_KNOWLEDGE)
         entry = TurnTrace(turn.index, GroundingLabel.NO_EVENT, EMPTY_KNOWLEDGE, warning=warning)
         state = replace(state, history=state.history + (entry,))
-    return state, list(state.history)
+    return state
 
 
 def gold_labeler(annotations: list[GoldAnnotation]) -> Labeler:

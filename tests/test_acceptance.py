@@ -84,7 +84,7 @@ def test_criterion_2_knowledge_verdicts(gold, predictions):
 
 def test_criterion_3_gold_replay(dialogues_by_id, gold):
     def check():
-        state_a, _ = process_dialogue(
+        state_a = process_dialogue(
             dialogues_by_id["A"], gold_labeler(gold["A"]), gold_extractor(gold["A"])
         )
         expected_a = canonicalize({
@@ -101,7 +101,7 @@ def test_criterion_3_gold_replay(dialogues_by_id, gold):
         })
         assert knowledge_equivalent(state_a.grounded, expected_a)
 
-        state_b, _ = process_dialogue(
+        state_b = process_dialogue(
             dialogues_by_id["B"], gold_labeler(gold["B"]), gold_extractor(gold["B"])
         )
         grounded = state_b.grounded
@@ -128,8 +128,7 @@ def test_criterion_4_clarification_guard(dialogues_by_id, gold):
             state = observe_label(state, labeler(history), turn, delta)
             if turn.index >= 8:
                 visible = [c.column_name for c in state.grounded.column_info]
-                if state.pending is not None:
-                    visible += [c.column_name for c in state.pending.facts.column_info]
+                visible += [c.column_name for c in state.pending.column_info]
                 assert not any(
                     terms_equivalent(name, "type of work") for name in visible
                 ), f"'type of work' visible after turn {turn.index}"

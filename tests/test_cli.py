@@ -1,6 +1,11 @@
+import argparse
+import http.server
 import json
+import re
+import socket
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -13,7 +18,7 @@ from convground import (
     load_gold,
     parse_knowledge_json,
 )
-from convground.cli import main
+from convground.cli import _build_parser, main
 
 
 CORPUS = str(fixtures.path(fixtures.DIALOGUES))
@@ -197,6 +202,91 @@ class TestAnnotate:
             "--out", str(tmp_path / "out.jsonl"),
         ) == 1
 
+    @pytest.mark.parametrize("mode", ["record", "live"])
+    def test_request_modes_without_endpoint_fail_before_any_turn(
+        self, mode, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.delenv("GROUNDING_LLM_ENDPOINT", raising=False)
+        monkeypatch.setattr("convground.cli.complete", pytest.fail)
+        out = tmp_path / "out.jsonl"
+        assert run(
+            "annotate", "--corpus", CORPUS, "--gold", GOLD, "--mode", mode,
+            "--cache", str(tmp_path / "cache.jsonl"), "--out", str(out),
+        ) == 1
+        assert capsys.readouterr().err == (
+            f"error: {mode} mode requires --endpoint or GROUNDING_LLM_ENDPOINT\n"
+        )
+        assert not out.exists()
+
+    def test_refused_request_is_listed_and_other_turns_run(self, tmp_path, capsys):
+        bodies = []
+
+        class Handler(http.server.BaseHTTPRequestHandler):
+            def do_POST(self):
+                body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+                bodies.append(body)
+                if len(bodies) == 3:  # the label request of dialogue A turn 4
+                    status, content = 500, None
+                elif body["messages"][-1]["content"].endswith("Output label: "):
+                    status, content = 200, "Output label: explicit"
+                else:
+                    status, content = 200, "Output JSON: {}"
+                reply = (
+                    b"server fault" if content is None
+                    else json.dumps({"choices": [{"message": {"content": content}}]}).encode()
+                )
+                self.send_response(status)
+                self.end_headers()
+                self.wfile.write(reply)
+
+            def log_message(self, *args):
+                pass
+
+        server = http.server.HTTPServer(("127.0.0.1", 0), Handler)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        cache, out = tmp_path / "cache.jsonl", tmp_path / "out.jsonl"
+        try:
+            code = run(
+                "annotate", "--corpus", CORPUS, "--gold", GOLD, "--mode", "record",
+                "--endpoint", f"http://127.0.0.1:{server.server_port}",
+                "--cache", str(cache), "--out", str(out),
+            )
+        finally:
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=10)
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "request errors:\n"
+            "  dialogue A turn 4: API returned status 500: server fault\n"
+        )
+        # 11 gold turns, two requests each; the failed turn sends no extraction
+        # request, and every other reply is recorded.
+        assert len(bodies) == 21
+        assert len(cache.read_text(encoding="utf-8").splitlines()) == 20
+        assert not out.exists()
+
+    def test_unreachable_endpoint_is_listed_per_turn(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("convground.llm._BACKOFF_SECONDS", 0)
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        code = run(
+            "annotate", "--corpus", CORPUS, "--gold", GOLD, "--mode", "live",
+            "--endpoint", f"http://127.0.0.1:{port}", "--out", str(tmp_path / "out.jsonl"),
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        lines = err.splitlines()
+        assert lines[0] == "request errors:"
+        turns = [(a.split()[1], a.split()[3]) for a in lines[1:]]
+        assert turns == [("A", f"{t}:") for t in (2, 4, 6, 8, 11, 17)] + [
+            ("B", f"{t}:") for t in (2, 5, 7, 10, 14)
+        ]
+        assert all("endpoint unreachable after 3 attempts" in line for line in lines[1:])
+
     def test_gold_turn_selection_cardinality(self, tmp_path):
         out = tmp_path / "out.jsonl"
         run(
@@ -237,7 +327,8 @@ class TestGround:
 
     def test_downgraded_turns_carry_their_warning(self, tmp_path):
         # "area" conflicts with "area size" and folds into "area total", whose
-        # min_value exceeds its max_value, so both acceptances fail to commit.
+        # min_value exceeds its max_value, so the acceptance at turn 3 fails to
+        # commit; it still clears the pending "area", so turn 4 commits.
         roles = ("provider", "provider", "seeker", "provider")
         dialogue = {"id": "bad", "domain": "geography", "turns": [
             {"index": i, "role": role, "text": f"turn {i}"}
@@ -267,11 +358,11 @@ class TestGround:
             (1, "implicit", None),
             (2, "clarification", None),
             (3, "no_event", warning),
-            (4, "no_event", warning),
+            (4, "implicit", None),
         ]
-        assert [c["column_name"] for c in records[4]["final_knowledge"]["column_info"]] == [
-            "area size", "area total",
-        ]
+        final = records[4]["final_knowledge"]
+        assert [c["column_name"] for c in final["column_info"]] == ["area size", "area total"]
+        assert final["row_count"] == 50
 
     def test_predictions_as_label_source(self, tmp_path):
         out = tmp_path / "trace.jsonl"
@@ -340,14 +431,29 @@ def test_unknown_subcommand_rejected():
 
 
 def test_cli_import_loads_no_http_client():
-    # Offline commands must not pay for importing an HTTP client at start-up.
+    # Offline commands must not pay for importing an HTTP client at start-up,
+    # nor serial runs for the thread pool.
     src = Path(__file__).resolve().parents[1] / "src"
     code = (
         "import sys; import convground.cli; "
-        "print(sorted({'requests', 'urllib.request'} & set(sys.modules)))"
+        "print(sorted({'requests', 'urllib.request', 'concurrent.futures'} & set(sys.modules)))"
     )
     out = subprocess.run(
         [sys.executable, "-c", code],
         cwd=src, capture_output=True, text=True, check=True, timeout=60,
     ).stdout
     assert out.strip() == "[]"
+
+
+def test_readme_flag_table_matches_the_parser():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    rows = dict(re.findall(r"^\| `(\w+)` \| (.+) \|$", readme, re.MULTILINE))
+    subparsers = next(
+        a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    assert rows.keys() == subparsers.choices.keys()
+    for name, parser in subparsers.choices.items():
+        flags = [a.option_strings[-1] for a in parser._actions if a.option_strings]
+        positionals = [a.dest for a in parser._actions if not a.option_strings]
+        expected = [f for f in flags if f != "--help"] + positionals
+        assert re.findall(r"`([^`]+)`", rows[name]) == expected, name

@@ -11,7 +11,6 @@ from convground import (
     Turn,
     load_dialogues,
     load_gold,
-    save_dialogues,
 )
 
 
@@ -50,12 +49,6 @@ def test_malformed_record_names_line(tmp_path):
     path.write_text('{"id": "x"}\nnot json\n')
     with pytest.raises(CorpusError, match="line 1"):
         load_dialogues(path)
-
-
-def test_round_trip(dialogues, tmp_path):
-    path = tmp_path / "copy.jsonl"
-    save_dialogues(dialogues, path)
-    assert load_dialogues(path) == dialogues
 
 
 def test_turn_text_stored_verbatim(dialogues_by_id):

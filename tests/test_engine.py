@@ -28,8 +28,8 @@ def seeker_turn(index, text="ok got it"):
 class TestPresent:
     def test_presented_facts_stay_pending(self):
         state = present(GroundingState(), canonicalize({"row_count": 500}))
-        assert state.pending is not None
-        assert state.pending.facts.row_count == 500
+        assert not state.pending.is_empty
+        assert state.pending.row_count == 500
         assert state.grounded.is_empty
 
     def test_self_correction_replaces_pending_column_list(self):
@@ -42,7 +42,7 @@ class TestPresent:
             canonicalize({"column_names": ["year", "title", "author",
                                            "short text description", "category"]}),
         )
-        names = [c.column_name for c in state.pending.facts.column_info]
+        names = [c.column_name for c in state.pending.column_info]
         assert names == ["year", "title", "author", "short text description", "category"]
 
     def test_empty_facts_noop(self):
@@ -56,7 +56,7 @@ class TestObserveLabel:
                                                  "short text description", "category"]})
         state = present(GroundingState(), pending)
         state = observe_label(state, GroundingLabel.EXPLICIT, seeker_turn(11))
-        assert state.pending is None
+        assert state.pending.is_empty
         assert len(state.grounded.column_info) == 5
         assert state.history[-1].turn_index == 11
 
@@ -72,7 +72,7 @@ class TestObserveLabel:
             canonicalize({"table_content": "time travel works of fiction"}),
         )
         assert state.grounded.table_content == "time travel works of fiction"
-        assert state.pending is None
+        assert state.pending.is_empty
 
     def test_clarification_discards_turn_facts(self):
         state = present(
@@ -89,7 +89,7 @@ class TestObserveLabel:
             seeker_turn(8, "Is there no column for the type of the work?"),
             clarifying,
         )
-        pending_names = [c.column_name for c in state.pending.facts.column_info]
+        pending_names = [c.column_name for c in state.pending.column_info]
         assert "type of work" not in pending_names
         assert state.grounded.is_empty
 
@@ -106,7 +106,7 @@ class TestObserveLabel:
 
 class TestGoldReplay:
     def test_dialogue_a_final_knowledge(self, dialogues_by_id, gold):
-        state, _ = process_dialogue(
+        state = process_dialogue(
             dialogues_by_id["A"], gold_labeler(gold["A"]), gold_extractor(gold["A"])
         )
         expected = canonicalize({
@@ -124,7 +124,7 @@ class TestGoldReplay:
         assert knowledge_equivalent(state.grounded, expected)
 
     def test_dialogue_b_final_knowledge(self, dialogues_by_id, gold):
-        state, _ = process_dialogue(
+        state = process_dialogue(
             dialogues_by_id["B"], gold_labeler(gold["B"]), gold_extractor(gold["B"])
         )
         grounded = state.grounded
@@ -152,35 +152,29 @@ class TestGoldReplay:
             state = observe_label(state, label, turn, facts)
             if turn.index >= 8:
                 committed = [c.column_name for c in state.grounded.column_info]
-                staged = (
-                    [c.column_name for c in state.pending.facts.column_info]
-                    if state.pending
-                    else []
-                )
+                staged = [c.column_name for c in state.pending.column_info]
                 assert "type of work" not in committed + staged
             if turn.index >= 11:
                 assert "category" in [c.column_name for c in state.grounded.column_info]
 
     def test_history_covers_every_turn(self, dialogues_by_id, gold):
-        state, trace = process_dialogue(
+        state = process_dialogue(
             dialogues_by_id["A"], gold_labeler(gold["A"]), gold_extractor(gold["A"])
         )
         assert len(state.history) == len(dialogues_by_id["A"].turns)
-        assert trace == list(state.history)
 
     def test_failing_extractor_downgrades_to_no_event(self, dialogues_by_id):
         def broken(history):
             raise RuntimeError("boom")
 
-        state, trace = process_dialogue(
+        state = process_dialogue(
             dialogues_by_id["A"],
             lambda history: GroundingLabel.EXPLICIT,
             broken,
         )
         assert state.grounded.is_empty
-        assert all(t.label is GroundingLabel.NO_EVENT for t in trace)
-        assert all(t.warning for t in trace)
-        assert trace == list(state.history)
+        assert all(t.label is GroundingLabel.NO_EVENT for t in state.history)
+        assert all(t.warning for t in state.history)
 
     def test_programming_error_in_extractor_propagates(self, dialogues_by_id):
         def broken(history):
@@ -207,9 +201,10 @@ class TestGoldReplay:
                            canonicalize({"column_name": "area", "max_value": 3})),
             GoldAnnotation(3, GroundingLabel.IMPLICIT, canonicalize({"row_count": 50})),
         ]
-        state, trace = process_dialogue(
+        state = process_dialogue(
             Dialogue("bad", "geography", tuple(turns)), gold_labeler(gold), gold_extractor(gold)
         )
+        trace = state.history
         assert [t.label for t in trace] == [
             GroundingLabel.IMPLICIT, GroundingLabel.NO_EVENT, GroundingLabel.IMPLICIT
         ]
@@ -217,10 +212,42 @@ class TestGoldReplay:
             "commit failed: column 'area total': min_value 5 exceeds max_value 3"
         )
         assert trace[1].facts.is_empty and trace[1].ops == ()
-        assert state.pending is None
+        assert state.pending.is_empty
         assert [c.column_name for c in state.grounded.column_info] == ["area size", "area total"]
         assert state.grounded.row_count == 50
-        assert trace == list(state.history)
+
+    def test_failed_acceptance_clears_pending_so_the_next_acceptance_commits(self):
+        from convground import Dialogue, GoldAnnotation
+
+        turns = [provider_turn(1), provider_turn(2), seeker_turn(3), provider_turn(4)]
+        gold = [
+            GoldAnnotation(1, GroundingLabel.IMPLICIT, canonicalize({"column_info": [
+                {"column_name": "area size", "max_value": 9},
+                {"column_name": "area total", "min_value": 5},
+            ]})),
+            # Presented under a clarification: pending until turn 3 accepts it,
+            # and that commit fails as in the test above.
+            GoldAnnotation(2, GroundingLabel.CLARIFICATION,
+                           canonicalize({"column_name": "area", "max_value": 3})),
+            GoldAnnotation(3, GroundingLabel.EXPLICIT, EMPTY_KNOWLEDGE),
+            GoldAnnotation(4, GroundingLabel.IMPLICIT, canonicalize({"row_count": 50})),
+        ]
+        state = process_dialogue(
+            Dialogue("bad", "geography", tuple(turns)), gold_labeler(gold), gold_extractor(gold)
+        )
+        assert [(t.label, t.warning) for t in state.history] == [
+            (GroundingLabel.IMPLICIT, None),
+            (GroundingLabel.CLARIFICATION, None),
+            (GroundingLabel.NO_EVENT,
+             "commit failed: column 'area total': min_value 5 exceeds max_value 3"),
+            (GroundingLabel.IMPLICIT, None),
+        ]
+        assert state.pending.is_empty
+        assert [c.column_name for c in state.grounded.column_info] == ["area size", "area total"]
+        assert [(c.min_value, c.max_value) for c in state.grounded.column_info] == [
+            (None, 9), (5, None),
+        ]
+        assert state.grounded.row_count == 50
 
 
 def test_empty_dialogue_not_representable():
@@ -229,10 +256,10 @@ def test_empty_dialogue_not_representable():
     from convground import Dialogue
 
     dialogue = Dialogue("tiny", "media", (Turn(1, Role.SEEKER, "hi"),))
-    state, trace = process_dialogue(
+    state = process_dialogue(
         dialogue,
         lambda history: GroundingLabel.NO_EVENT,
         lambda history: EMPTY_KNOWLEDGE,
     )
     assert state.grounded.is_empty
-    assert len(trace) == 1
+    assert len(state.history) == 1
