@@ -22,6 +22,7 @@ from .knowledge import (
     facts,
     fold_facts,
     merged_value,
+    updated_value,
 )
 
 
@@ -146,15 +147,10 @@ def plan_ops(outcomes: list[AssessmentOutcome]) -> list[GraphOp]:
             ops.append(
                 GraphOp(OpKind.UPDATE_NODE, outcome.matched_key, outcome.fact.value)
             )
-        elif outcome.verdict is Verdict.CONFLICT:
-            ops.append(GraphOp(OpKind.REMOVE_NODE, outcome.matched_key))
-            ops.append(
-                GraphOp(OpKind.CREATE_NODE, outcome.fact.key, outcome.fact.value)
-            )
         else:
-            ops.append(
-                GraphOp(OpKind.CREATE_NODE, outcome.fact.key, outcome.fact.value)
-            )
+            if outcome.verdict is Verdict.CONFLICT:
+                ops.append(GraphOp(OpKind.REMOVE_NODE, outcome.matched_key))
+            ops.append(GraphOp(OpKind.CREATE_NODE, outcome.fact.key, outcome.fact.value))
     return ops
 
 
@@ -166,11 +162,12 @@ def merge(
     Each operation names its target by exact key, as :func:`assess` picked
     it. Instantiate, update and remove ops need a fact of ``kb`` that no
     earlier op removed; a create needs a key that neither ``kb`` nor an
-    earlier create holds; anything else raises :class:`StateError`. A created
-    column whose name is equivalent to a kept one folds into it. ``index`` is
-    the :class:`KeyIndex` of ``facts(kb)`` that :func:`assess` left, built
-    here when not given. When every op is an instantiation, ``kb`` itself is
-    returned.
+    earlier create holds; anything else is a bug and raises
+    :class:`StateError`. An update, or a created column equivalent to a
+    kept one, combines with it by the total :func:`updated_value`. ``index``
+    is the :class:`KeyIndex` of ``facts(kb)`` that :func:`assess` left,
+    built here when not given. When every op is an instantiation, ``kb``
+    itself is returned.
     """
     kb_facts = facts(kb)
     if index is None:
@@ -190,7 +187,7 @@ def merge(
             del kept[i]
             index.discard(i)
         elif op.op is OpKind.UPDATE_NODE:
-            kept[i] = Fact(op.target, merged_value(op.target.field, kept[i].value, op.payload))
+            kept[i] = Fact(op.target, updated_value(op.target.field, kept[i].value, op.payload))
         # INSTANTIATE_NODE only requires its target to exist.
     if all(op.op is OpKind.INSTANTIATE_NODE for op in ops):
         return kb

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
-from .assessment import GraphOp, StateError, commit
+from .assessment import GraphOp, commit
 from .dialogue import Dialogue, GoldAnnotation, GroundingLabel, Role, Turn
 from .knowledge import EMPTY_KNOWLEDGE, GroundedKnowledge
 
@@ -97,11 +97,9 @@ def process_dialogue(
     A labeler or extractor failure (a ``ValueError``, ``KeyError`` or
     ``RuntimeError``: unparseable replies, schema violations, cache misses,
     API and transport errors) downgrades the turn to no-event with empty
-    facts and a warning in the trace. So does a ``ValueError`` or
-    :class:`StateError` from presenting or committing the turn's facts, which
-    also leaves the grounded knowledge as it was before the turn; an
-    explicit or implicit turn still clears the pending facts, as a
-    successful acceptance would. Any other exception propagates.
+    facts and a warning in the trace; any other exception propagates.
+    Presenting and committing cannot fail: facts that cannot combine with
+    committed ones replace them (newest wins).
     """
     state = GroundingState()
     history: list[Turn] = []
@@ -117,14 +115,9 @@ def process_dialogue(
         except (ValueError, KeyError, RuntimeError) as exc:
             label, warning = GroundingLabel.NO_EVENT, f"labeler failed: {exc}"
         if warning is None:
-            try:
-                staged = present(state, facts) if turn.role is Role.PROVIDER else state
-                state = observe_label(staged, label, turn, facts)
-                continue
-            except (ValueError, StateError) as exc:
-                warning = f"commit failed: {exc}"
-                if label in _ACCEPTING:
-                    state = replace(state, pending=EMPTY_KNOWLEDGE)
+            staged = present(state, facts) if turn.role is Role.PROVIDER else state
+            state = observe_label(staged, label, turn, facts)
+            continue
         entry = TurnTrace(turn.index, GroundingLabel.NO_EVENT, EMPTY_KNOWLEDGE, warning=warning)
         state = replace(state, history=state.history + (entry,))
     return state

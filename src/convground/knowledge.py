@@ -195,14 +195,15 @@ def fold_facts(
     placed: dict[int, Fact], index: KeyIndex, fact_list: Iterable[Fact]
 ) -> GroundedKnowledge:
     """Fold ``fact_list`` into ``placed``, the facts at their live positions
-    in ``index``: a column joins the first live equivalent one, keeping its
-    name, and a top-level field overwrites. ``index`` opens a position only
-    for a key with no live equivalent, so the columns need no second check.
+    in ``index``: a column joins the first live equivalent one by
+    :func:`updated_value`, keeping its name, and a top-level field
+    overwrites. ``index`` opens a position only for a key with no live
+    equivalent, so the columns need no second check, and the fold is total.
     """
     for fact in fact_list:
         i = index.add(fact.key)
         if i in placed and fact.key.field == "column":
-            fact = Fact(placed[i].key, merge_columns(placed[i].value, fact.value))
+            fact = Fact(placed[i].key, updated_value("column", placed[i].value, fact.value))
         placed[i] = fact
     # A list, not a generator: a tuple cut down from a generator's larger
     # guess never draws on the free list of its size, which then grows.
@@ -292,16 +293,27 @@ def merge_columns(existing: ColumnKnowledge, incoming: ColumnKnowledge) -> Colum
 
 
 def merged_value(field: str, existing: Any, incoming: Any) -> Any:
-    """The value a committed ``field`` takes when an incoming value updates it.
+    """The union of a committed ``field``'s value and an incoming one.
 
     Text keeps the longer surface form (ties keep the committed one), a
-    column merges field by field, and any other value is overwritten.
+    column merges field by field, and any other value is overwritten. Raises
+    ``ValueError`` when a merged column's minimum exceeds its maximum.
     """
     if field == "column":
         return merge_columns(existing, incoming)
     if field in _TEXT_FIELDS:
         return incoming if len(str(incoming)) > len(str(existing)) else existing
     return incoming
+
+
+def updated_value(field: str, existing: Any, incoming: Any) -> Any:
+    """The value a committed ``field`` takes when an incoming value updates it:
+    the :func:`merged_value`, or, newest wins, the incoming column's fields
+    under the committed name where the two columns cannot combine."""
+    try:
+        return merged_value(field, existing, incoming)
+    except ValueError:
+        return ColumnKnowledge(existing.column_name, **incoming.fields())
 
 
 # ---------------------------------------------------------------------------
@@ -514,10 +526,7 @@ def canonicalize(raw: Any) -> GroundedKnowledge:
     # occurrences enrich or overwrite the earlier one.
     fact_list = [Fact(FactKey(name), value) for name, value in kwargs.items()]
     fact_list.extend(Fact(FactKey("column", e.column_name), e) for e in entries)
-    try:
-        knowledge = knowledge_from_facts(fact_list)
-    except ValueError as exc:
-        raise SchemaError(str(exc)) from None
+    knowledge = knowledge_from_facts(fact_list)
 
     row_count = knowledge.row_count
     if row_count is not None:

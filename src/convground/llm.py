@@ -264,8 +264,13 @@ def _send(
             continue
         if status != 200:
             raise ApiError(status, text)
-        data = json.loads(text)
-        return data["choices"][0]["message"]["content"]
+        try:
+            content = json.loads(text)["choices"][0]["message"]["content"]
+        except (ValueError, LookupError, TypeError):
+            content = None
+        if not isinstance(content, str):  # not a chat-completions reply
+            raise ApiError(status, text)
+        return content
     raise TransportError(f"endpoint unreachable after {_MAX_ATTEMPTS} attempts: {last_error}")
 
 

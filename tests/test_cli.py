@@ -12,13 +12,18 @@ import pytest
 
 from convground import (
     EMPTY_KNOWLEDGE,
+    CompletionRequest,
     CompletionResult,
+    build_classification_prompt,
+    build_extraction_prompt,
     commit,
     fixtures,
+    load_dialogues,
     load_gold,
     parse_knowledge_json,
 )
 from convground.cli import _build_parser, main
+from convground.llm import request_hash
 
 
 CORPUS = str(fixtures.path(fixtures.DIALOGUES))
@@ -155,19 +160,32 @@ class TestAnnotate:
             kb, _, _ = commit(kb, parse_knowledge_json(deltas[i % 3]))
         assert len(shown) > 6 and shown == expected
 
-    def test_unparseable_replies_are_listed_and_other_turns_run(self, tmp_path, capsys):
+    def test_unparseable_replies_are_listed_and_other_turns_run(
+        self, tmp_path, capsys, monkeypatch
+    ):
         records = [
             json.loads(line)
             for line in Path(CACHE).read_text(encoding="utf-8").splitlines()
         ]
-        # The first record is the label reply for dialogue A turn 2, the last
-        # the extraction reply for the final gold turn of dialogue B.
+        # The first record is the label reply for dialogue A turn 2, record 11
+        # the extraction reply for dialogue A turn 17, and the last the
+        # extraction reply for the final gold turn of dialogue B.
         records[0]["response"] = "Output label: unsure"
+        records[11]["response"] = (
+            "Output JSON: {'row_count': 400, 'column_name': 'author', 'distinct_count': 417}"
+        )
         records[-1]["response"] = "Output JSON: {'row_count': "
         cache = tmp_path / "cache.jsonl"
         cache.write_text(
             "".join(json.dumps(r) + "\n" for r in records), encoding="utf-8"
         )
+        parsed = []
+
+        def parse(text):
+            parsed.append(text)
+            return parse_knowledge_json(text)
+
+        monkeypatch.setattr("convground.cli.parse_knowledge_json", parse)
         code = run(
             "annotate", "--corpus", CORPUS, "--gold", GOLD,
             "--cache", str(cache), "--out", str(tmp_path / "out.jsonl"),
@@ -178,9 +196,51 @@ class TestAnnotate:
         lines = err.splitlines()
         assert lines[0] == "unparseable replies:"
         assert lines[1].startswith("  dialogue A turn 2: no grounding label found")
-        assert lines[2].startswith("  dialogue B turn 14: ")
-        assert len(lines) == 3
+        assert lines[2] == (
+            "  dialogue A turn 17: column 'author': distinct_count 417 exceeds row_count 400"
+        )
+        assert lines[3].startswith("  dialogue B turn 14: ")
+        assert len(lines) == 4
+        # Every gold turn but A 2, whose label failed, reached the extraction parser.
+        assert len(parsed) == 10
         assert not (tmp_path / "out.jsonl").exists()
+
+    def test_incremental_kb_commits_a_column_that_cannot_merge(self, tmp_path):
+        # The second reply's "area" conflicts with "area size" and then meets
+        # "area total", whose min_value 5 exceeds the incoming max_value 3.
+        replies = [
+            {"column_info": [{"column_name": "area size", "max_value": 9},
+                             {"column_name": "area total", "min_value": 5}]},
+            {"column_name": "area", "max_value": 3},
+        ]
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text(json.dumps({"id": "bad", "turns": [
+            {"index": 1, "role": "provider", "text": "Two area columns."},
+            {"index": 2, "role": "provider", "text": "Area is at most 3."},
+        ]}) + "\n", encoding="utf-8")
+        dialogue = load_dialogues(corpus)[0]
+        kb, lines = EMPTY_KNOWLEDGE, []
+        for turn, reply in enumerate(replies, start=1):
+            history = dialogue.turns[:turn]
+            kb_json = json.dumps(kb.to_json_dict(), ensure_ascii=False)
+            for messages, response in (
+                (build_classification_prompt(history), "Output label: implicit"),
+                (build_extraction_prompt(history, known_kb_json=kb_json),
+                 f"Output JSON: {json.dumps(reply)}"),
+            ):
+                key = request_hash(CompletionRequest(messages=tuple(messages)))
+                lines.append(json.dumps({"hash": key, "response": response}) + "\n")
+            kb, _, _ = commit(kb, parse_knowledge_json(json.dumps(reply)))
+        cache, out = tmp_path / "cache.jsonl", tmp_path / "out.jsonl"
+        cache.write_text("".join(lines), encoding="utf-8")
+        assert run(
+            "annotate", "--corpus", str(corpus), "--cache", str(cache),
+            "--all-turns", "--incremental-kb", "--out", str(out),
+        ) == 0
+        predicted = load_gold(out)["bad"]
+        assert [a.knowledge_delta for a in predicted] == [
+            parse_knowledge_json(json.dumps(reply)) for reply in replies
+        ]
 
     def test_torn_final_cache_line_names_file_and_line(self, tmp_path, capsys):
         lines = Path(CACHE).read_text(encoding="utf-8").splitlines(keepends=True)
@@ -267,6 +327,28 @@ class TestAnnotate:
         assert len(cache.read_text(encoding="utf-8").splitlines()) == 20
         assert not out.exists()
 
+    def test_reply_that_is_not_a_completion_is_a_request_error(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(
+            "convground.llm._post", lambda *a, **kw: (200, "<html>proxy page</html>")
+        )
+        cache, out = tmp_path / "cache.jsonl", tmp_path / "out.jsonl"
+        code = run(
+            "annotate", "--corpus", CORPUS, "--gold", GOLD, "--mode", "record",
+            "--endpoint", "http://example.test", "--cache", str(cache), "--out", str(out),
+        )
+        assert code == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert lines[0] == "request errors:"
+        assert len(lines) == 1 + 11
+        assert all(
+            line.endswith(": API returned status 200: <html>proxy page</html>")
+            for line in lines[1:]
+        )
+        assert not cache.exists()
+        assert not out.exists()
+
     def test_unreachable_endpoint_is_listed_per_turn(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr("convground.llm._BACKOFF_SECONDS", 0)
         with socket.socket() as probe:
@@ -325,10 +407,10 @@ class TestGround:
         expected = sum(len(d.turns) for d in dialogues) + len(dialogues)
         assert len(lines) == expected
 
-    def test_downgraded_turns_carry_their_warning(self, tmp_path):
+    def test_unmergeable_acceptance_commits_without_a_warning(self, tmp_path):
         # "area" conflicts with "area size" and folds into "area total", whose
-        # min_value exceeds its max_value, so the acceptance at turn 3 fails to
-        # commit; it still clears the pending "area", so turn 4 commits.
+        # min_value exceeds the incoming max_value, so at turn 3 the incoming
+        # fields replace the kept ones under the kept name; turn 4 commits.
         roles = ("provider", "provider", "seeker", "provider")
         dialogue = {"id": "bad", "domain": "geography", "turns": [
             {"index": i, "role": role, "text": f"turn {i}"}
@@ -353,16 +435,19 @@ class TestGround:
         assert run("ground", "--corpus", str(corpus), "--gold", str(labels),
                    "--out", str(out)) == 0
         records = [json.loads(line) for line in out.read_text().splitlines()]
-        warning = "commit failed: column 'area total': min_value 5 exceeds max_value 3"
         assert [(r["turn"], r["label"], r.get("warning")) for r in records[:4]] == [
             (1, "implicit", None),
             (2, "clarification", None),
-            (3, "no_event", warning),
+            (3, "explicit", None),
             (4, "implicit", None),
         ]
-        final = records[4]["final_knowledge"]
-        assert [c["column_name"] for c in final["column_info"]] == ["area size", "area total"]
-        assert final["row_count"] == 50
+        assert [(op["op"], op["target"]) for op in records[2]["ops"]] == [
+            ("RemoveNode", "column:area size"), ("CreateNode", "column:area"),
+        ]
+        assert records[4]["final_knowledge"] == {
+            "row_count": 50,
+            "column_info": [{"column_name": "area total", "max_value": 3}],
+        }
 
     def test_predictions_as_label_source(self, tmp_path):
         out = tmp_path / "trace.jsonl"

@@ -186,7 +186,7 @@ class TestGoldReplay:
             )
 
 
-    def test_failed_commit_downgrades_the_turn_and_later_turns_commit(self):
+    def test_unmergeable_column_replaces_the_kept_one_newest_wins(self):
         from convground import Dialogue, GoldAnnotation
 
         turns = [provider_turn(i) for i in (1, 2, 3)]
@@ -196,7 +196,8 @@ class TestGoldReplay:
                 {"column_name": "area total", "min_value": 5},
             ]})),
             # "area" conflicts with "area size" and then folds into
-            # "area total", whose min_value 5 exceeds the incoming max_value 3.
+            # "area total", whose min_value 5 exceeds the incoming max_value 3:
+            # the incoming fields replace the kept ones under the kept name.
             GoldAnnotation(2, GroundingLabel.IMPLICIT,
                            canonicalize({"column_name": "area", "max_value": 3})),
             GoldAnnotation(3, GroundingLabel.IMPLICIT, canonicalize({"row_count": 50})),
@@ -205,18 +206,17 @@ class TestGoldReplay:
             Dialogue("bad", "geography", tuple(turns)), gold_labeler(gold), gold_extractor(gold)
         )
         trace = state.history
-        assert [t.label for t in trace] == [
-            GroundingLabel.IMPLICIT, GroundingLabel.NO_EVENT, GroundingLabel.IMPLICIT
+        assert [(t.label, t.warning) for t in trace] == [(GroundingLabel.IMPLICIT, None)] * 3
+        assert [(op.op.value, str(op.target)) for op in trace[1].ops] == [
+            ("RemoveNode", "column:area size"), ("CreateNode", "column:area"),
         ]
-        assert trace[1].warning == (
-            "commit failed: column 'area total': min_value 5 exceeds max_value 3"
-        )
-        assert trace[1].facts.is_empty and trace[1].ops == ()
         assert state.pending.is_empty
-        assert [c.column_name for c in state.grounded.column_info] == ["area size", "area total"]
+        assert [c.to_json_dict() for c in state.grounded.column_info] == [
+            {"column_name": "area total", "max_value": 3},
+        ]
         assert state.grounded.row_count == 50
 
-    def test_failed_acceptance_clears_pending_so_the_next_acceptance_commits(self):
+    def test_accepting_an_unmergeable_column_commits_it_newest_wins(self):
         from convground import Dialogue, GoldAnnotation
 
         turns = [provider_turn(1), provider_turn(2), seeker_turn(3), provider_turn(4)]
@@ -226,7 +226,7 @@ class TestGoldReplay:
                 {"column_name": "area total", "min_value": 5},
             ]})),
             # Presented under a clarification: pending until turn 3 accepts it,
-            # and that commit fails as in the test above.
+            # and that commit replaces the columns as in the test above.
             GoldAnnotation(2, GroundingLabel.CLARIFICATION,
                            canonicalize({"column_name": "area", "max_value": 3})),
             GoldAnnotation(3, GroundingLabel.EXPLICIT, EMPTY_KNOWLEDGE),
@@ -238,14 +238,15 @@ class TestGoldReplay:
         assert [(t.label, t.warning) for t in state.history] == [
             (GroundingLabel.IMPLICIT, None),
             (GroundingLabel.CLARIFICATION, None),
-            (GroundingLabel.NO_EVENT,
-             "commit failed: column 'area total': min_value 5 exceeds max_value 3"),
+            (GroundingLabel.EXPLICIT, None),
             (GroundingLabel.IMPLICIT, None),
         ]
+        assert [(op.op.value, str(op.target)) for op in state.history[2].ops] == [
+            ("RemoveNode", "column:area size"), ("CreateNode", "column:area"),
+        ]
         assert state.pending.is_empty
-        assert [c.column_name for c in state.grounded.column_info] == ["area size", "area total"]
-        assert [(c.min_value, c.max_value) for c in state.grounded.column_info] == [
-            (None, 9), (5, None),
+        assert [c.to_json_dict() for c in state.grounded.column_info] == [
+            {"column_name": "area total", "max_value": 3},
         ]
         assert state.grounded.row_count == 50
 

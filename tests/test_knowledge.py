@@ -236,6 +236,19 @@ class TestCanonicalize:
         with pytest.raises(SchemaError, match="min_value"):
             canonicalize({"column_name": "year", "min_value": 2007, "max_value": 1921})
 
+    def test_duplicate_columns_that_cannot_combine_keep_the_newest_fields(self):
+        # min_value 5 and max_value 3 cannot hold together: the later entry's
+        # fields replace the earlier ones under the first-seen name.
+        k = canonicalize({"column_info": [
+            {"column_name": "area", "min_value": 5},
+            {"column_name": "area size", "max_value": 3},
+        ]})
+        assert [c.to_json_dict() for c in k.column_info] == [
+            {"column_name": "area", "max_value": 3},
+        ]
+        with pytest.raises(SchemaError, match="min_value 5 exceeds max_value 3"):
+            canonicalize({"column_name": "area", "min_value": 5, "max_value": 3})
+
     def test_equivalent_duplicate_columns_folded(self):
         k = canonicalize(
             {"column_info": [
@@ -281,3 +294,15 @@ class TestMerge:
         delta = canonicalize({"row_count": 98})
         merged = merge(kb, plan_ops(assess(kb, delta)))
         assert merged.row_count == 98
+
+    def test_two_updates_of_one_column_that_cannot_combine_keep_the_newest(self):
+        kb = canonicalize({"column_names": ["area"]})
+        delta = canonicalize({"column_info": [
+            {"column_name": "area size", "min_value": 4},
+            {"column_name": "area total", "max_value": 2},
+        ]})
+        merged, outcomes, _ = commit(kb, delta)
+        assert [o.verdict for o in outcomes] == [Verdict.PARTIAL_MATCH] * 2
+        assert [c.to_json_dict() for c in merged.column_info] == [
+            {"column_name": "area", "max_value": 2},
+        ]

@@ -377,6 +377,24 @@ class TestLiveTransport:
         with pytest.raises(ApiError, match="429"):
             complete(make_request(), CacheMode.LIVE, endpoint="http://example.test")
 
+    @pytest.mark.parametrize("text", [
+        "<html>proxy page</html>",
+        "{}",
+        '{"choices": []}',
+        '{"choices": [{"message": {"content": null}}]}',
+        "[1]",
+    ])
+    def test_success_status_without_a_completion_raises_api_error(
+        self, text, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr("convground.llm._post", lambda *a, **kw: (200, text))
+        cache = ResponseCache(tmp_path / "cache.jsonl")
+        with pytest.raises(ApiError, match="status 200"):
+            complete(make_request(), CacheMode.RECORD, cache=cache,
+                     endpoint="http://example.test")
+        assert len(cache) == 0
+        assert not (tmp_path / "cache.jsonl").exists()
+
     def test_transport_failure_retries_then_raises(self, monkeypatch):
         attempts = []
 

@@ -261,7 +261,9 @@ def test_lists_equivalent_agrees_with_brute_force(a, b):
 def pool_column(draw):
     entry = {"column_name": draw(st.sampled_from(POOL_NAMES))}
     if draw(st.booleans()):
-        entry["max_value"] = draw(st.integers(min_value=0, max_value=3))
+        entry["min_value"] = draw(st.integers(min_value=0, max_value=3))
+    if draw(st.booleans()):
+        entry["max_value"] = draw(st.integers(min_value=entry.get("min_value", 0), max_value=3))
     if draw(st.booleans()):
         entry["description"] = draw(st.sampled_from(("area", "total area", "size", "%")))
     if draw(st.booleans()):
@@ -277,6 +279,8 @@ POOL_KNOWLEDGE = st.lists(pool_column(), max_size=4).map(
 @given(POOL_KNOWLEDGE, POOL_KNOWLEDGE)
 @settings(max_examples=500, deadline=None)
 def test_commit_over_overlapping_names_targets_exact_keys(kb, delta):
+    # Bounds that cannot combine (a minimum above a maximum) meet both in
+    # canonicalize and in commit; neither raises.
     result, _, ops = commit(kb, delta)
     # Results built without the constructor's equivalent-name check pass it.
     folded = knowledge_from_facts([*facts(kb), *facts(delta)])
