@@ -18,10 +18,10 @@ from .knowledge import (
     FactKey,
     GroundedKnowledge,
     KeyIndex,
+    _bounds_ordered,
     _field_values_equivalent,
     facts,
     fold_facts,
-    merged_value,
     updated_value,
 )
 
@@ -81,19 +81,18 @@ class GraphOp:
 def _classify(existing: Fact, incoming: Fact) -> Verdict:
     field = existing.key.field
     if field == "column":
-        # Overlapping fields must agree; new fields enrich.
+        # Overlapping fields must agree and the union's bounds must not
+        # cross; new fields enrich.
         ex, inc = existing.value.fields(), incoming.value.fields()
-        agree = all(_field_values_equivalent(n, ex[n], inc[n]) for n in set(ex) & set(inc))
+        union = {**ex, **inc}
+        agree = all(
+            _field_values_equivalent(n, ex[n], inc[n]) for n in set(ex) & set(inc)
+        ) and _bounds_ordered(union.get("min_value"), union.get("max_value"))
     else:
         agree = _field_values_equivalent(field, existing.value, incoming.value)
     if not agree:
         return Verdict.CONFLICT
-    try:
-        updated = merged_value(field, existing.value, incoming.value)
-    except ValueError:
-        # Field-wise union is inconsistent (e.g. min above max): treat as a
-        # disagreement and replace wholesale.
-        return Verdict.CONFLICT
+    updated = updated_value(field, existing.value, incoming.value)
     return Verdict.MATCH if updated == existing.value else Verdict.PARTIAL_MATCH
 
 

@@ -14,12 +14,11 @@ from .dialogue import (
     CorpusError,
     Dialogue,
     GoldAnnotation,
-    GroundingLabel,
     load_dialogues,
     load_gold,
     save_annotations,
 )
-from .engine import gold_extractor, gold_labeler, process_dialogue
+from .engine import _ACCEPTING, gold_extractor, gold_labeler, process_dialogue
 from .evaluation import CoverageError, ReportFormat, render_report, score
 from .knowledge import EMPTY_KNOWLEDGE
 from .llm import (
@@ -69,12 +68,9 @@ def _annotate_dialogue(
     for turn_index in targets:
         history = dialogue.turns[:turn_index]
         cls_messages = build_classification_prompt(history)
-        if args.incremental_kb:
-            if kb_json is None:
-                kb_json = json.dumps(kb.to_json_dict(), ensure_ascii=False)
-            ext_messages = build_extraction_prompt(history, known_kb_json=kb_json)
-        else:
-            ext_messages = build_extraction_prompt(history)
+        if args.incremental_kb and kb_json is None:
+            kb_json = json.dumps(kb.to_json_dict(), ensure_ascii=False)
+        ext_messages = build_extraction_prompt(history, kb_json)
         where = f"dialogue {dialogue.id} turn {turn_index}"
         try:
             label_text = complete(
@@ -102,10 +98,7 @@ def _annotate_dialogue(
             skipped.append(("unparseable replies", f"{where}: {exc}"))
             continue
         annotations.append(GoldAnnotation(turn_index, label, knowledge))
-        if args.incremental_kb and label in (
-            GroundingLabel.EXPLICIT,
-            GroundingLabel.IMPLICIT,
-        ):
+        if args.incremental_kb and label in _ACCEPTING:
             # Incremental mode: the extracted delta feeds the running KB
             # instead of regenerating everything from scratch next turn. A
             # commit that changes nothing returns the same object, and the

@@ -17,12 +17,19 @@ class CorpusError(ValueError):
     """A corpus or gold file is malformed or internally inconsistent."""
 
 
+def _is_int(value: object) -> bool:
+    """True for an integer; JSON's ``true`` and ``1.7`` are not."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 class Role(enum.Enum):
     SEEKER = "seeker"
     PROVIDER = "provider"
 
     @classmethod
     def parse(cls, text: str) -> "Role":
+        if not isinstance(text, str):
+            raise CorpusError(f"role: expected text, got {text!r}")
         try:
             return cls(text.strip().lower())
         except ValueError:
@@ -43,6 +50,8 @@ class GroundingLabel(enum.Enum):
 
     @classmethod
     def parse(cls, text: str) -> "GroundingLabel":
+        if not isinstance(text, str):
+            raise CorpusError(f"label: expected text, got {text!r}")
         try:
             return cls(text.strip().lower())
         except ValueError:
@@ -58,10 +67,10 @@ class Turn:
     text: str
 
     def __post_init__(self) -> None:
-        if self.index < 1:
-            raise ValueError(f"turn index must be positive, got {self.index}")
-        if not self.text:
-            raise ValueError(f"turn {self.index} has empty text")
+        if not _is_int(self.index) or self.index < 1:
+            raise ValueError(f"turn index must be a positive integer, got {self.index!r}")
+        if not isinstance(self.text, str) or not self.text:
+            raise ValueError(f"turn {self.index}: expected non-empty text, got {self.text!r}")
 
 
 @dataclass(frozen=True)
@@ -71,6 +80,8 @@ class Dialogue:
     turns: tuple[Turn, ...]
 
     def __post_init__(self) -> None:
+        if not isinstance(self.id, str):
+            raise ValueError(f"dialogue id: expected text, got {self.id!r}")
         if not isinstance(self.turns, tuple):
             object.__setattr__(self, "turns", tuple(self.turns))
         if not self.turns:
@@ -94,6 +105,8 @@ class GoldAnnotation:
     knowledge_delta: GroundedKnowledge = EMPTY_KNOWLEDGE
 
     def __post_init__(self) -> None:
+        if not _is_int(self.turn_index):
+            raise ValueError(f"turn_index: expected an integer, got {self.turn_index!r}")
         if self.label is GroundingLabel.NO_EVENT:
             raise ValueError("gold annotations never carry the no-event label")
 
@@ -105,7 +118,7 @@ def _iter_records(path: PathLike):
                 continue
             try:
                 record = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except (ValueError, RecursionError) as exc:  # malformed or too deeply nested
                 raise CorpusError(f"{path}: line {line_no}: {exc}") from None
             yield line_no, record
 
@@ -140,7 +153,9 @@ def load_gold(
     for line_no, record in _iter_records(path):
         try:
             dialogue_id = record["dialogue_id"]
-            turn_index = int(record["turn_index"])
+            if not isinstance(dialogue_id, str):
+                raise CorpusError(f"dialogue_id: expected text, got {dialogue_id!r}")
+            turn_index = record["turn_index"]
             label = GroundingLabel.parse(record["label"])
             knowledge = canonicalize(record.get("knowledge") or {})
             annotation = GoldAnnotation(turn_index, label, knowledge)

@@ -66,6 +66,15 @@ _COLUMN_FIELDS = ("description", "values", "distinct_count", "min_value", "max_v
 _TEXT_FIELDS = frozenset({"table_domain", "table_content", "description"})
 
 
+def _bounds_ordered(min_value: Optional[Scalar], max_value: Optional[Scalar]) -> bool:
+    """The one bounds rule: a column's minimum may not exceed its maximum.
+
+    Written as ``not min > max``, so a NaN bound (``json.loads`` reads
+    ``NaN``) never crosses the other.
+    """
+    return min_value is None or max_value is None or not min_value > max_value
+
+
 @dataclass(frozen=True)
 class ColumnKnowledge:
     """Everything known about one column of the table."""
@@ -82,11 +91,7 @@ class ColumnKnowledge:
             raise ValueError("column_name must be non-empty")
         if self.values is not None and not isinstance(self.values, tuple):
             object.__setattr__(self, "values", tuple(self.values))
-        if (
-            self.min_value is not None
-            and self.max_value is not None
-            and self.min_value > self.max_value
-        ):
+        if not _bounds_ordered(self.min_value, self.max_value):
             raise ValueError(
                 f"column {self.column_name!r}: min_value {self.min_value} "
                 f"exceeds max_value {self.max_value}"
@@ -279,41 +284,25 @@ class KeyIndex:
 EMPTY_KNOWLEDGE = GroundedKnowledge()
 
 
-def merge_columns(existing: ColumnKnowledge, incoming: ColumnKnowledge) -> ColumnKnowledge:
-    """Fold an incoming column entry into an existing equivalent one.
+def updated_value(field: str, existing: Any, incoming: Any) -> Any:
+    """The value a committed ``field`` takes when an incoming value updates it.
 
-    The first-seen column name is kept stable (renaming could collide with
-    other committed columns); each field present on both sides takes its
-    :func:`merged_value`.
-    """
-    merged = dict(existing.fields())
-    for name, value in incoming.fields().items():
-        merged[name] = merged_value(name, merged[name], value) if name in merged else value
-    return ColumnKnowledge(column_name=existing.column_name, **merged)
-
-
-def merged_value(field: str, existing: Any, incoming: Any) -> Any:
-    """The union of a committed ``field``'s value and an incoming one.
-
-    Text keeps the longer surface form (ties keep the committed one), a
-    column merges field by field, and any other value is overwritten. Raises
-    ``ValueError`` when a merged column's minimum exceeds its maximum.
+    Text keeps the longer surface form (ties keep the committed one), and any
+    other value is overwritten. A column keeps its first-seen name (renaming
+    could collide with other committed columns) and takes each field's
+    updated value, or, newest wins, the incoming fields alone where the
+    union's bounds would cross (see :func:`_bounds_ordered`).
     """
     if field == "column":
-        return merge_columns(existing, incoming)
+        fields = existing.fields()
+        for name, value in incoming.fields().items():
+            fields[name] = updated_value(name, fields[name], value) if name in fields else value
+        if not _bounds_ordered(fields.get("min_value"), fields.get("max_value")):
+            fields = incoming.fields()
+        return ColumnKnowledge(existing.column_name, **fields)
     if field in _TEXT_FIELDS:
         return incoming if len(str(incoming)) > len(str(existing)) else existing
     return incoming
-
-
-def updated_value(field: str, existing: Any, incoming: Any) -> Any:
-    """The value a committed ``field`` takes when an incoming value updates it:
-    the :func:`merged_value`, or, newest wins, the incoming column's fields
-    under the committed name where the two columns cannot combine."""
-    try:
-        return merged_value(field, existing, incoming)
-    except ValueError:
-        return ColumnKnowledge(existing.column_name, **incoming.fields())
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +438,7 @@ def _canonicalize_entry(raw: Any) -> ColumnKnowledge:
     data = {k: v for k, v in raw.items() if v is not None}
     unknown = set(data) - _ENTRY_KEYS
     if unknown:
-        raise SchemaError(f"unknown column key {sorted(unknown)[0]!r}")
+        raise SchemaError(f"unknown column key {sorted(unknown, key=str)[0]!r}")
     if "column_name" not in data:
         raise SchemaError("column entry is missing column_name")
     kwargs: dict[str, Any] = {"column_name": _as_text("column_name", data["column_name"])}
@@ -487,7 +476,7 @@ def canonicalize(raw: Any) -> GroundedKnowledge:
     data = {k: v for k, v in raw.items() if v is not None}
     unknown = set(data) - _TOP_LEVEL_KEYS
     if unknown:
-        raise SchemaError(f"unknown key {sorted(unknown)[0]!r}")
+        raise SchemaError(f"unknown key {sorted(unknown, key=str)[0]!r}")
 
     entries: list[ColumnKnowledge] = []
     if "column_names" in data:

@@ -351,13 +351,16 @@ def _parse_tree(text: str) -> Any:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         offset = exc.pos
+    except (ValueError, RecursionError) as exc:
+        # An integer too long to convert, or nesting too deep to decode.
+        raise KnowledgeParseError(f"unparseable extraction output: {exc}") from None
     # The printed single-quote rendering is Python-literal-like except for
     # JSON's null; a bare "{...}, {...}" sequence parses once wrapped.
     for candidate in (text, f"[{text}]"):
         try:
             return ast.literal_eval(re.sub(r"\bnull\b", "None", candidate))
-        except (ValueError, SyntaxError):
-            continue
+        except (ValueError, TypeError, SyntaxError, MemoryError, RecursionError):
+            continue  # what ``literal_eval`` raises on malformed or too deeply nested text
     raise KnowledgeParseError(
         f"unparseable extraction output at offset {offset}: {text!r}"
     )
@@ -373,7 +376,10 @@ def _combine_objects(objects: list) -> dict:
         if "column_name" in obj:
             columns.append(obj)
         else:
-            columns.extend(obj.pop("column_info", []) or [])
+            info = obj.pop("column_info", None)
+            if info is not None and not isinstance(info, (list, tuple)):
+                raise KnowledgeParseError(f"column_info: expected a list, got {info!r}")
+            columns.extend(info or ())
             combined.update(obj)
     if columns:
         combined.setdefault("column_info", [])

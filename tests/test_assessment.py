@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from convground import (
@@ -10,6 +12,7 @@ from convground import (
     canonicalize,
     commit,
     merge,
+    parse_knowledge_json,
     plan_ops,
 )
 from convground.assessment import AssessmentOutcome
@@ -168,6 +171,36 @@ def test_conflict_retires_its_target_for_the_rest_of_the_delta():
         ColumnKnowledge("area size", max_value=6),
         ColumnKnowledge("area total", description="total area of the park"),
     )
+
+
+class TestUpdateRule:
+    """One rule decides both a column's verdict and the value it commits."""
+
+    KB = canonicalize({"column_name": "area", "min_value": 5})
+
+    def test_bounds_that_would_cross_conflict_and_the_incoming_fields_win(self):
+        delta = canonicalize({"column_name": "area", "max_value": 3})
+        merged, outcomes, ops = commit(self.KB, delta)
+        assert [o.verdict for o in outcomes] == [Verdict.CONFLICT]
+        assert [(op.op, str(op.target)) for op in ops] == [
+            (OpKind.REMOVE_NODE, "column:area"),
+            (OpKind.CREATE_NODE, "column:area"),
+        ]
+        assert merged.column_info == (ColumnKnowledge("area", max_value=3),)
+
+    def test_ordered_bounds_enrich(self):
+        delta = canonicalize({"column_name": "area", "max_value": 9})
+        merged, outcomes, _ = commit(self.KB, delta)
+        assert [o.verdict for o in outcomes] == [Verdict.PARTIAL_MATCH]
+        assert merged.column_info == (ColumnKnowledge("area", min_value=5, max_value=9),)
+
+    def test_a_nan_bound_never_crosses(self):
+        kb = canonicalize({"column_name": "area", "max_value": 3})
+        delta = parse_knowledge_json('{"column_name": "area", "min_value": NaN}')
+        merged, outcomes, _ = commit(kb, delta)
+        assert [o.verdict for o in outcomes] == [Verdict.PARTIAL_MATCH]
+        (column,) = merged.column_info
+        assert math.isnan(column.min_value) and column.max_value == 3
 
 
 def test_commit_indexes_each_name_once(monkeypatch):

@@ -205,6 +205,33 @@ class TestAnnotate:
         assert len(parsed) == 10
         assert not (tmp_path / "out.jsonl").exists()
 
+    def test_hostile_replies_are_listed_as_unparseable(self, tmp_path, capsys):
+        records = [
+            json.loads(line)
+            for line in Path(CACHE).read_text(encoding="utf-8").splitlines()
+        ]
+        # Record 11 is the extraction reply for dialogue A turn 17, the last
+        # one the extraction reply for the final gold turn of dialogue B.
+        records[11]["response"] = "Output JSON: [{'column_info': 5}]"
+        records[-1]["response"] = "Output JSON: " + "[" * 100_000
+        cache = tmp_path / "cache.jsonl"
+        cache.write_text(
+            "".join(json.dumps(r) + "\n" for r in records), encoding="utf-8"
+        )
+        code = run(
+            "annotate", "--corpus", CORPUS, "--gold", GOLD,
+            "--cache", str(cache), "--out", str(tmp_path / "out.jsonl"),
+        )
+        assert code == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert lines[:2] == [
+            "unparseable replies:",
+            "  dialogue A turn 17: column_info: expected a list, got 5",
+        ]
+        assert lines[2].startswith("  dialogue B turn 14: unparseable extraction output")
+        assert len(lines) == 3
+        assert not (tmp_path / "out.jsonl").exists()
+
     def test_incremental_kb_commits_a_column_that_cannot_merge(self, tmp_path):
         # The second reply's "area" conflicts with "area size" and then meets
         # "area total", whose min_value 5 exceeds the incoming max_value 3.
@@ -542,3 +569,9 @@ def test_readme_flag_table_matches_the_parser():
         positionals = [a.dest for a in parser._actions if not a.option_strings]
         expected = [f for f in flags if f != "--help"] + positionals
         assert re.findall(r"`([^`]+)`", rows[name]) == expected, name
+
+
+def test_readme_library_example_runs():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"^```python\n(.*?)^```$", readme, re.MULTILINE | re.DOTALL)
+    exec(compile(block, "README.md", "exec"), {})

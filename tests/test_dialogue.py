@@ -120,3 +120,37 @@ def test_turn_requires_nonempty_text():
 def test_dialogue_requires_turns():
     with pytest.raises(ValueError):
         Dialogue("x", "media", ())
+
+
+def _corpus_line(turn):
+    return json.dumps({"id": "x", "turns": [turn]})
+
+
+@pytest.mark.parametrize("line, message", [
+    (_corpus_line({"index": 1, "role": 5, "text": "hi"}), "role: expected text, got 5"),
+    (_corpus_line({"index": True, "role": "seeker", "text": "hi"}), "got True"),
+    (_corpus_line({"index": 1.0, "role": "seeker", "text": "hi"}), "got 1.0"),
+    (_corpus_line({"index": 1, "role": "seeker", "text": ["hi"]}), "got \\['hi'\\]"),
+    (json.dumps({"id": 5, "turns": [{"index": 1, "role": "seeker", "text": "hi"}]}),
+     "dialogue id: expected text, got 5"),
+    ("[" * 100_000, ""),
+], ids=["role", "index-true", "index-float", "text", "id", "nesting"])
+def test_ill_typed_corpus_record_names_file_and_line(tmp_path, line, message):
+    path = tmp_path / "corpus.jsonl"
+    path.write_text(_corpus_line({"index": 1, "role": "seeker", "text": "hi"}) + "\n" + line + "\n")
+    with pytest.raises(CorpusError, match=rf"corpus\.jsonl: line 2: .*{message}"):
+        load_dialogues(path)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("label", 5, "label: expected text, got 5"),
+    ("turn_index", 1.7, "turn_index: expected an integer, got 1.7"),
+    ("turn_index", True, "turn_index: expected an integer, got True"),
+    ("dialogue_id", ["A"], "dialogue_id: expected text, got \\['A'\\]"),
+], ids=["label", "index-float", "index-true", "dialogue-id"])
+def test_ill_typed_gold_record_names_file_and_line(tmp_path, field, value, message):
+    record = {"dialogue_id": "A", "turn_index": 2, "label": "explicit", "knowledge": {}}
+    path = tmp_path / "gold.jsonl"
+    path.write_text(json.dumps(record) + "\n" + json.dumps({**record, field: value}) + "\n")
+    with pytest.raises(CorpusError, match=rf"gold\.jsonl: line 2: {message}"):
+        load_gold(path)

@@ -26,6 +26,7 @@ from convground.llm import (
     DEFAULT_MODEL,
     DEFAULT_TEMPERATURE,
     ApiError,
+    KnowledgeParseError,
     TransportError,
     _post,
     request_hash,
@@ -134,6 +135,21 @@ class TestParseKnowledgeJson:
         k = parse_knowledge_json('{"table_domain": "media"}')
         assert k.table_domain == "media"
 
+    @pytest.mark.parametrize("raw, message", [
+        ("[{'column_info': 5}]", "column_info: expected a list, got 5"),
+        ("[{'column_info': {'a': 1}}]", "column_info: expected a list, got {'a': 1}"),
+        ("[" * 100_000, "unparseable extraction output"),
+        ('{"row_count": ' + "1" * 5_000 + "}", "unparseable extraction output"),
+        ("{[1]: 2}", "offset 1"),
+        ("{1: 2, 'a': 3}", "unknown key 1"),
+        ("1+" * 100_000 + "1", "offset 1"),
+        ("-" * 100_000 + "1", "offset 0"),
+    ], ids=["list-of-int", "list-of-dict", "deep-json", "long-integer",
+            "unhashable-key", "mixed-keys", "deep-expression", "deep-unary"])
+    def test_hostile_reply_raises_a_parse_error(self, raw, message):
+        with pytest.raises(KnowledgeParseError, match=message):
+            parse_knowledge_json(raw)
+
 
 class TestCache:
     def test_record_then_replay_round_trip(self, tmp_path):
@@ -159,6 +175,12 @@ class TestCache:
         path = tmp_path / "cache.jsonl"
         path.write_text('{"hash": "a", "response": "x"}\n\n{"hash": "b"}\n', encoding="utf-8")
         with pytest.raises(CorpusError, match=r"cache\.jsonl: line 3: .*'response'"):
+            ResponseCache(path)
+
+    def test_too_deeply_nested_record_names_file_and_line(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        path.write_text('{"hash": "a", "response": "x"}\n' + "[" * 100_000 + "\n", encoding="utf-8")
+        with pytest.raises(CorpusError, match=r"cache\.jsonl: line 2: "):
             ResponseCache(path)
 
     def test_hash_stable_across_message_objects(self):
