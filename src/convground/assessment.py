@@ -17,7 +17,6 @@ from .knowledge import (
     Fact,
     FactKey,
     GroundedKnowledge,
-    KeyIndex,
     _bounds_ordered,
     _field_values_equivalent,
     facts,
@@ -96,27 +95,16 @@ def _classify(existing: Fact, incoming: Fact) -> Verdict:
     return Verdict.MATCH if updated == existing.value else Verdict.PARTIAL_MATCH
 
 
-def _index_of(kb_facts: list[Fact]) -> KeyIndex:
-    index = KeyIndex()
-    for fact in kb_facts:
-        index.add(fact.key)
-    return index
-
-
-def assess(
-    kb: GroundedKnowledge, delta: GroundedKnowledge, index: Optional[KeyIndex] = None
-) -> list[AssessmentOutcome]:
+def assess(kb: GroundedKnowledge, delta: GroundedKnowledge) -> list[AssessmentOutcome]:
     """Classify every incoming fact of ``delta`` against ``kb``.
 
     This is the one place that picks the committed fact an incoming fact
-    targets. A conflict retires its target for the rest of the delta, so no
-    later outcome refers to a fact that the conflict replaced. ``index`` is
-    a fresh :class:`KeyIndex` of ``facts(kb)``, built here when not given;
-    the conflicts' targets are retired in it, so :func:`merge` can reuse it.
+    targets, through ``kb.index``. A conflict retires its target for the
+    rest of the delta (in a copy of the index), so no later outcome refers
+    to a fact that the conflict replaced.
     """
     kb_facts = facts(kb)
-    if index is None:
-        index = _index_of(kb_facts)
+    index = kb.index.copy()
     outcomes: list[AssessmentOutcome] = []
     for incoming in facts(delta):
         i = index.find(incoming.key)
@@ -153,9 +141,7 @@ def plan_ops(outcomes: list[AssessmentOutcome]) -> list[GraphOp]:
     return ops
 
 
-def merge(
-    kb: GroundedKnowledge, ops: list[GraphOp], index: Optional[KeyIndex] = None
-) -> GroundedKnowledge:
+def merge(kb: GroundedKnowledge, ops: list[GraphOp]) -> GroundedKnowledge:
     """Apply graph operations (from :func:`plan_ops`) to the knowledge base.
 
     Each operation names its target by exact key, as :func:`assess` picked
@@ -163,14 +149,12 @@ def merge(
     earlier op removed; a create needs a key that neither ``kb`` nor an
     earlier create holds; anything else is a bug and raises
     :class:`StateError`. An update, or a created column equivalent to a
-    kept one, combines with it by the total :func:`updated_value`. ``index``
-    is the :class:`KeyIndex` of ``facts(kb)`` that :func:`assess` left,
-    built here when not given. When every op is an instantiation, ``kb``
-    itself is returned.
+    kept one, combines with it by the total :func:`updated_value`; created
+    facts are folded into a copy of ``kb.index``. When every op is an
+    instantiation, ``kb`` itself is returned.
     """
     kb_facts = facts(kb)
-    if index is None:
-        index = _index_of(kb_facts)
+    index = kb.index.copy()
     position = {fact.key: i for i, fact in enumerate(kb_facts)}
     kept = dict(enumerate(kb_facts))
     created: dict[FactKey, Fact] = {}
@@ -196,8 +180,7 @@ def merge(
 def commit(
     kb: GroundedKnowledge, delta: GroundedKnowledge
 ) -> tuple[GroundedKnowledge, list[AssessmentOutcome], list[GraphOp]]:
-    """Assess, plan, and merge in one step, over one index of ``kb``."""
-    index = _index_of(facts(kb))
-    outcomes = assess(kb, delta, index)
+    """Assess, plan, and merge in one step."""
+    outcomes = assess(kb, delta)
     ops = plan_ops(outcomes)
-    return merge(kb, ops, index), outcomes, ops
+    return merge(kb, ops), outcomes, ops

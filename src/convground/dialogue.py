@@ -107,6 +107,8 @@ class GoldAnnotation:
     def __post_init__(self) -> None:
         if not _is_int(self.turn_index):
             raise ValueError(f"turn_index: expected an integer, got {self.turn_index!r}")
+        if self.turn_index < 1:
+            raise ValueError(f"turn_index: turns are numbered from 1, got {self.turn_index}")
         if self.label is GroundingLabel.NO_EVENT:
             raise ValueError("gold annotations never carry the no-event label")
 
@@ -166,7 +168,7 @@ def load_gold(
                 raise CorpusError(
                     f"{path}: line {line_no}: unknown dialogue {dialogue_id!r}"
                 )
-            if not 1 <= turn_index <= len(by_id[dialogue_id].turns):
+            if turn_index > len(by_id[dialogue_id].turns):
                 raise CorpusError(
                     f"{path}: line {line_no}: dialogue {dialogue_id!r} "
                     f"has no turn {turn_index}"

@@ -10,6 +10,7 @@ surface terms, so "area in km2" and "area" count as the same column.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from typing import Any, Iterable, Optional, Sequence, Union
@@ -29,8 +30,7 @@ STOPWORDS = frozenset({
     "information", "data", "short", "text",
 })
 
-_UNIT_TOKEN = re.compile(r"^(?:km2|m2|kg|km|m|%)$")
-_NUMERIC_TOKEN = re.compile(r"^\d+(?:[.,]\d+)?$")
+_UNIT_TOKENS = frozenset({"km2", "m2", "kg", "km", "m", "%"})
 _NON_WORD = re.compile(r"[^0-9a-z%]+")
 
 
@@ -41,11 +41,10 @@ def normalize_term(term: str) -> frozenset[str]:
     purely numeric tokens. The result may be empty.
     """
     tokens = _NON_WORD.sub(" ", term.lower()).split()
+    # Tokens hold only ASCII [0-9a-z%], so ``isdigit`` means a number.
     return frozenset(
         t for t in tokens
-        if t not in STOPWORDS
-        and not _UNIT_TOKEN.match(t)
-        and not _NUMERIC_TOKEN.match(t)
+        if t not in STOPWORDS and t not in _UNIT_TOKENS and not t.isdigit()
     )
 
 
@@ -125,24 +124,26 @@ class GroundedKnowledge:
     def __post_init__(self) -> None:
         if not isinstance(self.column_info, tuple):
             object.__setattr__(self, "column_info", tuple(self.column_info))
+        self.index  # rejects equivalent names
+
+    @functools.cached_property
+    def index(self) -> KeyIndex:
+        """The :class:`KeyIndex` of ``facts(self)``, built on first use and never
+        changed after; not a field, so no part of ``==``, ``hash`` or ``repr``.
+        Raises ``ValueError`` for columns with equivalent names, so a
+        :func:`fold_facts` result is checked when it is first indexed."""
         index = KeyIndex()
-        for j, column in enumerate(self.column_info):
-            i = index.add(FactKey("column", column.column_name))
+        fact_list = facts(self)
+        for j, fact in enumerate(fact_list):
+            i = index.add(fact.key)
             if i != j:
-                raise ValueError(
-                    f"columns {self.column_info[i].column_name!r} and "
-                    f"{column.column_name!r} have equivalent names"
-                )
+                names = f"{fact_list[i].key.column!r} and {fact.key.column!r}"
+                raise ValueError(f"columns {names} have equivalent names")
+        return index
 
     @property
     def is_empty(self) -> bool:
-        return (
-            self.table_domain is None
-            and self.table_content is None
-            and self.row_count is None
-            and self.column_count is None
-            and not self.column_info
-        )
+        return self == EMPTY_KNOWLEDGE
 
     def to_json_dict(self) -> dict[str, Any]:
         out: dict[str, Any] = {}
@@ -267,6 +268,13 @@ class KeyIndex:
     def discard(self, position: int) -> None:
         """Retire a position: no later lookup returns it."""
         self._sizes[position] = None
+
+    def copy(self) -> KeyIndex:
+        """A copy to add to and discard from, leaving this index as it is."""
+        copied = KeyIndex()
+        copied._sizes = self._sizes.copy()
+        copied._postings = {term: list(p) for term, p in self._postings.items()}
+        return copied
 
     def _find(self, terms: frozenset[Any]) -> Optional[int]:
         shared: dict[int, int] = {}

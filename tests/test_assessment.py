@@ -253,6 +253,50 @@ def test_commit_indexes_each_name_once(monkeypatch):
     assert commit(merged, delta)[0] is merged
 
 
+def test_a_repeated_commit_indexes_only_the_created_facts(monkeypatch):
+    kb = canonicalize({
+        "table_domain": "parks", "row_count": 500,
+        "column_info": [
+            {"column_name": "area size", "max_value": 9},
+            {"column_name": "name"},
+            {"column_name": "visitors", "min_value": 0},
+            {"column_name": "area total", "description": "total area"},
+            {"column_name": "founded"},
+        ],
+    })
+    delta = canonicalize({
+        "row_count": 98,
+        "column_info": [
+            {"column_name": "name"},
+            {"column_name": "visitors", "max_value": 10},
+            {"column_name": "opening hours"},
+            {"column_name": "area", "max_value": 3},
+        ],
+    })
+    first = commit(kb, delta)
+    calls = []
+    add = KeyIndex.add
+
+    def counting_add(self, key):
+        calls.append(key)
+        return add(self, key)
+
+    monkeypatch.setattr(KeyIndex, "add", counting_add)
+    # The knowledge base keeps the index its first commit built.
+    assert commit(kb, delta) == first
+    assert len(calls) <= len(facts(delta))
+
+
+def test_an_indexed_knowledge_base_equals_hashes_and_reprs_like_a_fresh_one():
+    raw = {"row_count": 5, "column_names": ["area size", "name", "2020"]}
+    indexed, fresh = canonicalize(raw), canonicalize(raw)
+    commit(indexed, canonicalize({"column_name": "area", "max_value": 3}))
+    assert "index" in vars(indexed) and "index" not in vars(fresh)
+    assert indexed == fresh
+    assert hash(indexed) == hash(fresh)
+    assert repr(indexed) == repr(fresh)
+
+
 def test_names_without_content_tokens_equal_themselves():
     kb = canonicalize({"column_names": ["2020", "%", "area"]})
     merged, outcomes, _ = commit(kb, kb)

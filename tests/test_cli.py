@@ -232,6 +232,28 @@ class TestAnnotate:
         assert len(lines) == 3
         assert not (tmp_path / "out.jsonl").exists()
 
+    def test_a_long_unparseable_reply_is_listed_on_a_short_line(self, tmp_path, capsys):
+        records = [
+            json.loads(line)
+            for line in Path(CACHE).read_text(encoding="utf-8").splitlines()
+        ]
+        # The last record is the extraction reply for the final gold turn of B.
+        records[-1]["response"] = "Output JSON: " + "1+" * 100_000 + "1"
+        cache = tmp_path / "cache.jsonl"
+        cache.write_text(
+            "".join(json.dumps(r) + "\n" for r in records), encoding="utf-8"
+        )
+        code = run(
+            "annotate", "--corpus", CORPUS, "--gold", GOLD,
+            "--cache", str(cache), "--out", str(tmp_path / "out.jsonl"),
+        )
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "unparseable replies:",
+            "  dialogue B turn 14: unparseable extraction output at offset 1: '"
+            + "1+" * 59 + "1... (200003 characters)",
+        ]
+
     def test_incremental_kb_commits_a_column_that_cannot_merge(self, tmp_path):
         # The second reply's "area" conflicts with "area size" and then meets
         # "area total", whose min_value 5 exceeds the incoming max_value 3.
@@ -515,6 +537,21 @@ class TestEvaluate:
 
     def test_missing_arguments_exit_one(self):
         assert run("evaluate", "--gold", GOLD) == 1
+
+    @pytest.mark.parametrize("turn_index", [0, -3])
+    def test_turn_index_below_one_is_an_error_without_a_corpus(
+        self, tmp_path, capsys, turn_index
+    ):
+        gold = tmp_path / "gold.jsonl"
+        gold.write_text(json.dumps({
+            "dialogue_id": "A", "turn_index": turn_index, "label": "explicit",
+        }) + "\n", encoding="utf-8")
+        assert run("evaluate", "--gold", str(gold), "--predictions", str(gold)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {gold}: line 1: turn_index: turns are numbered from 1, got {turn_index}\n"
+        )
 
 
 class TestPrompts:

@@ -154,3 +154,17 @@ def test_ill_typed_gold_record_names_file_and_line(tmp_path, field, value, messa
     path.write_text(json.dumps(record) + "\n" + json.dumps({**record, field: value}) + "\n")
     with pytest.raises(CorpusError, match=rf"gold\.jsonl: line 2: {message}"):
         load_gold(path)
+
+
+@pytest.mark.parametrize("turn_index", [0, -3])
+def test_gold_turn_index_below_one_names_file_and_line(tmp_path, turn_index):
+    record = {"dialogue_id": "A", "turn_index": 2, "label": "explicit", "knowledge": {}}
+    path = tmp_path / "gold.jsonl"
+    path.write_text(
+        json.dumps(record) + "\n" + json.dumps({**record, "turn_index": turn_index}) + "\n"
+    )
+    with pytest.raises(
+        CorpusError,
+        match=rf"gold\.jsonl: line 2: turn_index: turns are numbered from 1, got {turn_index}",
+    ):
+        load_gold(path)

@@ -27,6 +27,7 @@ from convground.llm import (
     DEFAULT_TEMPERATURE,
     ApiError,
     KnowledgeParseError,
+    LabelParseError,
     TransportError,
     _post,
     request_hash,
@@ -74,6 +75,14 @@ class TestParseLabel:
     def test_partial_words_not_matched(self):
         with pytest.raises(ValueError):
             parse_label("explicitly inexplicit clarifications")
+
+    def test_long_reply_is_quoted_by_a_prefix_and_its_length(self):
+        with pytest.raises(LabelParseError) as info:
+            parse_label("no idea " * 25_000)
+        message = str(info.value)
+        assert message.startswith("no grounding label found in 'no idea no idea")
+        assert message.endswith("... (200002 characters)")
+        assert len(message) < 200
 
 
 class TestParseKnowledgeJson:
@@ -149,6 +158,25 @@ class TestParseKnowledgeJson:
     def test_hostile_reply_raises_a_parse_error(self, raw, message):
         with pytest.raises(KnowledgeParseError, match=message):
             parse_knowledge_json(raw)
+
+    @pytest.mark.parametrize("raw, start", [
+        ("1+" * 100_000 + "1", "unparseable extraction output at offset 1: '1+1+"),
+        ("[1, " + "{" * 50_000, "unparseable extraction output at offset 5: '[1, {{"),
+        ("[" + "7" * 4_000 + "]", "expected objects, got 777"),
+        ("[{'column_info': {'a': '" + "y" * 10_000 + "'}}]",
+         "column_info: expected a list, got {'a': 'yyy"),
+        ('{"column_names": "' + "x" * 100_000 + '"}',
+         "column_names: expected a list, got 'xxx"),
+        ('{"row_count": "' + "1" * 100_000 + '"}', "row_count: cannot coerce '111"),
+    ], ids=["deep-expression", "unclosed", "list-of-int", "dict-column-info",
+            "long-column-names", "long-row-count"])
+    def test_long_reply_is_quoted_by_a_prefix_and_its_length(self, raw, start):
+        with pytest.raises(KnowledgeParseError) as info:
+            parse_knowledge_json(raw)
+        message = str(info.value)
+        assert message.startswith(start)
+        assert len(message) < 200
+        assert message.endswith(" characters)")
 
 
 class TestCache:

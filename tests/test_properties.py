@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import re
 
 import hypothesis.strategies as st
 import pytest
@@ -22,7 +23,13 @@ from convground import (
     knowledge_from_facts,
     terms_equivalent,
 )
-from convground.knowledge import KeyIndex, _lists_equivalent, _texts_equivalent
+from convground.knowledge import (
+    STOPWORDS,
+    KeyIndex,
+    _lists_equivalent,
+    _texts_equivalent,
+    normalize_term,
+)
 
 # Single-word names from disjoint vocabularies so that no two generated
 # columns ever have equivalent names.
@@ -160,6 +167,27 @@ def pool_keys_equivalent(a, b):
     return bool(ta) and bool(tb) and (ta <= tb or tb <= ta)
 
 
+def regex_normalize_term(term):
+    """The reference ``normalize_term``: units and numbers dropped by regex."""
+    tokens = re.sub(r"[^0-9a-z%]+", " ", term.lower()).split()
+    return frozenset(
+        t for t in tokens
+        if t not in STOPWORDS
+        and not re.match(r"^(?:km2|m2|kg|km|m|%)$", t)
+        and not re.match(r"^\d+(?:[.,]\d+)?$", t)
+    )
+
+
+@given(st.one_of(
+    st.text(),
+    st.sampled_from(POOL_NAMES),
+    st.text(alphabet="0123456789.,% kmgKM2aréİ٣\n", max_size=20),
+))
+@settings(max_examples=500)
+def test_normalize_term_agrees_with_the_regex_reference(term):
+    assert normalize_term(term) == regex_normalize_term(term)
+
+
 POOL_KEYS = st.one_of(
     st.just(FactKey("row_count")),
     st.sampled_from(POOL_NAMES).map(lambda n: FactKey("column", n)),
@@ -295,3 +323,12 @@ def test_commit_over_overlapping_names_targets_exact_keys(kb, delta):
     assert merged == kb
     assert all(o.verdict is Verdict.MATCH for o in outcomes)
     assert knowledge_equivalent(kb, kb)
+
+
+@given(POOL_KNOWLEDGE, POOL_KNOWLEDGE)
+@settings(max_examples=300, deadline=None)
+def test_commit_leaves_the_index_of_its_knowledge_base_unchanged(kb, delta):
+    keys = [FactKey("row_count"), *(FactKey("column", n) for n in POOL_NAMES)]
+    before = [kb.index.find(key) for key in keys]
+    commit(kb, delta)
+    assert [kb.index.find(key) for key in keys] == before
