@@ -50,8 +50,6 @@ from .knowledge import (
     Fact,
     FactKey,
     GroundedKnowledge,
-    SchemaError,
-    canonicalize,
     fact_equivalent,
     facts,
     knowledge_equivalent,
@@ -76,5 +74,6 @@ from .prompts import (
     build_extraction_prompt,
     serialize_history,
 )
+from .schema import SchemaError, canonicalize
 
 __version__ = "0.1.0"

@@ -99,15 +99,15 @@ def assess(kb: GroundedKnowledge, delta: GroundedKnowledge) -> list[AssessmentOu
     """Classify every incoming fact of ``delta`` against ``kb``.
 
     This is the one place that picks the committed fact an incoming fact
-    targets, through ``kb.index``. A conflict retires its target for the
-    rest of the delta (in a copy of the index), so no later outcome refers
-    to a fact that the conflict replaced.
+    targets: the first one ``kb.index`` finds that no conflict of this delta
+    has retired, so no later outcome refers to a fact that a conflict
+    replaced.
     """
     kb_facts = facts(kb)
-    index = kb.index.copy()
+    retired: set[int] = set()
     outcomes: list[AssessmentOutcome] = []
     for incoming in facts(delta):
-        i = index.find(incoming.key)
+        i = min((j for j in kb.index.matches(incoming.key) if j not in retired), default=None)
         if i is None:
             outcomes.append(AssessmentOutcome(incoming, Verdict.NOVEL))
             continue
@@ -115,7 +115,7 @@ def assess(kb: GroundedKnowledge, delta: GroundedKnowledge) -> list[AssessmentOu
         verdict = _classify(existing, incoming)
         outcomes.append(AssessmentOutcome(incoming, verdict, existing.key))
         if verdict is Verdict.CONFLICT:
-            index.discard(i)
+            retired.add(i)
     return outcomes
 
 
@@ -154,7 +154,6 @@ def merge(kb: GroundedKnowledge, ops: list[GraphOp]) -> GroundedKnowledge:
     instantiation, ``kb`` itself is returned.
     """
     kb_facts = facts(kb)
-    index = kb.index.copy()
     position = {fact.key: i for i, fact in enumerate(kb_facts)}
     kept = dict(enumerate(kb_facts))
     created: dict[FactKey, Fact] = {}
@@ -168,13 +167,15 @@ def merge(kb: GroundedKnowledge, ops: list[GraphOp]) -> GroundedKnowledge:
             raise StateError(f"operation targets missing fact {op.target}")
         elif op.op is OpKind.REMOVE_NODE:
             del kept[i]
-            index.discard(i)
         elif op.op is OpKind.UPDATE_NODE:
             kept[i] = Fact(op.target, updated_value(op.target.field, kept[i].value, op.payload))
         # INSTANTIATE_NODE only requires its target to exist.
     if all(op.op is OpKind.INSTANTIATE_NODE for op in ops):
         return kb
-    return fold_facts(kept, index, created.values())
+    index = kb.index.copy()
+    for i in set(range(len(kb_facts))) - kept.keys():
+        index.discard(i)
+    return fold_facts(kept, ((index.add(fact.key), fact) for fact in created.values()))
 
 
 def commit(

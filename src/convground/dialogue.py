@@ -8,7 +8,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Union
 
-from .knowledge import EMPTY_KNOWLEDGE, GroundedKnowledge, SchemaError, canonicalize
+from .knowledge import EMPTY_KNOWLEDGE, GroundedKnowledge
+from .schema import SchemaError, canonicalize
 
 PathLike = Union[str, Path]
 

@@ -1,27 +1,23 @@
-"""Tabular knowledge schema, canonicalization, and equivalence judging.
+"""Tabular knowledge schema, its facts and name index, and equivalence judging.
 
 A piece of grounded knowledge describes a tabular dataset: what the table is
-about, how large it is, and per-column properties. Raw extraction output
-arrives in several shorthand forms and is canonicalized into
-:class:`GroundedKnowledge` before anything else touches it. Equivalence
-between two knowledge objects is judged through token-set comparison of the
-surface terms, so "area in km2" and "area" count as the same column.
+about, how large it is, and per-column properties. Raw extraction output is
+canonicalized into :class:`GroundedKnowledge` (see :mod:`convground.schema`)
+before anything else touches it. Equivalence between two knowledge objects
+is judged through token-set comparison of the surface terms, so "area in
+km2" and "area" count as the same column.
 """
 
 from __future__ import annotations
 
-import functools
 import re
+import threading
 from dataclasses import dataclass
-from typing import Any, Iterable, Optional, Sequence, Union
+from typing import Any, Iterable, Iterator, Optional, Sequence, Union
 
 from .matching import perfect_matching
 
 Scalar = Union[int, float, str]
-
-
-class SchemaError(ValueError):
-    """A raw knowledge tree does not fit the tabular schema."""
 
 
 # Closed lists, fixed so that the judge reproduces the shipped sample verdicts.
@@ -111,6 +107,10 @@ class ColumnKnowledge:
         return out
 
 
+# Per thread, the last knowledge base indexed and its index, replaced whole.
+_last_indexed = threading.local()
+
+
 @dataclass(frozen=True)
 class GroundedKnowledge:
     """A snapshot of what is known about the tabular dataset."""
@@ -126,12 +126,16 @@ class GroundedKnowledge:
             object.__setattr__(self, "column_info", tuple(self.column_info))
         self.index  # rejects equivalent names
 
-    @functools.cached_property
+    @property
     def index(self) -> KeyIndex:
-        """The :class:`KeyIndex` of ``facts(self)``, built on first use and never
-        changed after; not a field, so no part of ``==``, ``hash`` or ``repr``.
-        Raises ``ValueError`` for columns with equivalent names, so a
+        """The :class:`KeyIndex` of ``facts(self)``, never changed once built.
+        Each thread keeps the last one it built, so a knowledge base committed
+        against again is not indexed again, and no index outlives its use.
+        Raises ``ValueError`` for columns with equivalent names: a
         :func:`fold_facts` result is checked when it is first indexed."""
+        kb, index = getattr(_last_indexed, "entry", (None, None))
+        if kb is self:
+            return index
         index = KeyIndex()
         fact_list = facts(self)
         for j, fact in enumerate(fact_list):
@@ -139,11 +143,18 @@ class GroundedKnowledge:
             if i != j:
                 names = f"{fact_list[i].key.column!r} and {fact.key.column!r}"
                 raise ValueError(f"columns {names} have equivalent names")
+        _last_indexed.entry = (self, index)
         return index
 
     @property
     def is_empty(self) -> bool:
-        return self == EMPTY_KNOWLEDGE
+        return (
+            self.table_domain is None
+            and self.table_content is None
+            and self.row_count is None
+            and self.column_count is None
+            and not self.column_info
+        )
 
     def to_json_dict(self) -> dict[str, Any]:
         out: dict[str, Any] = {}
@@ -194,20 +205,20 @@ def facts(knowledge: GroundedKnowledge) -> list[Fact]:
 
 def knowledge_from_facts(fact_list: Iterable[Fact]) -> GroundedKnowledge:
     """Rebuild a knowledge object from facts, folding equivalent columns together."""
-    return fold_facts({}, KeyIndex(), fact_list)
+    index = KeyIndex()
+    return fold_facts({}, ((index.add(fact.key), fact) for fact in fact_list))
 
 
 def fold_facts(
-    placed: dict[int, Fact], index: KeyIndex, fact_list: Iterable[Fact]
+    placed: dict[int, Fact], positioned: Iterable[tuple[int, Fact]]
 ) -> GroundedKnowledge:
-    """Fold ``fact_list`` into ``placed``, the facts at their live positions
-    in ``index``: a column joins the first live equivalent one by
-    :func:`updated_value`, keeping its name, and a top-level field
-    overwrites. ``index`` opens a position only for a key with no live
-    equivalent, so the columns need no second check, and the fold is total.
+    """Fold ``positioned`` facts into ``placed``, the facts by position: a
+    column at a taken position joins the fact there by :func:`updated_value`,
+    keeping its name, and a top-level field overwrites. The positions come
+    from a :class:`KeyIndex`, which gives an equivalent key the position of
+    the first one, so the columns need no second check, and the fold is total.
     """
-    for fact in fact_list:
-        i = index.add(fact.key)
+    for i, fact in positioned:
         if i in placed and fact.key.field == "column":
             fact = Fact(placed[i].key, updated_value("column", placed[i].value, fact.value))
         placed[i] = fact
@@ -251,13 +262,17 @@ class KeyIndex:
 
     def find(self, key: FactKey) -> Optional[int]:
         """Lowest live position whose key is equivalent to ``key``, or None."""
-        return self._find(_key_terms(key))
+        return min(self.matches(key), default=None)
+
+    def matches(self, key: FactKey) -> Iterator[int]:
+        """The live positions whose keys are equivalent to ``key``, in no set order."""
+        return self._matches(_key_terms(key))
 
     def add(self, key: FactKey) -> int:
         """Position of the first live key equivalent to ``key``; when there
         is none, ``key`` takes the next new position, which is returned."""
         terms = _key_terms(key)
-        i = self._find(terms)
+        i = min(self._matches(terms), default=None)
         if i is None:
             i = len(self._sizes)
             self._sizes.append(len(terms))
@@ -276,17 +291,14 @@ class KeyIndex:
         copied._postings = {term: list(p) for term, p in self._postings.items()}
         return copied
 
-    def _find(self, terms: frozenset[Any]) -> Optional[int]:
+    def _matches(self, terms: frozenset[Any]) -> Iterator[int]:
         shared: dict[int, int] = {}
         for term in terms:
             for i in self._postings.get(term, ()):
                 shared[i] = shared.get(i, 0) + 1
         sizes = self._sizes
-        return min(
-            (i for i, k in shared.items()
-             if sizes[i] is not None and k in (len(terms), sizes[i])),
-            default=None,
-        )
+        return (i for i, k in shared.items()
+                if sizes[i] is not None and k in (len(terms), sizes[i]))
 
 
 EMPTY_KNOWLEDGE = GroundedKnowledge()
@@ -385,152 +397,3 @@ def knowledge_equivalent(a: GroundedKnowledge, b: GroundedKnowledge) -> bool:
     """True iff the fact sets of both sides admit a perfect matching."""
     fa, fb = facts(a), facts(b)
     return perfect_matching(len(fa), len(fb), lambda i, j: fact_equivalent(fa[i], fb[j]))
-
-
-# ---------------------------------------------------------------------------
-# Canonicalization of raw extraction output.
-# ---------------------------------------------------------------------------
-
-_TOP_LEVEL_KEYS = frozenset(
-    {"table_domain", "table_content", "row_count", "column_count",
-     "column_info", "column_names", "column_name", *_COLUMN_FIELDS}
-)
-_ENTRY_KEYS = frozenset({"column_name", *_COLUMN_FIELDS})
-
-
-def _as_count(name: str, value: Any) -> int:
-    if isinstance(value, bool):
-        raise SchemaError(f"{name}: expected a non-negative integer, got {value!r}")
-    if isinstance(value, str):
-        try:
-            value = int(value.strip())
-        except ValueError:
-            raise SchemaError(f"{name}: cannot coerce {value!r} to an integer") from None
-    if isinstance(value, float):
-        if not value.is_integer():
-            raise SchemaError(f"{name}: expected an integer, got {value!r}")
-        value = int(value)
-    if not isinstance(value, int):
-        raise SchemaError(f"{name}: expected a non-negative integer, got {value!r}")
-    if value < 0:
-        raise SchemaError(f"{name}: must be non-negative, got {value}")
-    return value
-
-
-def _as_number(name: str, value: Any) -> Union[int, float]:
-    if isinstance(value, bool):
-        raise SchemaError(f"{name}: expected a number, got {value!r}")
-    if isinstance(value, str):
-        try:
-            value = float(value.strip())
-        except ValueError:
-            raise SchemaError(f"{name}: cannot coerce {value!r} to a number") from None
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if not isinstance(value, (int, float)):
-        raise SchemaError(f"{name}: expected a number, got {value!r}")
-    return value
-
-
-def _as_text(name: str, value: Any) -> str:
-    if not isinstance(value, str):
-        raise SchemaError(f"{name}: expected text, got {value!r}")
-    return value
-
-
-def _canonicalize_entry(raw: Any) -> ColumnKnowledge:
-    if isinstance(raw, ColumnKnowledge):
-        return raw
-    if not isinstance(raw, dict):
-        raise SchemaError(f"column_info entries must be objects, got {raw!r}")
-    data = {k: v for k, v in raw.items() if v is not None}
-    unknown = set(data) - _ENTRY_KEYS
-    if unknown:
-        raise SchemaError(f"unknown column key {sorted(unknown, key=str)[0]!r}")
-    if "column_name" not in data:
-        raise SchemaError("column entry is missing column_name")
-    kwargs: dict[str, Any] = {"column_name": _as_text("column_name", data["column_name"])}
-    if "description" in data:
-        kwargs["description"] = _as_text("description", data["description"])
-    if "values" in data:
-        values = data["values"]
-        if not isinstance(values, (list, tuple)):
-            raise SchemaError(f"values: expected a list, got {values!r}")
-        kwargs["values"] = tuple(values)
-    if "distinct_count" in data:
-        kwargs["distinct_count"] = _as_count("distinct_count", data["distinct_count"])
-    for bound in ("min_value", "max_value"):
-        if bound in data:
-            kwargs[bound] = _as_number(bound, data[bound])
-    try:
-        return ColumnKnowledge(**kwargs)
-    except ValueError as exc:
-        raise SchemaError(str(exc)) from None
-
-
-def canonicalize(raw: Any) -> GroundedKnowledge:
-    """Turn a schema-shaped tree into canonical :class:`GroundedKnowledge`.
-
-    Accepts the shorthands used in turn annotations: a top-level
-    ``column_names`` list expands to name-only column entries, and a
-    top-level ``column_name`` (with any column-scoped fields alongside it)
-    wraps into a single entry. Null-valued fields are dropped; numeric
-    fields are coerced from numeric text; unknown keys are rejected.
-    """
-    if isinstance(raw, GroundedKnowledge):
-        return raw
-    if not isinstance(raw, dict):
-        raise SchemaError(f"expected a key/value tree, got {type(raw).__name__}")
-    data = {k: v for k, v in raw.items() if v is not None}
-    unknown = set(data) - _TOP_LEVEL_KEYS
-    if unknown:
-        raise SchemaError(f"unknown key {sorted(unknown, key=str)[0]!r}")
-
-    entries: list[ColumnKnowledge] = []
-    if "column_names" in data:
-        names = data.pop("column_names")
-        if not isinstance(names, (list, tuple)):
-            raise SchemaError(f"column_names: expected a list, got {names!r}")
-        entries.extend(
-            _canonicalize_entry({"column_name": name}) for name in names
-        )
-    if "column_name" in data:
-        entry = {"column_name": data.pop("column_name")}
-        for name in _COLUMN_FIELDS:
-            if name in data:
-                entry[name] = data.pop(name)
-        entries.append(_canonicalize_entry(entry))
-    stray = [name for name in _COLUMN_FIELDS if name in data]
-    if stray:
-        raise SchemaError(f"key {stray[0]!r} requires an accompanying column_name")
-    if "column_info" in data:
-        info = data.pop("column_info")
-        if not isinstance(info, (list, tuple)):
-            raise SchemaError(f"column_info: expected a list, got {info!r}")
-        entries.extend(_canonicalize_entry(e) for e in info)
-
-    kwargs: dict[str, Any] = {}
-    if "table_domain" in data:
-        kwargs["table_domain"] = _as_text("table_domain", data["table_domain"])
-    if "table_content" in data:
-        kwargs["table_content"] = _as_text("table_content", data["table_content"])
-    if "row_count" in data:
-        kwargs["row_count"] = _as_count("row_count", data["row_count"])
-    if "column_count" in data:
-        kwargs["column_count"] = _as_count("column_count", data["column_count"])
-
-    # Duplicate columns (equivalent names) fold into one entry; later
-    # occurrences enrich or overwrite the earlier one.
-    fact_list = [Fact(FactKey(name), value) for name, value in kwargs.items()]
-    fact_list.extend(Fact(FactKey("column", e.column_name), e) for e in entries)
-    knowledge = knowledge_from_facts(fact_list)
-
-    row_count = knowledge.row_count
-    if row_count is not None:
-        for column in knowledge.column_info:
-            if column.distinct_count is not None and column.distinct_count > row_count:
-                raise SchemaError(
-                    f"column {column.column_name!r}: distinct_count "
-                    f"{column.distinct_count} exceeds row_count {row_count}"
-                )
-    return knowledge

@@ -16,7 +16,8 @@ from pathlib import Path
 from typing import Any, Callable, Optional, Union
 
 from .dialogue import CorpusError, GroundingLabel, _iter_records
-from .knowledge import GroundedKnowledge, SchemaError, canonicalize
+from .knowledge import GroundedKnowledge
+from .schema import SchemaError, _excerpt, canonicalize
 from .prompts import ChatMessage
 
 DEFAULT_MODEL = "gpt-3.5-turbo-1106"
@@ -313,16 +314,11 @@ def complete(
 _LABEL_PATTERN = re.compile(r"\b(explicit|implicit|clarification)\b", re.IGNORECASE)
 
 
-def _excerpt(text: str) -> str:
-    """``text``, or its first 120 characters and its length when longer."""
-    return text if len(text) <= 120 else f"{text[:120]}... ({len(text)} characters)"
-
-
 def parse_label(raw: str) -> GroundingLabel:
     """Scan model output for the first grounding label as a whole word."""
     match = _LABEL_PATTERN.search(raw)
     if match is None:
-        raise LabelParseError(f"no grounding label found in {_excerpt(repr(raw))}")
+        raise LabelParseError(f"no grounding label found in {_excerpt(raw)}")
     return GroundingLabel(match.group(1).lower())
 
 
@@ -348,7 +344,7 @@ def parse_knowledge_json(raw: str) -> GroundedKnowledge:
     try:
         return canonicalize(tree)
     except SchemaError as exc:
-        raise KnowledgeParseError(_excerpt(str(exc))) from None
+        raise KnowledgeParseError(str(exc)) from None
 
 
 def _parse_tree(text: str) -> Any:
@@ -367,7 +363,7 @@ def _parse_tree(text: str) -> Any:
         except (ValueError, TypeError, SyntaxError, MemoryError, RecursionError):
             continue  # what ``literal_eval`` raises on malformed or too deeply nested text
     raise KnowledgeParseError(
-        f"unparseable extraction output at offset {offset}: {_excerpt(repr(text))}"
+        f"unparseable extraction output at offset {offset}: {_excerpt(text)}"
     )
 
 
@@ -377,14 +373,13 @@ def _combine_objects(objects: list) -> dict:
     columns: list = []
     for obj in objects:
         if not isinstance(obj, dict):
-            raise KnowledgeParseError(f"expected objects, got {_excerpt(repr(obj))}")
+            raise KnowledgeParseError(f"expected objects, got {_excerpt(obj)}")
         if "column_name" in obj:
             columns.append(obj)
         else:
             info = obj.pop("column_info", None)
             if info is not None and not isinstance(info, (list, tuple)):
-                got = _excerpt(repr(info))
-                raise KnowledgeParseError(f"column_info: expected a list, got {got}")
+                raise KnowledgeParseError(f"column_info: expected a list, got {_excerpt(info)}")
             columns.extend(info or ())
             combined.update(obj)
     if columns:

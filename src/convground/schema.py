@@ -1,0 +1,168 @@
+"""Canonicalization of raw extraction output into :class:`GroundedKnowledge`."""
+
+from __future__ import annotations
+
+from typing import Any, Union
+
+from .knowledge import (
+    _COLUMN_FIELDS, ColumnKnowledge, Fact, FactKey, GroundedKnowledge, knowledge_from_facts,
+)
+
+
+class SchemaError(ValueError):
+    """A raw knowledge tree does not fit the tabular schema."""
+
+
+def _excerpt(value: Any) -> str:
+    """``repr(value)``, cut to its first 120 characters and the value's length
+    (a string's own, anything else's ``repr``) when longer."""
+    text = value if isinstance(value, str) else repr(value)
+    if len(text) <= 120:
+        return repr(value)
+    head = repr(text[:120]) if isinstance(value, str) else text[:120]
+    return f"{head}... ({len(text)} characters)"
+
+
+_TOP_LEVEL_KEYS = frozenset(
+    {"table_domain", "table_content", "row_count", "column_count",
+     "column_info", "column_names", "column_name", *_COLUMN_FIELDS}
+)
+_ENTRY_KEYS = frozenset({"column_name", *_COLUMN_FIELDS})
+
+
+def _as_count(name: str, value: Any) -> int:
+    if isinstance(value, bool):
+        raise SchemaError(f"{name}: expected a non-negative integer, got {_excerpt(value)}")
+    if isinstance(value, str):
+        try:
+            value = int(value.strip())
+        except ValueError:
+            raise SchemaError(f"{name}: cannot coerce {_excerpt(value)} to an integer") from None
+    if isinstance(value, float):
+        if not value.is_integer():
+            raise SchemaError(f"{name}: expected an integer, got {value!r}")
+        value = int(value)
+    if not isinstance(value, int):
+        raise SchemaError(f"{name}: expected a non-negative integer, got {_excerpt(value)}")
+    if value < 0:
+        raise SchemaError(f"{name}: must be non-negative, got {value}")
+    return value
+
+
+def _as_number(name: str, value: Any) -> Union[int, float]:
+    if isinstance(value, bool):
+        raise SchemaError(f"{name}: expected a number, got {_excerpt(value)}")
+    if isinstance(value, str):
+        try:
+            value = float(value.strip())
+        except ValueError:
+            raise SchemaError(f"{name}: cannot coerce {_excerpt(value)} to a number") from None
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if not isinstance(value, (int, float)):
+        raise SchemaError(f"{name}: expected a number, got {_excerpt(value)}")
+    return value
+
+
+def _as_text(name: str, value: Any) -> str:
+    if not isinstance(value, str):
+        raise SchemaError(f"{name}: expected text, got {_excerpt(value)}")
+    return value
+
+
+def _canonicalize_entry(raw: Any) -> ColumnKnowledge:
+    if isinstance(raw, ColumnKnowledge):
+        return raw
+    if not isinstance(raw, dict):
+        raise SchemaError(f"column_info entries must be objects, got {_excerpt(raw)}")
+    data = {k: v for k, v in raw.items() if v is not None}
+    unknown = set(data) - _ENTRY_KEYS
+    if unknown:
+        raise SchemaError(f"unknown column key {_excerpt(sorted(unknown, key=str)[0])}")
+    if "column_name" not in data:
+        raise SchemaError("column entry is missing column_name")
+    kwargs: dict[str, Any] = {"column_name": _as_text("column_name", data["column_name"])}
+    if "description" in data:
+        kwargs["description"] = _as_text("description", data["description"])
+    if "values" in data:
+        values = data["values"]
+        if not isinstance(values, (list, tuple)):
+            raise SchemaError(f"values: expected a list, got {_excerpt(values)}")
+        kwargs["values"] = tuple(values)
+    if "distinct_count" in data:
+        kwargs["distinct_count"] = _as_count("distinct_count", data["distinct_count"])
+    for bound in ("min_value", "max_value"):
+        if bound in data:
+            kwargs[bound] = _as_number(bound, data[bound])
+    try:
+        return ColumnKnowledge(**kwargs)
+    except ValueError as exc:
+        raise SchemaError(str(exc)) from None
+
+
+def canonicalize(raw: Any) -> GroundedKnowledge:
+    """Turn a schema-shaped tree into canonical :class:`GroundedKnowledge`.
+
+    Accepts the shorthands used in turn annotations: a top-level
+    ``column_names`` list expands to name-only column entries, and a
+    top-level ``column_name`` (with any column-scoped fields alongside it)
+    wraps into a single entry. Null-valued fields are dropped; numeric
+    fields are coerced from numeric text; unknown keys are rejected.
+    """
+    if isinstance(raw, GroundedKnowledge):
+        return raw
+    if not isinstance(raw, dict):
+        raise SchemaError(f"expected a key/value tree, got {type(raw).__name__}")
+    data = {k: v for k, v in raw.items() if v is not None}
+    unknown = set(data) - _TOP_LEVEL_KEYS
+    if unknown:
+        raise SchemaError(f"unknown key {_excerpt(sorted(unknown, key=str)[0])}")
+
+    entries: list[ColumnKnowledge] = []
+    if "column_names" in data:
+        names = data.pop("column_names")
+        if not isinstance(names, (list, tuple)):
+            raise SchemaError(f"column_names: expected a list, got {_excerpt(names)}")
+        entries.extend(
+            _canonicalize_entry({"column_name": name}) for name in names
+        )
+    if "column_name" in data:
+        entry = {"column_name": data.pop("column_name")}
+        for name in _COLUMN_FIELDS:
+            if name in data:
+                entry[name] = data.pop(name)
+        entries.append(_canonicalize_entry(entry))
+    stray = [name for name in _COLUMN_FIELDS if name in data]
+    if stray:
+        raise SchemaError(f"key {stray[0]!r} requires an accompanying column_name")
+    if "column_info" in data:
+        info = data.pop("column_info")
+        if not isinstance(info, (list, tuple)):
+            raise SchemaError(f"column_info: expected a list, got {_excerpt(info)}")
+        entries.extend(_canonicalize_entry(e) for e in info)
+
+    kwargs: dict[str, Any] = {}
+    if "table_domain" in data:
+        kwargs["table_domain"] = _as_text("table_domain", data["table_domain"])
+    if "table_content" in data:
+        kwargs["table_content"] = _as_text("table_content", data["table_content"])
+    if "row_count" in data:
+        kwargs["row_count"] = _as_count("row_count", data["row_count"])
+    if "column_count" in data:
+        kwargs["column_count"] = _as_count("column_count", data["column_count"])
+
+    # Duplicate columns (equivalent names) fold into one entry; later
+    # occurrences enrich or overwrite the earlier one.
+    fact_list = [Fact(FactKey(name), value) for name, value in kwargs.items()]
+    fact_list.extend(Fact(FactKey("column", e.column_name), e) for e in entries)
+    knowledge = knowledge_from_facts(fact_list)
+
+    row_count = knowledge.row_count
+    if row_count is not None:
+        for column in knowledge.column_info:
+            if column.distinct_count is not None and column.distinct_count > row_count:
+                raise SchemaError(
+                    f"column {column.column_name!r}: distinct_count "
+                    f"{column.distinct_count} exceeds row_count {row_count}"
+                )
+    return knowledge

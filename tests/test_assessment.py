@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import pytest
 
@@ -282,7 +283,7 @@ def test_a_repeated_commit_indexes_only_the_created_facts(monkeypatch):
         return add(self, key)
 
     monkeypatch.setattr(KeyIndex, "add", counting_add)
-    # The knowledge base keeps the index its first commit built.
+    # The index the first commit built is kept for the knowledge base last indexed.
     assert commit(kb, delta) == first
     assert len(calls) <= len(facts(delta))
 
@@ -291,10 +292,22 @@ def test_an_indexed_knowledge_base_equals_hashes_and_reprs_like_a_fresh_one():
     raw = {"row_count": 5, "column_names": ["area size", "name", "2020"]}
     indexed, fresh = canonicalize(raw), canonicalize(raw)
     commit(indexed, canonicalize({"column_name": "area", "max_value": 3}))
-    assert "index" in vars(indexed) and "index" not in vars(fresh)
+    assert indexed.index is indexed.index
+    assert vars(indexed) == vars(fresh)
     assert indexed == fresh
     assert hash(indexed) == hash(fresh)
     assert repr(indexed) == repr(fresh)
+
+
+def test_an_index_is_kept_only_for_the_knowledge_base_indexed_last():
+    # A parsed annotation that once served as a commit's knowledge base can
+    # live for a whole run; its index must not live as long.
+    annotation = canonicalize({"column_names": ["area size", "name"]})
+    commit(annotation, canonicalize({"column_name": "area", "max_value": 3}))
+    index = weakref.ref(annotation.index)
+    commit(canonicalize({"row_count": 5}), annotation)
+    assert index() is None
+    assert annotation.index.find(FactKey("column", "area")) == 0
 
 
 def test_names_without_content_tokens_equal_themselves():

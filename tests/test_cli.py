@@ -251,7 +251,7 @@ class TestAnnotate:
         assert capsys.readouterr().err.splitlines() == [
             "unparseable replies:",
             "  dialogue B turn 14: unparseable extraction output at offset 1: '"
-            + "1+" * 59 + "1... (200003 characters)",
+            + "1+" * 60 + "'... (200001 characters)",
         ]
 
     def test_incremental_kb_commits_a_column_that_cannot_merge(self, tmp_path):

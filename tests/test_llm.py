@@ -80,9 +80,9 @@ class TestParseLabel:
         with pytest.raises(LabelParseError) as info:
             parse_label("no idea " * 25_000)
         message = str(info.value)
-        assert message.startswith("no grounding label found in 'no idea no idea")
-        assert message.endswith("... (200002 characters)")
-        assert len(message) < 200
+        assert message == (
+            "no grounding label found in " + repr("no idea " * 15) + "... (200000 characters)"
+        )
 
 
 class TestParseKnowledgeJson:
@@ -159,24 +159,29 @@ class TestParseKnowledgeJson:
         with pytest.raises(KnowledgeParseError, match=message):
             parse_knowledge_json(raw)
 
-    @pytest.mark.parametrize("raw, start", [
-        ("1+" * 100_000 + "1", "unparseable extraction output at offset 1: '1+1+"),
-        ("[1, " + "{" * 50_000, "unparseable extraction output at offset 5: '[1, {{"),
-        ("[" + "7" * 4_000 + "]", "expected objects, got 777"),
+    @pytest.mark.parametrize("raw, start, end", [
+        ("1+" * 100_000 + "1", "unparseable extraction output at offset 1: '1+1+",
+         "1+'... (200001 characters)"),
+        ("[1, " + "{" * 50_000, "unparseable extraction output at offset 5: '[1, {{",
+         "{'... (50004 characters)"),
+        ("[" + "7" * 4_000 + "]", "expected objects, got 777", "7... (4000 characters)"),
         ("[{'column_info': {'a': '" + "y" * 10_000 + "'}}]",
-         "column_info: expected a list, got {'a': 'yyy"),
+         "column_info: expected a list, got {'a': 'yyy", "y... (10009 characters)"),
         ('{"column_names": "' + "x" * 100_000 + '"}',
-         "column_names: expected a list, got 'xxx"),
-        ('{"row_count": "' + "1" * 100_000 + '"}', "row_count: cannot coerce '111"),
+         "column_names: expected a list, got 'xxx", "x'... (100000 characters)"),
+        ('{"row_count": "' + "1" * 100_000 + '"}', "row_count: cannot coerce '111",
+         "1'... (100000 characters) to an integer"),
+        ('{"' + "k" * 500 + '": 1}', "unknown key 'kkk", "k'... (500 characters)"),
     ], ids=["deep-expression", "unclosed", "list-of-int", "dict-column-info",
-            "long-column-names", "long-row-count"])
-    def test_long_reply_is_quoted_by_a_prefix_and_its_length(self, raw, start):
+            "long-column-names", "long-row-count", "long-unknown-key"])
+    def test_long_reply_is_quoted_by_a_prefix_and_its_length(self, raw, start, end):
+        # The length is the reply's or the value's own, not that of its repr.
         with pytest.raises(KnowledgeParseError) as info:
             parse_knowledge_json(raw)
         message = str(info.value)
         assert message.startswith(start)
+        assert message.endswith(end)
         assert len(message) < 200
-        assert message.endswith(" characters)")
 
 
 class TestCache:
