@@ -148,11 +148,12 @@ def load_gold(
 ) -> dict[str, list[GoldAnnotation]]:
     """Load gold annotations, sorted by turn index per dialogue.
 
-    When ``dialogues`` is given, every annotation must reference a known
-    dialogue and turn.
+    Each turn is annotated at most once. When ``dialogues`` is given, every
+    annotation must reference a known dialogue and turn.
     """
     by_id = {d.id: d for d in dialogues} if dialogues is not None else None
     gold: dict[str, list[GoldAnnotation]] = {}
+    first_lines: dict[tuple[str, int], int] = {}
     for line_no, record in _iter_records(path):
         try:
             dialogue_id = record["dialogue_id"]
@@ -174,6 +175,12 @@ def load_gold(
                     f"{path}: line {line_no}: dialogue {dialogue_id!r} "
                     f"has no turn {turn_index}"
                 )
+        first = first_lines.setdefault((dialogue_id, turn_index), line_no)
+        if first != line_no:
+            raise CorpusError(
+                f"{path}: line {line_no}: dialogue {dialogue_id!r} turn {turn_index} "
+                f"is already annotated on line {first}"
+            )
         gold.setdefault(dialogue_id, []).append(annotation)
     for annotations in gold.values():
         annotations.sort(key=lambda a: a.turn_index)

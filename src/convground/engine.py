@@ -2,9 +2,9 @@
 
 Provider contributions sit in a pending buffer until the partner accepts
 them (explicitly or implicitly); only then are they committed to the shared
-knowledge base. Content that first appears in a clarifying question is never
-committed and never enters the pending buffer, since the provider has not
-confirmed it yet.
+knowledge base. Every provider turn presents its facts, whatever its label,
+so a provider's clarifying turn stages them too; a seeker's clarifying
+question is unconfirmed, and its facts are neither staged nor committed.
 """
 
 from __future__ import annotations
@@ -67,10 +67,10 @@ def observe_label(
     """Advance the state machine with the grounding act of one turn.
 
     Explicit and implicit acts commit the pending facts together with the
-    facts extracted from the accepting turn itself. Clarification keeps the
-    pending facts staged and discards the turn's own facts: a
-    clarifying question's content is unconfirmed. No-event turns only append
-    to the history.
+    facts extracted from the accepting turn itself. Clarification and
+    no-event turns only append to the history and keep the pending facts
+    staged; the turn's own facts are not staged here (a provider turn's were
+    already presented, see :func:`process_dialogue`).
     """
     if label in _ACCEPTING:
         combined = state.pending

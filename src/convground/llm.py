@@ -324,13 +324,19 @@ def parse_label(raw: str) -> GroundingLabel:
 
 _JSON_PREFIX = re.compile(r"^\s*output\s+json\s*:\s*", re.IGNORECASE)
 _CODE_FENCE = re.compile(r"^```[a-zA-Z]*\n(.*?)\n?```\s*$", re.DOTALL)
+# A quoted string in either style, escapes included, or else a bare ``null``.
+# An unclosed string runs to the end, so one pass stays linear.
+_NULL_OUTSIDE_STRINGS = re.compile(
+    r"""'(?:[^'\\]|\\[\s\S])*'?|"(?:[^"\\]|\\[\s\S])*"?|\bnull\b"""
+)
 
 
 def parse_knowledge_json(raw: str) -> GroundedKnowledge:
     """Parse model extraction output into canonical knowledge.
 
     Tolerates an 'Output JSON:' prefix, code fences, single-quoted keys and
-    strings, and a bare comma-separated sequence of column objects.
+    strings, and a bare comma-separated sequence of objects, which
+    :func:`canonicalize` folds as one.
     """
     text = _JSON_PREFIX.sub("", raw.strip()).strip()
     fenced = _CODE_FENCE.match(text)
@@ -338,11 +344,8 @@ def parse_knowledge_json(raw: str) -> GroundedKnowledge:
         text = fenced.group(1).strip()
     if not text:
         raise KnowledgeParseError("empty extraction output")
-    tree = _parse_tree(text)
-    if isinstance(tree, (list, tuple)):
-        tree = _combine_objects(list(tree))
     try:
-        return canonicalize(tree)
+        return canonicalize(_parse_tree(text))
     except SchemaError as exc:
         raise KnowledgeParseError(str(exc)) from None
 
@@ -357,32 +360,13 @@ def _parse_tree(text: str) -> Any:
         raise KnowledgeParseError(f"unparseable extraction output: {exc}") from None
     # The printed single-quote rendering is Python-literal-like except for
     # JSON's null; a bare "{...}, {...}" sequence parses once wrapped.
-    for candidate in (text, f"[{text}]"):
+    literal = _NULL_OUTSIDE_STRINGS.sub(lambda m: "None" if m[0] == "null" else m[0], text)
+    for candidate in (literal, f"[{literal}]"):
         try:
-            return ast.literal_eval(re.sub(r"\bnull\b", "None", candidate))
+            return ast.literal_eval(candidate)
         except (ValueError, TypeError, SyntaxError, MemoryError, RecursionError):
             continue  # what ``literal_eval`` raises on malformed or too deeply nested text
     raise KnowledgeParseError(
         f"unparseable extraction output at offset {offset}: {_excerpt(text)}"
     )
 
-
-def _combine_objects(objects: list) -> dict:
-    """Fold a sequence of schema fragments into one tree."""
-    combined: dict[str, Any] = {}
-    columns: list = []
-    for obj in objects:
-        if not isinstance(obj, dict):
-            raise KnowledgeParseError(f"expected objects, got {_excerpt(obj)}")
-        if "column_name" in obj:
-            columns.append(obj)
-        else:
-            info = obj.pop("column_info", None)
-            if info is not None and not isinstance(info, (list, tuple)):
-                raise KnowledgeParseError(f"column_info: expected a list, got {_excerpt(info)}")
-            columns.extend(info or ())
-            combined.update(obj)
-    if columns:
-        combined.setdefault("column_info", [])
-        combined["column_info"] = list(combined["column_info"]) + columns
-    return combined

@@ -71,8 +71,6 @@ def _as_text(name: str, value: Any) -> str:
 
 
 def _canonicalize_entry(raw: Any) -> ColumnKnowledge:
-    if isinstance(raw, ColumnKnowledge):
-        return raw
     if not isinstance(raw, dict):
         raise SchemaError(f"column_info entries must be objects, got {_excerpt(raw)}")
     data = {k: v for k, v in raw.items() if v is not None}
@@ -100,19 +98,8 @@ def _canonicalize_entry(raw: Any) -> ColumnKnowledge:
         raise SchemaError(str(exc)) from None
 
 
-def canonicalize(raw: Any) -> GroundedKnowledge:
-    """Turn a schema-shaped tree into canonical :class:`GroundedKnowledge`.
-
-    Accepts the shorthands used in turn annotations: a top-level
-    ``column_names`` list expands to name-only column entries, and a
-    top-level ``column_name`` (with any column-scoped fields alongside it)
-    wraps into a single entry. Null-valued fields are dropped; numeric
-    fields are coerced from numeric text; unknown keys are rejected.
-    """
-    if isinstance(raw, GroundedKnowledge):
-        return raw
-    if not isinstance(raw, dict):
-        raise SchemaError(f"expected a key/value tree, got {type(raw).__name__}")
+def _fragment_facts(raw: dict) -> list[Fact]:
+    """One tree's facts: its scalars, then its columns in the order read."""
     data = {k: v for k, v in raw.items() if v is not None}
     unknown = set(data) - _TOP_LEVEL_KEYS
     if unknown:
@@ -141,22 +128,35 @@ def canonicalize(raw: Any) -> GroundedKnowledge:
             raise SchemaError(f"column_info: expected a list, got {_excerpt(info)}")
         entries.extend(_canonicalize_entry(e) for e in info)
 
-    kwargs: dict[str, Any] = {}
-    if "table_domain" in data:
-        kwargs["table_domain"] = _as_text("table_domain", data["table_domain"])
-    if "table_content" in data:
-        kwargs["table_content"] = _as_text("table_content", data["table_content"])
-    if "row_count" in data:
-        kwargs["row_count"] = _as_count("row_count", data["row_count"])
-    if "column_count" in data:
-        kwargs["column_count"] = _as_count("column_count", data["column_count"])
-
-    # Duplicate columns (equivalent names) fold into one entry; later
-    # occurrences enrich or overwrite the earlier one.
-    fact_list = [Fact(FactKey(name), value) for name, value in kwargs.items()]
+    scalars = (("table_domain", _as_text), ("table_content", _as_text),
+               ("row_count", _as_count), ("column_count", _as_count))
+    fact_list = [Fact(FactKey(name), as_value(name, data[name]))
+                 for name, as_value in scalars if name in data]
     fact_list.extend(Fact(FactKey("column", e.column_name), e) for e in entries)
-    knowledge = knowledge_from_facts(fact_list)
+    return fact_list
 
+
+def canonicalize(raw: Any) -> GroundedKnowledge:
+    """Turn a schema-shaped tree, or a list of such fragments, into canonical
+    :class:`GroundedKnowledge`.
+
+    Accepts the shorthands used in turn annotations: a top-level
+    ``column_names`` list expands to name-only column entries, and a
+    top-level ``column_name`` (with any column-scoped fields alongside it)
+    wraps into a single entry. Null-valued fields are dropped; numeric
+    fields are coerced from numeric text; unknown keys are rejected. All
+    facts, a list's fragments' in order, go through one fold: a later scalar
+    overwrites, and a column named twice (equivalent names) folds into one.
+    """
+    fragments = (raw,) if isinstance(raw, dict) else raw
+    if not isinstance(fragments, (list, tuple)):
+        raise SchemaError(f"expected a key/value tree, got {type(raw).__name__}")
+    fact_list: list[Fact] = []
+    for fragment in fragments:
+        if not isinstance(fragment, dict):
+            raise SchemaError(f"expected objects, got {_excerpt(fragment)}")
+        fact_list.extend(_fragment_facts(fragment))
+    knowledge = knowledge_from_facts(fact_list)
     row_count = knowledge.row_count
     if row_count is not None:
         for column in knowledge.column_info:

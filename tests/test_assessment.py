@@ -318,6 +318,15 @@ def test_names_without_content_tokens_equal_themselves():
     assert knowledge_equivalent(kb, kb)
 
 
+@pytest.mark.parametrize("verdict, matched_key, message", [
+    (Verdict.NOVEL, FactKey("row_count"), "novel outcomes carry no matched key"),
+    (Verdict.CONFLICT, None, "conflict outcome requires a matched key"),
+], ids=["novel-with-key", "conflict-without-key"])
+def test_an_outcome_has_a_matched_key_unless_novel(verdict, matched_key, message):
+    with pytest.raises(ValueError, match=message):
+        AssessmentOutcome(Fact(FactKey("row_count"), 5), verdict, matched_key)
+
+
 def test_graph_op_serialization():
     op = GraphOp(OpKind.CREATE_NODE, FactKey("column", "author"),
                  ColumnKnowledge("author", distinct_count=417))

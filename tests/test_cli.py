@@ -574,6 +574,47 @@ class TestPrompts:
         assert run("prompts", "--corpus", CORPUS, "A", "99") == 1
 
 
+@pytest.mark.parametrize("argv, error", [
+    (["annotate", "--corpus", CORPUS, "--cache", CACHE], "annotate requires --corpus and --out"),
+    (["annotate", "--corpus", CORPUS, "--cache", CACHE, "--out", "{tmp}/p.jsonl"],
+     "annotate needs --gold to select turns (or pass --all-turns)"),
+    (["ground", "--gold", GOLD, "--out", "{tmp}/t.jsonl"], "ground requires --corpus and --out"),
+    (["ground", "--corpus", "{tmp}/torn.jsonl", "--gold", GOLD, "--out", "{tmp}/t.jsonl"],
+     "{tmp}/torn.jsonl: line 1: Expecting value: line 1 column 1 (char 0)"),
+    (["prompts", "A", "1"], "prompts requires --corpus"),
+    (["prompts", "--corpus", "{tmp}/torn.jsonl", "A", "1"],
+     "{tmp}/torn.jsonl: line 1: Expecting value: line 1 column 1 (char 0)"),
+], ids=["annotate-no-out", "annotate-no-turns", "ground-no-corpus", "ground-torn-corpus",
+        "prompts-no-corpus", "prompts-torn-corpus"])
+def test_unusable_arguments_exit_one_with_an_error_line(tmp_path, capsys, argv, error):
+    (tmp_path / "torn.jsonl").write_text("not json\n", encoding="utf-8")
+    assert run(*(arg.format(tmp=tmp_path) for arg in argv)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {error.format(tmp=tmp_path)}\n"
+    assert not (tmp_path / "p.jsonl").exists() and not (tmp_path / "t.jsonl").exists()
+
+
+@pytest.mark.parametrize("command", ["evaluate", "ground"])
+def test_a_turn_annotated_twice_exits_one(tmp_path, capsys, command):
+    lines = fixtures.path(fixtures.GOLD).read_text(encoding="utf-8").splitlines()
+    first = next(i for i, line in enumerate(lines, start=1)
+                 if json.loads(line)["dialogue_id"] == "A" and json.loads(line)["turn_index"] == 2)
+    gold = tmp_path / "gold.jsonl"
+    gold.write_text("\n".join(lines + [lines[first - 1]]) + "\n", encoding="utf-8")
+    argv = {
+        "evaluate": ["--gold", str(gold), "--predictions", PREDICTIONS],
+        "ground": ["--corpus", CORPUS, "--gold", str(gold), "--out", str(tmp_path / "t.jsonl")],
+    }[command]
+    assert run(command, *argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: {gold}: line {len(lines) + 1}: dialogue 'A' turn 2 "
+        f"is already annotated on line {first}\n"
+    )
+
+
 def test_unknown_subcommand_rejected():
     with pytest.raises(SystemExit):
         run("frobnicate")

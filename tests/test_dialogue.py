@@ -168,3 +168,22 @@ def test_gold_turn_index_below_one_names_file_and_line(tmp_path, turn_index):
         match=rf"gold\.jsonl: line 2: turn_index: turns are numbered from 1, got {turn_index}",
     ):
         load_gold(path)
+
+
+@pytest.mark.parametrize("corpus_turn, gold_records, message", [
+    ({"index": 1, "role": "narrator", "text": "hi"}, [],
+     r"corpus\.jsonl: line 1: unknown role 'narrator'"),
+    ({"index": 1, "role": "seeker", "text": "hi"},
+     [{"dialogue_id": "x", "turn_index": 2, "label": "explicit"}],
+     r"gold\.jsonl: line 1: dialogue 'x' has no turn 2"),
+    ({"index": 1, "role": "seeker", "text": "hi"},
+     [{"dialogue_id": "x", "turn_index": 1, "label": "explicit"},
+      {"dialogue_id": "x", "turn_index": 1, "label": "implicit"}],
+     r"gold\.jsonl: line 2: dialogue 'x' turn 1 is already annotated on line 1"),
+], ids=["unknown-role", "turn-beyond-dialogue", "turn-annotated-twice"])
+def test_inconsistent_record_names_file_and_line(tmp_path, corpus_turn, gold_records, message):
+    corpus, gold = tmp_path / "corpus.jsonl", tmp_path / "gold.jsonl"
+    corpus.write_text(_corpus_line(corpus_turn) + "\n")
+    gold.write_text("".join(json.dumps(r) + "\n" for r in gold_records))
+    with pytest.raises(CorpusError, match=message):
+        load_gold(gold, load_dialogues(corpus))

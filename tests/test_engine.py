@@ -176,6 +176,38 @@ class TestGoldReplay:
         assert all(t.label is GroundingLabel.NO_EVENT for t in state.history)
         assert all(t.warning for t in state.history)
 
+    def test_failing_labeler_downgrades_to_no_event(self, dialogues_by_id):
+        def labeler(history):
+            if history[-1].index == 2:
+                raise KeyError("no cached reply")
+            return GroundingLabel.EXPLICIT
+
+        state = process_dialogue(
+            dialogues_by_id["A"], labeler, lambda history: canonicalize({"row_count": 5})
+        )
+        assert [(t.label, t.warning) for t in state.history[:3]] == [
+            (GroundingLabel.EXPLICIT, None),
+            (GroundingLabel.NO_EVENT, "labeler failed: 'no cached reply'"),
+            (GroundingLabel.EXPLICIT, None),
+        ]
+        assert state.history[1].facts.is_empty
+
+    def test_a_clarifying_turn_stages_its_facts_only_when_the_provider_speaks(self):
+        from convground import Dialogue, GoldAnnotation
+
+        turns = [provider_turn(1), seeker_turn(2), seeker_turn(3)]
+        gold = [
+            GoldAnnotation(1, GroundingLabel.CLARIFICATION, canonicalize({"row_count": 5})),
+            GoldAnnotation(2, GroundingLabel.CLARIFICATION,
+                           canonicalize({"column_names": ["type of work"]})),
+            GoldAnnotation(3, GroundingLabel.EXPLICIT, EMPTY_KNOWLEDGE),
+        ]
+        state = process_dialogue(
+            Dialogue("d", "media", tuple(turns)), gold_labeler(gold), gold_extractor(gold)
+        )
+        assert state.grounded.to_json_dict() == {"row_count": 5}
+        assert state.pending.is_empty
+
     def test_programming_error_in_extractor_propagates(self, dialogues_by_id):
         def broken(history):
             raise TypeError("bug")

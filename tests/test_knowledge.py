@@ -249,6 +249,52 @@ class TestCanonicalize:
         with pytest.raises(SchemaError, match="min_value 5 exceeds max_value 3"):
             canonicalize({"column_name": "area", "min_value": 5, "max_value": 3})
 
+    @pytest.mark.parametrize("raw, message", [
+        ({"row_count": True}, "row_count: expected a non-negative integer, got True"),
+        ({"row_count": 2.5}, "row_count: expected an integer, got 2.5"),
+        ({"column_count": [3]}, "column_count: expected a non-negative integer, got [3]"),
+        ({"row_count": -1}, "row_count: must be non-negative, got -1"),
+        ({"column_name": "a", "min_value": True}, "min_value: expected a number, got True"),
+        ({"column_name": "a", "max_value": "high"},
+         "max_value: cannot coerce 'high' to a number"),
+        ({"column_name": "a", "max_value": [1]}, "max_value: expected a number, got [1]"),
+        ({"table_domain": 5}, "table_domain: expected text, got 5"),
+        ({"column_info": [5]}, "column_info entries must be objects, got 5"),
+        ({"column_info": [{"column_name": "a", "width": 3}]}, "unknown column key 'width'"),
+        ({"column_info": [{"description": "x"}]}, "column entry is missing column_name"),
+        ({"column_name": " "}, "column_name must be non-empty"),
+        ({"column_name": "a", "values": "x"}, "values: expected a list, got 'x'"),
+        ({"column_info": 5}, "column_info: expected a list, got 5"),
+        (5, "expected a key/value tree, got int"),
+        ([{"row_count": 3}, "x"], "expected objects, got 'x'"),
+        ([{"row_count": 3}, {"column_name": "a", "distinct_count": 4}],
+         "column 'a': distinct_count 4 exceeds row_count 3"),
+    ], ids=["count-bool", "count-fraction", "count-list", "count-negative", "number-bool",
+            "number-text", "number-list", "text", "entry-not-object", "entry-unknown-key",
+            "entry-unnamed", "entry-blank-name", "values-not-list", "column-info-not-list",
+            "not-a-tree", "fragment-not-object", "fragments-distinct-count"])
+    def test_ill_typed_input_rejected(self, raw, message):
+        with pytest.raises(SchemaError) as info:
+            canonicalize(raw)
+        assert str(info.value) == message
+
+    def test_integral_floats_read_as_integers(self):
+        k = canonicalize({"row_count": 3.0, "column_name": "a", "min_value": 2.0, "max_value": 2.5})
+        column = k.column_info[0]
+        assert [(v, type(v)) for v in (k.row_count, column.min_value, column.max_value)] == [
+            (3, int), (2, int), (2.5, float),
+        ]
+
+    def test_fragments_fold_in_order_as_one_tree(self):
+        k = canonicalize((
+            {"row_count": 3, "column_name": "area", "min_value": 5},
+            {"row_count": 4, "column_names": ["name", "area size"]},
+        ))
+        assert k.to_json_dict() == {"row_count": 4, "column_info": [
+            {"column_name": "area", "min_value": 5}, {"column_name": "name"},
+        ]}
+        assert canonicalize([]).is_empty
+
     def test_equivalent_duplicate_columns_folded(self):
         k = canonicalize(
             {"column_info": [

@@ -124,6 +124,29 @@ class TestParseKnowledgeJson:
         )
         assert len(k.column_info) == 2
 
+    @pytest.mark.parametrize("raw, expected", [
+        ("{'column_names': ['b']}, {'column_names': ['c']}",
+         {"column_info": [{"column_name": "b"}, {"column_name": "c"}]}),
+        ("{'column_name': 'a'}, {'column_names': ['b']}",
+         {"column_info": [{"column_name": "a"}, {"column_name": "b"}]}),
+        ("{'column_name': 'a', 'row_count': 3}, {'column_name': 'b'}",
+         {"row_count": 3, "column_info": [{"column_name": "a"}, {"column_name": "b"}]}),
+    ], ids=["two-name-lists", "entry-then-name-list", "scalar-beside-entry"])
+    def test_a_sequence_reads_its_fragments_in_order(self, raw, expected):
+        assert parse_knowledge_json(raw).to_json_dict() == expected
+        assert parse_knowledge_json(f"[{raw}]").to_json_dict() == expected
+
+    @pytest.mark.parametrize("raw, twin", [
+        ("{'column_name': 'nullable flag', 'description': 'share of null entries'}",
+         '{"column_name": "nullable flag", "description": "share of null entries"}'),
+        ("{'column_name': 'it\\'s \"null\"', 'values': [null, 'null', \"'null'\"]}",
+         '{"column_name": "it\'s \\"null\\"", "values": [null, "null", "\'null\'"]}'),
+    ], ids=["plain", "escapes-and-mixed-quotes"])
+    def test_null_inside_a_quoted_string_stays_text(self, raw, twin):
+        k = parse_knowledge_json(raw)
+        assert k == parse_knowledge_json(twin)
+        assert "null" in k.column_info[0].column_name
+
     def test_code_fences_stripped(self):
         k = parse_knowledge_json('```json\n{"row_count": 98}\n```')
         assert k.row_count == 98
@@ -153,8 +176,11 @@ class TestParseKnowledgeJson:
         ("{1: 2, 'a': 3}", "unknown key 1"),
         ("1+" * 100_000 + "1", "offset 1"),
         ("-" * 100_000 + "1", "offset 0"),
+        ("Output JSON:  ", "empty extraction output"),
+        ("```json\n```", "empty extraction output"),
     ], ids=["list-of-int", "list-of-dict", "deep-json", "long-integer",
-            "unhashable-key", "mixed-keys", "deep-expression", "deep-unary"])
+            "unhashable-key", "mixed-keys", "deep-expression", "deep-unary",
+            "empty-after-prefix", "empty-fence"])
     def test_hostile_reply_raises_a_parse_error(self, raw, message):
         with pytest.raises(KnowledgeParseError, match=message):
             parse_knowledge_json(raw)
@@ -182,6 +208,11 @@ class TestParseKnowledgeJson:
         assert message.startswith(start)
         assert message.endswith(end)
         assert len(message) < 200
+
+
+def test_max_tokens_must_be_positive():
+    with pytest.raises(ValueError, match="max_tokens must be positive"):
+        CompletionRequest(max_tokens=0)
 
 
 class TestCache:

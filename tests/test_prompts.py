@@ -3,6 +3,7 @@ import json
 import pytest
 
 from convground import (
+    ChatMessage,
     CompletionRequest,
     MessageRole,
     build_classification_prompt,
@@ -87,6 +88,11 @@ def test_single_turn_history(dialogues_by_id):
 def test_empty_history_rejected():
     with pytest.raises(ValueError):
         build_classification_prompt([])
+
+
+def test_empty_message_content_rejected():
+    with pytest.raises(ValueError, match="message content must be non-empty"):
+        ChatMessage(MessageRole.USER, "")
 
 
 def test_incremental_mode_injects_kb(history_a2):
