@@ -1,14 +1,17 @@
 """Digest many random commits, to compare two versions of the commit path.
 
-Builds ``--cases`` random (knowledge base, delta) pairs over column names
-that overlap without transitivity ("area" is equivalent to "area size" and
-"area total", which are not equivalent to each other), with NaN bounds,
-descriptions, values, distinct counts and row counts. Each pair is
-canonicalized and committed, the delta is committed again against the same
-knowledge base and once more against the result. Prints one SHA-256 over
-every result, verdict list, op list and raised error type, then the number
-of cases that raised. Only the public API is used, so any version's
-``src`` can be digested:
+Builds ``--cases`` random cases of a knowledge base and three deltas over
+column names that overlap without transitivity ("area" is equivalent to
+"area size" and "area total", which are not equivalent to each other), with
+NaN bounds, descriptions, values, distinct counts and row counts. Each case
+is canonicalized and the first delta committed, then committed again
+against the same knowledge base and once more against the result. The other
+two deltas are then committed in turn, each against the result of the
+commit before, so that knowledge bases merged from merge results are
+digested too. A case that raises ends there. Prints one SHA-256 over every
+result, verdict list, op list and raised error type, then the number of
+cases that raised. Only the public API is used, so any version's ``src``
+can be digested:
 
     python scripts/commit_digest.py --src src --seed 1 --cases 5000
     python scripts/commit_digest.py --src ../parent/src --seed 1 --cases 5000
@@ -82,17 +85,23 @@ def main(argv: list[str] | None = None) -> int:
     digest = hashlib.sha256()
     raised = 0
     for _ in range(args.cases):
-        raw_kb, raw_delta = random_knowledge(rng), random_knowledge(rng)
+        raw_kb, raw_delta, *raw_further = [random_knowledge(rng) for _ in range(4)]
+        record: list[Any] = []
         try:
             kb, delta = canonicalize(raw_kb), canonicalize(raw_delta)
-            record = [
+            result = commit(kb, delta)[0]
+            record += [
                 outcome_of(commit, kb, delta),
                 outcome_of(commit, kb, delta),
-                outcome_of(commit, commit(kb, delta)[0], delta),
+                outcome_of(commit, result, delta),
             ]
+            for raw in raw_further:
+                later = canonicalize(raw)
+                record.append(outcome_of(commit, result, later))
+                result = commit(result, later)[0]
         except Exception as exc:  # recorded by type: versions must raise alike
             raised += 1
-            record = [type(exc).__name__]
+            record.append(type(exc).__name__)
         digest.update(json.dumps(record, sort_keys=True).encode("utf-8") + b"\n")
     print(f"digest {digest.hexdigest()}")
     print(f"raised {raised} of {args.cases}")

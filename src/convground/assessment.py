@@ -21,6 +21,7 @@ from .knowledge import (
     _field_values_equivalent,
     facts,
     fold_facts,
+    indexed_facts,
     updated_value,
 )
 
@@ -99,15 +100,15 @@ def assess(kb: GroundedKnowledge, delta: GroundedKnowledge) -> list[AssessmentOu
     """Classify every incoming fact of ``delta`` against ``kb``.
 
     This is the one place that picks the committed fact an incoming fact
-    targets: the first one ``kb.index`` finds that no conflict of this delta
-    has retired, so no later outcome refers to a fact that a conflict
+    targets: the first one ``kb``'s index finds that no conflict of this
+    delta has retired, so no later outcome refers to a fact that a conflict
     replaced.
     """
-    kb_facts = facts(kb)
+    kb_facts, index = indexed_facts(kb)
     retired: set[int] = set()
     outcomes: list[AssessmentOutcome] = []
     for incoming in facts(delta):
-        i = min((j for j in kb.index.matches(incoming.key) if j not in retired), default=None)
+        i = min((j for j in index.matches(incoming.key) if j not in retired), default=None)
         if i is None:
             outcomes.append(AssessmentOutcome(incoming, Verdict.NOVEL))
             continue
@@ -149,11 +150,13 @@ def merge(kb: GroundedKnowledge, ops: list[GraphOp]) -> GroundedKnowledge:
     earlier op removed; a create needs a key that neither ``kb`` nor an
     earlier create holds; anything else is a bug and raises
     :class:`StateError`. An update, or a created column equivalent to a
-    kept one, combines with it by the total :func:`updated_value`; created
-    facts are folded into a copy of ``kb.index``. When every op is an
+    kept one, combines with it by the total :func:`updated_value`. Created
+    facts are folded into a copy of ``kb``'s index, which the result
+    carries with its facts (see :func:`fold_facts`), so the next commit
+    against it normalises only its incoming names. When every op is an
     instantiation, ``kb`` itself is returned.
     """
-    kb_facts = facts(kb)
+    kb_facts, kb_index = indexed_facts(kb)
     position = {fact.key: i for i, fact in enumerate(kb_facts)}
     kept = dict(enumerate(kb_facts))
     created: dict[FactKey, Fact] = {}
@@ -172,10 +175,10 @@ def merge(kb: GroundedKnowledge, ops: list[GraphOp]) -> GroundedKnowledge:
         # INSTANTIATE_NODE only requires its target to exist.
     if all(op.op is OpKind.INSTANTIATE_NODE for op in ops):
         return kb
-    index = kb.index.copy()
+    index = kb_index.copy()
     for i in set(range(len(kb_facts))) - kept.keys():
         index.discard(i)
-    return fold_facts(kept, ((index.add(fact.key), fact) for fact in created.values()))
+    return fold_facts(kept, ((index.add(fact.key), fact) for fact in created.values()), index)
 
 
 def commit(

@@ -112,6 +112,8 @@ def _annotate_dialogue(
 def cmd_annotate(args: argparse.Namespace) -> int:
     if args.corpus is None or args.out is None:
         return _fail("annotate requires --corpus and --out")
+    if args.jobs < 1:
+        return _fail("--jobs must be at least 1")
     mode = CacheMode(args.cache_mode)
     if mode is CacheMode.REPLAY and args.cache is None:
         return _fail("replay mode requires --cache")

@@ -107,7 +107,8 @@ class ColumnKnowledge:
         return out
 
 
-# Per thread, the last knowledge base indexed and its index, replaced whole.
+# Per thread, the last knowledge base indexed that carries no index of its
+# own, with its facts and index, replaced whole.
 _last_indexed = threading.local()
 
 
@@ -121,6 +122,10 @@ class GroundedKnowledge:
     column_count: Optional[int] = None
     column_info: tuple[ColumnKnowledge, ...] = ()
 
+    # The ``(facts, index)`` pair a merge result carries (see
+    # :func:`fold_facts`). Not a field: equality, hashing and repr ignore it.
+    _carried = None
+
     def __post_init__(self) -> None:
         if not isinstance(self.column_info, tuple):
             object.__setattr__(self, "column_info", tuple(self.column_info))
@@ -129,22 +134,11 @@ class GroundedKnowledge:
     @property
     def index(self) -> KeyIndex:
         """The :class:`KeyIndex` of ``facts(self)``, never changed once built.
-        Each thread keeps the last one it built, so a knowledge base committed
-        against again is not indexed again, and no index outlives its use.
-        Raises ``ValueError`` for columns with equivalent names: a
-        :func:`fold_facts` result is checked when it is first indexed."""
-        kb, index = getattr(_last_indexed, "entry", (None, None))
-        if kb is self:
-            return index
-        index = KeyIndex()
-        fact_list = facts(self)
-        for j, fact in enumerate(fact_list):
-            i = index.add(fact.key)
-            if i != j:
-                names = f"{fact_list[i].key.column!r} and {fact.key.column!r}"
-                raise ValueError(f"columns {names} have equivalent names")
-        _last_indexed.entry = (self, index)
-        return index
+        A merge result comes with its index and facts (see :func:`fold_facts`);
+        any other knowledge base is indexed when first looked up, and each
+        thread keeps the last one it indexed (see :func:`indexed_facts`).
+        Raises ``ValueError`` for columns with equivalent names."""
+        return indexed_facts(self)[1]
 
     @property
     def is_empty(self) -> bool:
@@ -210,13 +204,21 @@ def knowledge_from_facts(fact_list: Iterable[Fact]) -> GroundedKnowledge:
 
 
 def fold_facts(
-    placed: dict[int, Fact], positioned: Iterable[tuple[int, Fact]]
+    placed: dict[int, Fact],
+    positioned: Iterable[tuple[int, Fact]],
+    index: Optional[KeyIndex] = None,
 ) -> GroundedKnowledge:
     """Fold ``positioned`` facts into ``placed``, the facts by position: a
     column at a taken position joins the fact there by :func:`updated_value`,
     keeping its name, and a top-level field overwrites. The positions come
     from a :class:`KeyIndex`, which gives an equivalent key the position of
     the first one, so the columns need no second check, and the fold is total.
+
+    Given ``index``, the one the positions came from, the result carries its
+    facts and that index, renumbered to the facts' order, for
+    :func:`indexed_facts`. :func:`merge` passes its index, so its result, the
+    next commit's knowledge base, is never indexed again. Any other result
+    is indexed, and checked, when it is first looked up.
     """
     for i, fact in positioned:
         if i in placed and fact.key.field == "column":
@@ -230,7 +232,43 @@ def fold_facts(
     for name in _SCALAR_FIELDS:
         object.__setattr__(knowledge, name, scalars.get(name))
     object.__setattr__(knowledge, "column_info", tuple(columns))
+    if index is not None:
+        # ``facts(knowledge)`` order: top-level fields in schema order, then columns.
+        scalar_at = {f.key.field: i for i, f in placed.items() if f.key.field != "column"}
+        order = [scalar_at[name] for name in _SCALAR_FIELDS if name in scalar_at]
+        order += [i for i, f in placed.items() if f.key.field == "column"]
+        index.renumber(order)
+        carried = ([placed[i] for i in order], index)
+        # A dict of its own: setting one more attribute would add its name to
+        # the keys that all knowledge bases share, making every one larger.
+        object.__setattr__(knowledge, "__dict__", {**vars(knowledge), "_carried": carried})
     return knowledge
+
+
+def indexed_facts(knowledge: GroundedKnowledge) -> tuple[list[Fact], KeyIndex]:
+    """``facts(knowledge)`` and their :class:`KeyIndex`, neither to be changed.
+
+    A merge result carries both (see :func:`fold_facts`). For any other
+    knowledge base each thread keeps the pair it built last, so a knowledge
+    base committed against again is not indexed again, and no index
+    outlives its use. Building the pair raises ``ValueError`` for columns
+    with equivalent names.
+    """
+    if knowledge._carried is not None:
+        return knowledge._carried
+    kb, carried = getattr(_last_indexed, "entry", (None, None))
+    if kb is knowledge:
+        return carried
+    index = KeyIndex()
+    fact_list = facts(knowledge)
+    for j, fact in enumerate(fact_list):
+        i = index.add(fact.key)
+        if i != j:
+            names = f"{fact_list[i].key.column!r} and {fact.key.column!r}"
+            raise ValueError(f"columns {names} have equivalent names")
+    carried = (fact_list, index)
+    _last_indexed.entry = (knowledge, carried)
+    return carried
 
 
 def _key_terms(key: FactKey) -> frozenset[Any]:
@@ -283,6 +321,23 @@ class KeyIndex:
     def discard(self, position: int) -> None:
         """Retire a position: no later lookup returns it."""
         self._sizes[position] = None
+
+    def renumber(self, order: Sequence[int]) -> None:
+        """Keep only the positions in ``order``, each moved to its place there.
+
+        Lookups keep their answers, renumbered, when ``order`` holds every
+        live position and keeps any two equivalent keys in their order.
+        """
+        if order == list(range(len(self._sizes))):
+            return
+        new = {old: i for i, old in enumerate(order)}
+        self._sizes = [self._sizes[old] for old in order]
+        postings: dict[Any, list[int]] = {}
+        for term, positions in self._postings.items():
+            kept = [new[i] for i in positions if i in new]
+            if kept:
+                postings[term] = kept
+        self._postings = postings
 
     def copy(self) -> KeyIndex:
         """A copy to add to and discard from, leaving this index as it is."""

@@ -1,4 +1,5 @@
 import math
+import random
 import weakref
 
 import pytest
@@ -286,6 +287,42 @@ def test_a_repeated_commit_indexes_only_the_created_facts(monkeypatch):
     # The index the first commit built is kept for the knowledge base last indexed.
     assert commit(kb, delta) == first
     assert len(calls) <= len(facts(delta))
+
+
+def test_an_annotate_chain_indexes_only_incoming_facts(monkeypatch):
+    # Fifty turns about one ten-column table, as `annotate --incremental-kb`
+    # commits them: each merge result is the next commit's knowledge base.
+    rng = random.Random(3)
+    names = ["area", "area in km2", "name", "visitors", "founded", "state",
+             "region", "height", "length", "opening hours", "type"]
+    deltas = []
+    for _ in range(50):
+        raw = {"column_info": []}
+        for name in rng.sample(names, rng.randint(0, 3)):
+            column = {"column_name": name}
+            if rng.random() < 0.5:
+                column["max_value"] = rng.randint(0, 9)
+            if rng.random() < 0.3:
+                column["description"] = rng.choice(["size", "total size of the park"])
+            raw["column_info"].append(column)
+        if rng.random() < 0.2:
+            raw["row_count"] = rng.choice([98, 100])
+        deltas.append(canonicalize(raw))
+    calls = []
+    add = KeyIndex.add
+
+    def counting_add(self, key):
+        calls.append(key)
+        return add(self, key)
+
+    monkeypatch.setattr(KeyIndex, "add", counting_add)
+    kb = EMPTY_KNOWLEDGE
+    verdicts = set()
+    for delta in deltas:
+        kb, outcomes, _ = commit(kb, delta)
+        verdicts.update(o.verdict for o in outcomes)
+    assert verdicts == set(Verdict)
+    assert len(calls) <= sum(len(facts(delta)) for delta in deltas)
 
 
 def test_an_indexed_knowledge_base_equals_hashes_and_reprs_like_a_fresh_one():

@@ -578,14 +578,17 @@ class TestPrompts:
     (["annotate", "--corpus", CORPUS, "--cache", CACHE], "annotate requires --corpus and --out"),
     (["annotate", "--corpus", CORPUS, "--cache", CACHE, "--out", "{tmp}/p.jsonl"],
      "annotate needs --gold to select turns (or pass --all-turns)"),
+    *((["annotate", "--corpus", CORPUS, "--gold", GOLD, "--cache", CACHE,
+        "--out", "{tmp}/p.jsonl", "--jobs", jobs], "--jobs must be at least 1")
+      for jobs in ("0", "-2")),
     (["ground", "--gold", GOLD, "--out", "{tmp}/t.jsonl"], "ground requires --corpus and --out"),
     (["ground", "--corpus", "{tmp}/torn.jsonl", "--gold", GOLD, "--out", "{tmp}/t.jsonl"],
      "{tmp}/torn.jsonl: line 1: Expecting value: line 1 column 1 (char 0)"),
     (["prompts", "A", "1"], "prompts requires --corpus"),
     (["prompts", "--corpus", "{tmp}/torn.jsonl", "A", "1"],
      "{tmp}/torn.jsonl: line 1: Expecting value: line 1 column 1 (char 0)"),
-], ids=["annotate-no-out", "annotate-no-turns", "ground-no-corpus", "ground-torn-corpus",
-        "prompts-no-corpus", "prompts-torn-corpus"])
+], ids=["annotate-no-out", "annotate-no-turns", "annotate-zero-jobs", "annotate-negative-jobs",
+        "ground-no-corpus", "ground-torn-corpus", "prompts-no-corpus", "prompts-torn-corpus"])
 def test_unusable_arguments_exit_one_with_an_error_line(tmp_path, capsys, argv, error):
     (tmp_path / "torn.jsonl").write_text("not json\n", encoding="utf-8")
     assert run(*(arg.format(tmp=tmp_path) for arg in argv)) == 1

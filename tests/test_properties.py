@@ -28,6 +28,7 @@ from convground.knowledge import (
     KeyIndex,
     _lists_equivalent,
     _texts_equivalent,
+    indexed_facts,
     normalize_term,
 )
 
@@ -332,3 +333,21 @@ def test_commit_leaves_the_index_of_its_knowledge_base_unchanged(kb, delta):
     before = [kb.index.find(key) for key in keys]
     commit(kb, delta)
     assert [kb.index.find(key) for key in keys] == before
+
+
+@given(POOL_KNOWLEDGE, st.lists(POOL_KNOWLEDGE, min_size=1, max_size=4))
+@settings(max_examples=300, deadline=None)
+def test_a_merge_result_carries_the_facts_and_index_of_a_fresh_build(kb, deltas):
+    for delta in deltas:
+        result = commit(kb, delta)[0]
+        carried_facts, carried = indexed_facts(result)
+        # The constructor indexes the same knowledge afresh (evicting the
+        # per-thread slot) and would raise on columns with equivalent names.
+        fresh = dataclasses.replace(result)
+        fresh_facts, index = indexed_facts(fresh)
+        assert carried_facts == fresh_facts == facts(result)
+        assert carried._sizes == index._sizes
+        assert carried._postings == index._postings
+        if result is not kb:
+            assert indexed_facts(result)[1] is carried
+        kb = result
