@@ -150,15 +150,16 @@ def merge(kb: GroundedKnowledge, ops: list[GraphOp]) -> GroundedKnowledge:
     earlier op removed; a create needs a key that neither ``kb`` nor an
     earlier create holds; anything else is a bug and raises
     :class:`StateError`. An update, or a created column equivalent to a
-    kept one, combines with it by the total :func:`updated_value`. Created
-    facts are folded into a copy of ``kb``'s index, which the result
-    carries with its facts (see :func:`fold_facts`), so the next commit
-    against it normalises only its incoming names. When every op is an
-    instantiation, ``kb`` itself is returned.
+    kept one, combines with it by the total :func:`updated_value`. Removed
+    facts retire their positions in a copy of ``kb``'s index, and created
+    facts take new ones or join an equivalent kept column's; the result
+    carries its facts by position and that index (see :func:`fold_facts`),
+    so the next commit against it normalises only its incoming names.
+    When every op is an instantiation, ``kb`` itself is returned.
     """
     kb_facts, kb_index = indexed_facts(kb)
-    position = {fact.key: i for i, fact in enumerate(kb_facts)}
-    kept = dict(enumerate(kb_facts))
+    position = {fact.key: i for i, fact in kb_facts.items()}
+    kept = kb_facts.copy()
     created: dict[FactKey, Fact] = {}
     for op in ops:
         i = position.get(op.target)
@@ -176,7 +177,7 @@ def merge(kb: GroundedKnowledge, ops: list[GraphOp]) -> GroundedKnowledge:
     if all(op.op is OpKind.INSTANTIATE_NODE for op in ops):
         return kb
     index = kb_index.copy()
-    for i in set(range(len(kb_facts))) - kept.keys():
+    for i in kb_facts.keys() - kept.keys():
         index.discard(i)
     return fold_facts(kept, ((index.add(fact.key), fact) for fact in created.values()), index)
 

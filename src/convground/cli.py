@@ -44,6 +44,10 @@ def _fail(message: str) -> int:
     return 1
 
 
+def _unwritable(path: Path, exc: OSError) -> int:
+    return _fail(f"{path}: {exc.strerror or exc}")
+
+
 # Why a turn was skipped, in the order the groups are reported.
 _SKIPPED = ("cache misses", "unparseable replies", "request errors")
 
@@ -156,7 +160,10 @@ def cmd_annotate(args: argparse.Namespace) -> int:
                 print(f"  {line}", file=sys.stderr)
     if any(skipped.values()):
         return 1
-    save_annotations(results, args.out)
+    try:
+        save_annotations(results, args.out)
+    except OSError as exc:
+        return _unwritable(args.out, exc)
     total = sum(len(v) for v in results.values())
     print(f"wrote {total} predictions to {args.out}")
     return 0
@@ -174,27 +181,30 @@ def cmd_ground(args: argparse.Namespace) -> int:
     except CorpusError as exc:
         return _fail(str(exc))
 
-    with open(args.out, "w", encoding="utf-8") as handle:
-        for dialogue in dialogues:
-            annotations = source.get(dialogue.id, [])
-            state = process_dialogue(
-                dialogue, gold_labeler(annotations), gold_extractor(annotations)
-            )
-            for entry in state.history:
-                record = {
+    try:
+        with open(args.out, "w", encoding="utf-8") as handle:
+            for dialogue in dialogues:
+                annotations = source.get(dialogue.id, [])
+                state = process_dialogue(
+                    dialogue, gold_labeler(annotations), gold_extractor(annotations)
+                )
+                for entry in state.history:
+                    record = {
+                        "dialogue_id": dialogue.id,
+                        "turn": entry.turn_index,
+                        "label": entry.label.value,
+                        "ops": [op.to_json_dict() for op in entry.ops],
+                    }
+                    if entry.warning is not None:
+                        record["warning"] = entry.warning
+                    handle.write(json.dumps(record, ensure_ascii=False) + "\n")
+                final = {
                     "dialogue_id": dialogue.id,
-                    "turn": entry.turn_index,
-                    "label": entry.label.value,
-                    "ops": [op.to_json_dict() for op in entry.ops],
+                    "final_knowledge": state.grounded.to_json_dict(),
                 }
-                if entry.warning is not None:
-                    record["warning"] = entry.warning
-                handle.write(json.dumps(record, ensure_ascii=False) + "\n")
-            final = {
-                "dialogue_id": dialogue.id,
-                "final_knowledge": state.grounded.to_json_dict(),
-            }
-            handle.write(json.dumps(final, ensure_ascii=False) + "\n")
+                handle.write(json.dumps(final, ensure_ascii=False) + "\n")
+    except OSError as exc:
+        return _unwritable(args.out, exc)
     print(f"wrote grounding traces for {len(dialogues)} dialogues to {args.out}")
     return 0
 
@@ -213,9 +223,12 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     except CoverageError as exc:
         return _fail(str(exc))
     if args.out is not None:
-        Path(args.out).write_text(
-            render_report(report, ReportFormat.MACHINE) + "\n", encoding="utf-8"
-        )
+        try:
+            args.out.write_text(
+                render_report(report, ReportFormat.MACHINE) + "\n", encoding="utf-8"
+            )
+        except OSError as exc:
+            return _unwritable(args.out, exc)
     print(render_report(report, ReportFormat(args.format)))
     print(report.summary_line())
     return 0

@@ -115,13 +115,20 @@ class GoldAnnotation:
 
 
 def _iter_records(path: PathLike):
-    with open(path, encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
+    """The JSON record of each non-blank line, with its line number. A file
+    that cannot be opened, or a line that is not UTF-8 JSON, is a ``CorpusError``."""
+    try:
+        handle = open(path, "rb")
+    except OSError as exc:
+        raise CorpusError(f"{path}: {exc.strerror or exc}") from None
+    with handle:
+        for line_no, raw in enumerate(handle, start=1):
             try:
+                line = raw.decode("utf-8")
+                if not line.strip():
+                    continue
                 record = json.loads(line)
-            except (ValueError, RecursionError) as exc:  # malformed or too deeply nested
+            except (ValueError, RecursionError) as exc:  # not UTF-8, malformed or too deep
                 raise CorpusError(f"{path}: line {line_no}: {exc}") from None
             yield line_no, record
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import re
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator, Optional, Sequence, Union
 
 from .matching import perfect_matching
@@ -112,7 +112,7 @@ class ColumnKnowledge:
 _last_indexed = threading.local()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GroundedKnowledge:
     """A snapshot of what is known about the tabular dataset."""
 
@@ -121,10 +121,10 @@ class GroundedKnowledge:
     row_count: Optional[int] = None
     column_count: Optional[int] = None
     column_info: tuple[ColumnKnowledge, ...] = ()
-
-    # The ``(facts, index)`` pair a merge result carries (see
-    # :func:`fold_facts`). Not a field: equality, hashing and repr ignore it.
-    _carried = None
+    # The ``(facts, index)`` pair a merge result carries (see :func:`fold_facts`).
+    _carried: Optional[tuple[dict[int, Fact], KeyIndex]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if not isinstance(self.column_info, tuple):
@@ -214,11 +214,11 @@ def fold_facts(
     from a :class:`KeyIndex`, which gives an equivalent key the position of
     the first one, so the columns need no second check, and the fold is total.
 
-    Given ``index``, the one the positions came from, the result carries its
-    facts and that index, renumbered to the facts' order, for
-    :func:`indexed_facts`. :func:`merge` passes its index, so its result, the
-    next commit's knowledge base, is never indexed again. Any other result
-    is indexed, and checked, when it is first looked up.
+    Given ``index``, the one the positions came from, the result carries
+    ``placed`` and ``index`` for :func:`indexed_facts`. :func:`merge` passes
+    its index, so its result, the next commit's knowledge base, is never
+    indexed again. Any other result is indexed, and checked, when it is
+    first looked up.
     """
     for i, fact in positioned:
         if i in placed and fact.key.field == "column":
@@ -232,21 +232,13 @@ def fold_facts(
     for name in _SCALAR_FIELDS:
         object.__setattr__(knowledge, name, scalars.get(name))
     object.__setattr__(knowledge, "column_info", tuple(columns))
-    if index is not None:
-        # ``facts(knowledge)`` order: top-level fields in schema order, then columns.
-        scalar_at = {f.key.field: i for i, f in placed.items() if f.key.field != "column"}
-        order = [scalar_at[name] for name in _SCALAR_FIELDS if name in scalar_at]
-        order += [i for i, f in placed.items() if f.key.field == "column"]
-        index.renumber(order)
-        carried = ([placed[i] for i in order], index)
-        # A dict of its own: setting one more attribute would add its name to
-        # the keys that all knowledge bases share, making every one larger.
-        object.__setattr__(knowledge, "__dict__", {**vars(knowledge), "_carried": carried})
+    object.__setattr__(knowledge, "_carried", None if index is None else (placed, index))
     return knowledge
 
 
-def indexed_facts(knowledge: GroundedKnowledge) -> tuple[list[Fact], KeyIndex]:
-    """``facts(knowledge)`` and their :class:`KeyIndex`, neither to be changed.
+def indexed_facts(knowledge: GroundedKnowledge) -> tuple[dict[int, Fact], KeyIndex]:
+    """The facts of ``knowledge`` by position, in ``facts(knowledge)``'s
+    column order, and their :class:`KeyIndex`, neither to be changed.
 
     A merge result carries both (see :func:`fold_facts`). For any other
     knowledge base each thread keeps the pair it built last, so a knowledge
@@ -260,13 +252,14 @@ def indexed_facts(knowledge: GroundedKnowledge) -> tuple[list[Fact], KeyIndex]:
     if kb is knowledge:
         return carried
     index = KeyIndex()
-    fact_list = facts(knowledge)
-    for j, fact in enumerate(fact_list):
+    placed: dict[int, Fact] = {}
+    for fact in facts(knowledge):
         i = index.add(fact.key)
-        if i != j:
-            names = f"{fact_list[i].key.column!r} and {fact.key.column!r}"
+        if i in placed:
+            names = f"{placed[i].key.column!r} and {fact.key.column!r}"
             raise ValueError(f"columns {names} have equivalent names")
-    carried = (fact_list, index)
+        placed[i] = fact
+    carried = (placed, index)
     _last_indexed.entry = (knowledge, carried)
     return carried
 
@@ -295,8 +288,9 @@ class KeyIndex:
     """
 
     def __init__(self) -> None:
-        self._sizes: list[Optional[int]] = []  # term count; None once discarded
+        self._sizes: dict[int, int] = {}  # term count of each live position
         self._postings: dict[Any, list[int]] = {}
+        self._next = 0  # positions are never reused
 
     def find(self, key: FactKey) -> Optional[int]:
         """Lowest live position whose key is equivalent to ``key``, or None."""
@@ -312,38 +306,28 @@ class KeyIndex:
         terms = _key_terms(key)
         i = min(self._matches(terms), default=None)
         if i is None:
-            i = len(self._sizes)
-            self._sizes.append(len(terms))
+            i = self._next
+            self._next += 1
+            self._sizes[i] = len(terms)
             for term in terms:
                 self._postings.setdefault(term, []).append(i)
         return i
 
     def discard(self, position: int) -> None:
         """Retire a position: no later lookup returns it."""
-        self._sizes[position] = None
-
-    def renumber(self, order: Sequence[int]) -> None:
-        """Keep only the positions in ``order``, each moved to its place there.
-
-        Lookups keep their answers, renumbered, when ``order`` holds every
-        live position and keeps any two equivalent keys in their order.
-        """
-        if order == list(range(len(self._sizes))):
-            return
-        new = {old: i for i, old in enumerate(order)}
-        self._sizes = [self._sizes[old] for old in order]
-        postings: dict[Any, list[int]] = {}
-        for term, positions in self._postings.items():
-            kept = [new[i] for i in positions if i in new]
-            if kept:
-                postings[term] = kept
-        self._postings = postings
+        del self._sizes[position]
 
     def copy(self) -> KeyIndex:
-        """A copy to add to and discard from, leaving this index as it is."""
+        """A copy to add to and discard from, leaving this index as it is.
+        Retired positions are left out of its postings, so no posting list
+        outgrows its live keys by more than the copy's own discards."""
         copied = KeyIndex()
-        copied._sizes = self._sizes.copy()
-        copied._postings = {term: list(p) for term, p in self._postings.items()}
+        sizes = copied._sizes = self._sizes.copy()
+        copied._next = self._next
+        for term, positions in self._postings.items():
+            live = [i for i in positions if i in sizes]
+            if live:
+                copied._postings[term] = live
         return copied
 
     def _matches(self, terms: frozenset[Any]) -> Iterator[int]:
@@ -352,8 +336,7 @@ class KeyIndex:
             for i in self._postings.get(term, ()):
                 shared[i] = shared.get(i, 0) + 1
         sizes = self._sizes
-        return (i for i, k in shared.items()
-                if sizes[i] is not None and k in (len(terms), sizes[i]))
+        return (i for i, k in shared.items() if i in sizes and k in (len(terms), sizes[i]))
 
 
 EMPTY_KNOWLEDGE = GroundedKnowledge()

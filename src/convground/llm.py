@@ -191,13 +191,13 @@ class ResponseCache:
         self._lock = threading.Lock()
         if self.path.exists():
             for line_no, record in _iter_records(self.path):
-                try:
-                    self._responses[record["hash"]] = record["response"]
-                except (KeyError, TypeError):
+                if not (isinstance(record, dict) and isinstance(record.get("hash"), str)
+                        and isinstance(record.get("response"), str)):
                     raise CorpusError(
                         f"{self.path}: line {line_no}: expected an object with "
-                        "'hash' and 'response'"
-                    ) from None
+                        "text 'hash' and 'response'"
+                    )
+                self._responses[record["hash"]] = record["response"]
 
     def __len__(self) -> int:
         return len(self._responses)

@@ -86,6 +86,9 @@ def _canonicalize_entry(raw: Any) -> ColumnKnowledge:
         values = data["values"]
         if not isinstance(values, (list, tuple)):
             raise SchemaError(f"values: expected a list, got {_excerpt(values)}")
+        for value in values:
+            if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+                raise SchemaError(f"values: expected text or numbers, got {_excerpt(value)}")
         kwargs["values"] = tuple(values)
     if "distinct_count" in data:
         kwargs["distinct_count"] = _as_count("distinct_count", data["distinct_count"])

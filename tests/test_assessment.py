@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 import weakref
@@ -25,6 +26,7 @@ from convground.knowledge import (
     GroundedKnowledge,
     KeyIndex,
     facts,
+    indexed_facts,
     knowledge_equivalent,
 )
 
@@ -328,12 +330,32 @@ def test_an_annotate_chain_indexes_only_incoming_facts(monkeypatch):
 def test_an_indexed_knowledge_base_equals_hashes_and_reprs_like_a_fresh_one():
     raw = {"row_count": 5, "column_names": ["area size", "name", "2020"]}
     indexed, fresh = canonicalize(raw), canonicalize(raw)
-    commit(indexed, canonicalize({"column_name": "area", "max_value": 3}))
+    merged = commit(indexed, canonicalize({"column_name": "area", "max_value": 3}))[0]
     assert indexed.index is indexed.index
-    assert vars(indexed) == vars(fresh)
     assert indexed == fresh
     assert hash(indexed) == hash(fresh)
     assert repr(indexed) == repr(fresh)
+    # A merge result carries its facts and index; a rebuilt copy carries none.
+    rebuilt = dataclasses.replace(merged)
+    assert merged._carried is not None and rebuilt._carried is None
+    assert merged == rebuilt
+    assert hash(merged) == hash(rebuilt)
+    assert repr(merged) == repr(rebuilt)
+
+
+def test_a_chain_of_conflicts_keeps_each_posting_list_short():
+    # Each commit replaces the one column, retiring its position; copying
+    # the index for the next commit leaves the retired positions out.
+    kb = canonicalize({"column_name": "area", "min_value": 5})
+    bounds = [canonicalize({"column_name": "area", "max_value": 1}),
+              canonicalize({"column_name": "area", "min_value": 5})]
+    for n in range(2000):
+        kb, outcomes, _ = commit(kb, bounds[n % 2])
+        assert [o.verdict for o in outcomes] == [Verdict.CONFLICT]
+    kb_facts, index = indexed_facts(kb)
+    assert all(len(positions) <= 2 for positions in index._postings.values())
+    assert index._sizes.keys() == kb_facts.keys()
+    assert kb == bounds[1]
 
 
 def test_an_index_is_kept_only_for_the_knowledge_base_indexed_last():

@@ -587,10 +587,24 @@ class TestPrompts:
     (["prompts", "A", "1"], "prompts requires --corpus"),
     (["prompts", "--corpus", "{tmp}/torn.jsonl", "A", "1"],
      "{tmp}/torn.jsonl: line 1: Expecting value: line 1 column 1 (char 0)"),
+    (["ground", "--corpus", "{tmp}/latin1.jsonl", "--gold", GOLD, "--out", "{tmp}/t.jsonl"],
+     "{tmp}/latin1.jsonl: line 2: 'utf-8' codec can't decode byte 0xe9 in position 11: "
+     "invalid continuation byte"),
+    (["evaluate", "--gold", "{tmp}/missing.jsonl", "--predictions", PREDICTIONS],
+     "{tmp}/missing.jsonl: No such file or directory"),
+    (["annotate", "--corpus", CORPUS, "--gold", GOLD, "--cache", CACHE,
+      "--out", "{tmp}/missing/p.jsonl"], "{tmp}/missing/p.jsonl: No such file or directory"),
+    (["ground", "--corpus", CORPUS, "--gold", GOLD, "--out", "{tmp}/missing/t.jsonl"],
+     "{tmp}/missing/t.jsonl: No such file or directory"),
+    (["evaluate", "--gold", GOLD, "--predictions", PREDICTIONS, "--out", "{tmp}/missing/r.json"],
+     "{tmp}/missing/r.json: No such file or directory"),
 ], ids=["annotate-no-out", "annotate-no-turns", "annotate-zero-jobs", "annotate-negative-jobs",
-        "ground-no-corpus", "ground-torn-corpus", "prompts-no-corpus", "prompts-torn-corpus"])
+        "ground-no-corpus", "ground-torn-corpus", "prompts-no-corpus", "prompts-torn-corpus",
+        "ground-corpus-not-utf8", "evaluate-missing-gold", "annotate-out-unwritable",
+        "ground-out-unwritable", "evaluate-out-unwritable"])
 def test_unusable_arguments_exit_one_with_an_error_line(tmp_path, capsys, argv, error):
     (tmp_path / "torn.jsonl").write_text("not json\n", encoding="utf-8")
+    (tmp_path / "latin1.jsonl").write_bytes(b'\n{"id": "caf\xe9"}\n')
     assert run(*(arg.format(tmp=tmp_path) for arg in argv)) == 1
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -264,6 +264,12 @@ class TestCanonicalize:
         ({"column_info": [{"description": "x"}]}, "column entry is missing column_name"),
         ({"column_name": " "}, "column_name must be non-empty"),
         ({"column_name": "a", "values": "x"}, "values: expected a list, got 'x'"),
+        ({"column_name": "a", "values": [[1], {"x": 2}]},
+         "values: expected text or numbers, got [1]"),
+        ({"column_name": "a", "values": ["b", {"x": 2}]},
+         "values: expected text or numbers, got {'x': 2}"),
+        ({"column_name": "a", "values": [None]}, "values: expected text or numbers, got None"),
+        ({"column_name": "a", "values": [1, True]}, "values: expected text or numbers, got True"),
         ({"column_info": 5}, "column_info: expected a list, got 5"),
         (5, "expected a key/value tree, got int"),
         ([{"row_count": 3}, "x"], "expected objects, got 'x'"),
@@ -271,7 +277,8 @@ class TestCanonicalize:
          "column 'a': distinct_count 4 exceeds row_count 3"),
     ], ids=["count-bool", "count-fraction", "count-list", "count-negative", "number-bool",
             "number-text", "number-list", "text", "entry-not-object", "entry-unknown-key",
-            "entry-unnamed", "entry-blank-name", "values-not-list", "column-info-not-list",
+            "entry-unnamed", "entry-blank-name", "values-not-list", "values-item-list",
+            "values-item-object", "values-item-null", "values-item-bool", "column-info-not-list",
             "not-a-tree", "fragment-not-object", "fragments-distinct-count"])
     def test_ill_typed_input_rejected(self, raw, message):
         with pytest.raises(SchemaError) as info:

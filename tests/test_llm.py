@@ -139,8 +139,8 @@ class TestParseKnowledgeJson:
     @pytest.mark.parametrize("raw, twin", [
         ("{'column_name': 'nullable flag', 'description': 'share of null entries'}",
          '{"column_name": "nullable flag", "description": "share of null entries"}'),
-        ("{'column_name': 'it\\'s \"null\"', 'values': [null, 'null', \"'null'\"]}",
-         '{"column_name": "it\'s \\"null\\"", "values": [null, "null", "\'null\'"]}'),
+        ("{'column_name': 'it\\'s \"null\"', 'description': null, 'values': ['null', \"'null'\"]}",
+         '{"column_name": "it\'s \\"null\\"", "description": null, "values": ["null", "\'null\'"]}'),
     ], ids=["plain", "escapes-and-mixed-quotes"])
     def test_null_inside_a_quoted_string_stays_text(self, raw, twin):
         k = parse_knowledge_json(raw)
@@ -239,6 +239,16 @@ class TestCache:
         path = tmp_path / "cache.jsonl"
         path.write_text('{"hash": "a", "response": "x"}\n\n{"hash": "b"}\n', encoding="utf-8")
         with pytest.raises(CorpusError, match=r"cache\.jsonl: line 3: .*'response'"):
+            ResponseCache(path)
+
+    @pytest.mark.parametrize("record", [
+        '{"hash": "b", "response": 5}', '{"hash": "b", "response": null}',
+        '{"hash": 7, "response": "x"}',
+    ], ids=["numeric-response", "null-response", "numeric-hash"])
+    def test_record_with_a_field_that_is_not_text_names_file_and_line(self, tmp_path, record):
+        path = tmp_path / "cache.jsonl"
+        path.write_text('{"hash": "a", "response": "x"}\n' + record + "\n", encoding="utf-8")
+        with pytest.raises(CorpusError, match=r"cache\.jsonl: line 2: .*'response'"):
             ResponseCache(path)
 
     def test_too_deeply_nested_record_names_file_and_line(self, tmp_path):

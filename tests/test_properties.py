@@ -338,16 +338,26 @@ def test_commit_leaves_the_index_of_its_knowledge_base_unchanged(kb, delta):
 @given(POOL_KNOWLEDGE, st.lists(POOL_KNOWLEDGE, min_size=1, max_size=4))
 @settings(max_examples=300, deadline=None)
 def test_a_merge_result_carries_the_facts_and_index_of_a_fresh_build(kb, deltas):
+    pool_keys = [FactKey("row_count"), *(FactKey("column", n) for n in POOL_NAMES)]
     for delta in deltas:
         result = commit(kb, delta)[0]
         carried_facts, carried = indexed_facts(result)
+        assert {f.key: f for f in carried_facts.values()} == {f.key: f for f in facts(result)}
+        assert len(carried_facts) == len(facts(result))
+        # Columns hold positions in their order, so the lowest equivalent
+        # position is the first equivalent column.
+        columns = [f for _, f in sorted(carried_facts.items()) if f.key.field == "column"]
+        assert columns == [f for f in facts(result) if f.key.field == "column"]
+        assert carried._sizes.keys() == carried_facts.keys()
         # The constructor indexes the same knowledge afresh (evicting the
         # per-thread slot) and would raise on columns with equivalent names.
         fresh = dataclasses.replace(result)
         fresh_facts, index = indexed_facts(fresh)
-        assert carried_facts == fresh_facts == facts(result)
-        assert carried._sizes == index._sizes
-        assert carried._postings == index._postings
+        for key in pool_keys + [f.key for f in facts(result)]:
+            i, j = carried.find(key), index.find(key)
+            assert (i is None) == (j is None)
+            if i is not None:
+                assert carried_facts[i].key == fresh_facts[j].key
         if result is not kb:
             assert indexed_facts(result)[1] is carried
         kb = result
