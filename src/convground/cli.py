@@ -18,7 +18,7 @@ from .dialogue import (
     load_gold,
     save_annotations,
 )
-from .engine import _ACCEPTING, gold_extractor, gold_labeler, process_dialogue
+from .engine import gold_extractor, gold_labeler, process_dialogue
 from .evaluation import CoverageError, ReportFormat, render_report, score
 from .knowledge import EMPTY_KNOWLEDGE
 from .llm import (
@@ -102,7 +102,7 @@ def _annotate_dialogue(
             skipped.append(("unparseable replies", f"{where}: {exc}"))
             continue
         annotations.append(GoldAnnotation(turn_index, label, knowledge))
-        if args.incremental_kb and label in _ACCEPTING:
+        if args.incremental_kb and label.accepts:
             # Incremental mode: the extracted delta feeds the running KB
             # instead of regenerating everything from scratch next turn. A
             # commit that changes nothing returns the same object, and the
@@ -119,8 +119,8 @@ def cmd_annotate(args: argparse.Namespace) -> int:
     if args.jobs < 1:
         return _fail("--jobs must be at least 1")
     mode = CacheMode(args.cache_mode)
-    if mode is CacheMode.REPLAY and args.cache is None:
-        return _fail("replay mode requires --cache")
+    if mode is not CacheMode.LIVE and args.cache is None:
+        return _fail(f"{mode.value} mode requires --cache")
     if mode is not CacheMode.REPLAY and not (args.endpoint or os.environ.get(ENDPOINT_ENV)):
         return _fail(f"{mode.value} mode requires --endpoint or {ENDPOINT_ENV}")
     try:

@@ -49,6 +49,12 @@ class GroundingLabel(enum.Enum):
             self.value
         ]
 
+    @property
+    def accepts(self) -> bool:
+        """True for explicit and implicit acceptance, the acts that commit
+        what is pending."""
+        return self is GroundingLabel.EXPLICIT or self is GroundingLabel.IMPLICIT
+
     @classmethod
     def parse(cls, text: str) -> "GroundingLabel":
         if not isinstance(text, str):
@@ -134,19 +140,28 @@ def _iter_records(path: PathLike):
 
 
 def load_dialogues(path: PathLike) -> list[Dialogue]:
-    """Load a line-delimited dialogue corpus, validating turn indices."""
+    """Load a line-delimited dialogue corpus, validating turn indices.
+
+    Each dialogue id is defined at most once.
+    """
     dialogues: list[Dialogue] = []
+    first_lines: dict[str, int] = {}
     for line_no, record in _iter_records(path):
         try:
             turns = tuple(
                 Turn(index=t["index"], role=Role.parse(t["role"]), text=t["text"])
                 for t in record["turns"]
             )
-            dialogues.append(
-                Dialogue(id=record["id"], domain_tag=record.get("domain", ""), turns=turns)
-            )
+            dialogue = Dialogue(id=record["id"], domain_tag=record.get("domain", ""), turns=turns)
         except (KeyError, TypeError, ValueError) as exc:
             raise CorpusError(f"{path}: line {line_no}: {exc}") from None
+        first = first_lines.setdefault(dialogue.id, line_no)
+        if first != line_no:
+            raise CorpusError(
+                f"{path}: line {line_no}: dialogue {dialogue.id!r} "
+                f"is already defined on line {first}"
+            )
+        dialogues.append(dialogue)
     return dialogues
 
 
@@ -168,7 +183,8 @@ def load_gold(
                 raise CorpusError(f"dialogue_id: expected text, got {dialogue_id!r}")
             turn_index = record["turn_index"]
             label = GroundingLabel.parse(record["label"])
-            knowledge = canonicalize(record.get("knowledge") or {})
+            raw = record.get("knowledge")  # absent or null: no knowledge
+            knowledge = canonicalize({} if raw is None else raw)
             annotation = GoldAnnotation(turn_index, label, knowledge)
         except (KeyError, TypeError, ValueError, SchemaError) as exc:
             raise CorpusError(f"{path}: line {line_no}: {exc}") from None

@@ -40,9 +40,6 @@ class GroundingState:
     history: tuple[TurnTrace, ...] = ()
 
 
-_ACCEPTING = (GroundingLabel.EXPLICIT, GroundingLabel.IMPLICIT)
-
-
 def present(state: GroundingState, facts: GroundedKnowledge) -> GroundingState:
     """Stage presented facts in the pending buffer.
 
@@ -66,17 +63,15 @@ def observe_label(
 ) -> GroundingState:
     """Advance the state machine with the grounding act of one turn.
 
-    Explicit and implicit acts commit the pending facts together with the
-    facts extracted from the accepting turn itself. Clarification and
-    no-event turns only append to the history and keep the pending facts
-    staged; the turn's own facts are not staged here (a provider turn's were
-    already presented, see :func:`process_dialogue`).
+    An accepting act (see :attr:`GroundingLabel.accepts`) stages the facts
+    extracted from the turn itself with :func:`present` and commits the
+    pending facts. Clarification and no-event turns only append to the
+    history and keep the pending facts staged; the turn's own facts are not
+    staged here (a provider turn's were already presented, see
+    :func:`process_dialogue`).
     """
-    if label in _ACCEPTING:
-        combined = state.pending
-        if not turn_facts.is_empty:
-            combined, _, _ = commit(combined, turn_facts)
-        grounded, _, ops = commit(state.grounded, combined)
+    if label.accepts:
+        grounded, _, ops = commit(state.grounded, present(state, turn_facts).pending)
         entry = TurnTrace(turn.index, label, turn_facts, tuple(ops))
         history = state.history + (entry,)
         return replace(state, grounded=grounded, pending=EMPTY_KNOWLEDGE, history=history)

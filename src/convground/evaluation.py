@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import enum
 import json
+from collections import Counter
 from dataclasses import dataclass
 from typing import Any
 
@@ -33,22 +34,43 @@ class TurnResult:
     turn_index: int
     gold_label: GroundingLabel
     predicted_label: GroundingLabel
-    label_correct: bool
     knowledge_verdict: KnowledgeVerdict
+
+    @property
+    def label_correct(self) -> bool:
+        return self.predicted_label is self.gold_label
 
 
 @dataclass
 class EvalReport:
+    """One result per scored gold turn; every count is derived from them."""
+
     per_turn: list[TurnResult]
-    confusion: dict[tuple[GroundingLabel, GroundingLabel], int]
-    per_label_accuracy: dict[GroundingLabel, tuple[int, int]]
-    knowledge_accuracy: tuple[int, int]
+
+    @property
+    def confusion(self) -> dict[tuple[GroundingLabel, GroundingLabel], int]:
+        """Turns per (gold, predicted) label pair that occurs."""
+        return dict(Counter((r.gold_label, r.predicted_label) for r in self.per_turn))
+
+    @property
+    def per_label_accuracy(self) -> dict[GroundingLabel, tuple[int, int]]:
+        """(correct, total) turns per gold label, in ``SCORED_LABELS`` order."""
+        counts = {label: (0, 0) for label in SCORED_LABELS}
+        for r in self.per_turn:
+            correct, total = counts[r.gold_label]
+            counts[r.gold_label] = (correct + r.label_correct, total + 1)
+        return counts
+
+    @property
+    def knowledge_accuracy(self) -> tuple[int, int]:
+        """(equivalent, total) over the turns with gold knowledge."""
+        judged = [r.knowledge_verdict for r in self.per_turn
+                  if r.knowledge_verdict is not KnowledgeVerdict.NO_GOLD]
+        return judged.count(KnowledgeVerdict.EQUIVALENT), len(judged)
 
     @property
     def label_accuracy(self) -> tuple[int, int]:
-        correct = sum(c for c, _ in self.per_label_accuracy.values())
-        total = sum(t for _, t in self.per_label_accuracy.values())
-        return correct, total
+        return sum(r.label_correct for r in self.per_turn), len(self.per_turn)
 
     def summary_line(self) -> str:
         parts = [
@@ -60,6 +82,7 @@ class EvalReport:
         return ", ".join(parts)
 
     def to_json_dict(self) -> dict[str, Any]:
+        confusion = self.confusion
         return {
             "per_turn": [
                 {
@@ -74,7 +97,7 @@ class EvalReport:
             ],
             "confusion": {
                 gold.value: {
-                    pred.value: self.confusion.get((gold, pred), 0)
+                    pred.value: confusion.get((gold, pred), 0)
                     for pred in SCORED_LABELS
                 }
                 for gold in SCORED_LABELS
@@ -98,12 +121,6 @@ def score(
     judge. Gold turns with no annotated knowledge are scored on label only.
     """
     per_turn: list[TurnResult] = []
-    confusion: dict[tuple[GroundingLabel, GroundingLabel], int] = {}
-    per_label: dict[GroundingLabel, list[int]] = {
-        label: [0, 0] for label in SCORED_LABELS
-    }
-    k_correct = k_total = 0
-
     for dialogue_id in sorted(gold):
         predicted_by_turn = {
             p.turn_index: p for p in predictions.get(dialogue_id, [])
@@ -115,42 +132,24 @@ def score(
                     f"no prediction for dialogue {dialogue_id!r} "
                     f"turn {annotation.turn_index}"
                 )
-            label_correct = predicted.label is annotation.label
             if annotation.knowledge_delta.is_empty:
                 verdict = KnowledgeVerdict.NO_GOLD
             elif knowledge_equivalent(
                 predicted.knowledge_delta, annotation.knowledge_delta
             ):
                 verdict = KnowledgeVerdict.EQUIVALENT
-                k_correct += 1
-                k_total += 1
             else:
                 verdict = KnowledgeVerdict.NOT_EQUIVALENT
-                k_total += 1
             per_turn.append(
                 TurnResult(
                     dialogue_id,
                     annotation.turn_index,
                     annotation.label,
                     predicted.label,
-                    label_correct,
                     verdict,
                 )
             )
-            key = (annotation.label, predicted.label)
-            confusion[key] = confusion.get(key, 0) + 1
-            per_label[annotation.label][1] += 1
-            if label_correct:
-                per_label[annotation.label][0] += 1
-
-    return EvalReport(
-        per_turn=per_turn,
-        confusion=confusion,
-        per_label_accuracy={
-            label: (c, t) for label, (c, t) in per_label.items()
-        },
-        knowledge_accuracy=(k_correct, k_total),
-    )
+    return EvalReport(per_turn)
 
 
 class ReportFormat(enum.Enum):

@@ -57,6 +57,7 @@ def _texts_equivalent(a: str, b: str) -> bool:
     return a == b or terms_equivalent(a, b)
 
 
+_SCALAR_FIELDS = ("table_domain", "table_content", "row_count", "column_count")
 _COLUMN_FIELDS = ("description", "values", "distinct_count", "min_value", "max_value")
 _TEXT_FIELDS = frozenset({"table_domain", "table_content", "description"})
 
@@ -129,30 +130,15 @@ class GroundedKnowledge:
     def __post_init__(self) -> None:
         if not isinstance(self.column_info, tuple):
             object.__setattr__(self, "column_info", tuple(self.column_info))
-        self.index  # rejects equivalent names
-
-    @property
-    def index(self) -> KeyIndex:
-        """The :class:`KeyIndex` of ``facts(self)``, never changed once built.
-        A merge result comes with its index and facts (see :func:`fold_facts`);
-        any other knowledge base is indexed when first looked up, and each
-        thread keeps the last one it indexed (see :func:`indexed_facts`).
-        Raises ``ValueError`` for columns with equivalent names."""
-        return indexed_facts(self)[1]
+        indexed_facts(self)  # rejects equivalent names
 
     @property
     def is_empty(self) -> bool:
-        return (
-            self.table_domain is None
-            and self.table_content is None
-            and self.row_count is None
-            and self.column_count is None
-            and not self.column_info
-        )
+        return not self.column_info and all(getattr(self, n) is None for n in _SCALAR_FIELDS)
 
     def to_json_dict(self) -> dict[str, Any]:
         out: dict[str, Any] = {}
-        for name in ("table_domain", "table_content", "row_count", "column_count"):
+        for name in _SCALAR_FIELDS:
             value = getattr(self, name)
             if value is not None:
                 out[name] = value
@@ -164,9 +150,6 @@ class GroundedKnowledge:
 # ---------------------------------------------------------------------------
 # Facts: the atomic grounded elements a knowledge object decomposes into.
 # ---------------------------------------------------------------------------
-
-_SCALAR_FIELDS = ("table_domain", "table_content", "row_count", "column_count")
-
 
 @dataclass(frozen=True)
 class FactKey:
@@ -291,10 +274,6 @@ class KeyIndex:
         self._sizes: dict[int, int] = {}  # term count of each live position
         self._postings: dict[Any, list[int]] = {}
         self._next = 0  # positions are never reused
-
-    def find(self, key: FactKey) -> Optional[int]:
-        """Lowest live position whose key is equivalent to ``key``, or None."""
-        return min(self.matches(key), default=None)
 
     def matches(self, key: FactKey) -> Iterator[int]:
         """The live positions whose keys are equivalent to ``key``, in no set order."""

@@ -331,7 +331,7 @@ def test_an_indexed_knowledge_base_equals_hashes_and_reprs_like_a_fresh_one():
     raw = {"row_count": 5, "column_names": ["area size", "name", "2020"]}
     indexed, fresh = canonicalize(raw), canonicalize(raw)
     merged = commit(indexed, canonicalize({"column_name": "area", "max_value": 3}))[0]
-    assert indexed.index is indexed.index
+    assert indexed_facts(indexed)[1] is indexed_facts(indexed)[1]
     assert indexed == fresh
     assert hash(indexed) == hash(fresh)
     assert repr(indexed) == repr(fresh)
@@ -363,10 +363,10 @@ def test_an_index_is_kept_only_for_the_knowledge_base_indexed_last():
     # live for a whole run; its index must not live as long.
     annotation = canonicalize({"column_names": ["area size", "name"]})
     commit(annotation, canonicalize({"column_name": "area", "max_value": 3}))
-    index = weakref.ref(annotation.index)
+    index = weakref.ref(indexed_facts(annotation)[1])
     commit(canonicalize({"row_count": 5}), annotation)
     assert index() is None
-    assert annotation.index.find(FactKey("column", "area")) == 0
+    assert min(indexed_facts(annotation)[1].matches(FactKey("column", "area")), default=None) == 0
 
 
 def test_names_without_content_tokens_equal_themselves():

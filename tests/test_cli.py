@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import http.server
 import json
 import re
@@ -327,6 +328,17 @@ class TestAnnotate:
         )
         assert not out.exists()
 
+    def test_record_mode_without_cache_fails_before_any_turn(self, tmp_path, capsys, monkeypatch):
+        # Without a cache, record mode would send every request and keep no reply.
+        monkeypatch.setattr("convground.cli.complete", pytest.fail)
+        out = tmp_path / "out.jsonl"
+        assert run(
+            "annotate", "--corpus", CORPUS, "--gold", GOLD, "--mode", "record",
+            "--endpoint", "http://127.0.0.1:9", "--out", str(out),
+        ) == 1
+        assert capsys.readouterr().err == "error: record mode requires --cache\n"
+        assert not out.exists()
+
     def test_refused_request_is_listed_and_other_turns_run(self, tmp_path, capsys):
         bodies = []
 
@@ -630,6 +642,51 @@ def test_a_turn_annotated_twice_exits_one(tmp_path, capsys, command):
         f"error: {gold}: line {len(lines) + 1}: dialogue 'A' turn 2 "
         f"is already annotated on line {first}\n"
     )
+
+
+@pytest.mark.parametrize("command", ["annotate", "ground"])
+def test_a_dialogue_defined_twice_exits_one(tmp_path, capsys, command):
+    # Two copies of one dialogue would be annotated or traced under one id.
+    lines = fixtures.path(fixtures.DIALOGUES).read_text(encoding="utf-8").splitlines()
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text("\n".join(lines + [lines[0]]) + "\n", encoding="utf-8")
+    out = tmp_path / "out.jsonl"
+    argv = ["--corpus", str(corpus), "--gold", GOLD, "--out", str(out)]
+    if command == "annotate":
+        argv += ["--cache", CACHE]
+    assert run(command, *argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: {corpus}: line {len(lines) + 1}: dialogue 'A' is already defined on line 1\n"
+    )
+    assert not out.exists()
+
+
+def test_fixture_outputs_keep_their_bytes(tmp_path, capsys):
+    # SHA-256 of the evaluation report and grounding traces on the fixtures.
+    def sha256(data):
+        return hashlib.sha256(data).hexdigest()
+
+    report = tmp_path / "report.json"
+    assert run(
+        "evaluate", "--corpus", CORPUS, "--gold", GOLD, "--predictions", PREDICTIONS,
+        "--out", str(report),
+    ) == 0
+    assert sha256(capsys.readouterr().out.encode("utf-8")) == (
+        "aeace689b954ea8bec5aee68817eba5a3a3f36103212863a9ad65f1d2f326d6d"
+    )
+    assert sha256(report.read_bytes()) == (
+        "e74ca359782ab9238095309bee5bb7c1eca6173fdfbe33d8a22deefe762866c3"
+    )
+    for source, path, expected in [
+        ("--gold", GOLD, "62aa85a121669f33b26a02bc968a1767b20b59d3b6ae7d43b28dccfc0ab17622"),
+        ("--predictions", PREDICTIONS,
+         "d12cb8689e517b8e6f400c98472d035fc41dc4101b8e6523d2961b5ad7cab457"),
+    ]:
+        trace = tmp_path / "trace.jsonl"
+        assert run("ground", "--corpus", CORPUS, source, path, "--out", str(trace)) == 0
+        assert sha256(trace.read_bytes()) == expected
 
 
 def test_unknown_subcommand_rejected():

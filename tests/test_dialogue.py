@@ -147,13 +147,26 @@ def test_ill_typed_corpus_record_names_file_and_line(tmp_path, line, message):
     ("turn_index", 1.7, "turn_index: expected an integer, got 1.7"),
     ("turn_index", True, "turn_index: expected an integer, got True"),
     ("dialogue_id", ["A"], "dialogue_id: expected text, got \\['A'\\]"),
-], ids=["label", "index-float", "index-true", "dialogue-id"])
+    ("knowledge", 0, "expected a key/value tree, got int"),
+    ("knowledge", False, "expected a key/value tree, got bool"),
+    ("knowledge", "", "expected a key/value tree, got str"),
+], ids=["label", "index-float", "index-true", "dialogue-id",
+        "knowledge-zero", "knowledge-false", "knowledge-empty-text"])
 def test_ill_typed_gold_record_names_file_and_line(tmp_path, field, value, message):
     record = {"dialogue_id": "A", "turn_index": 2, "label": "explicit", "knowledge": {}}
     path = tmp_path / "gold.jsonl"
     path.write_text(json.dumps(record) + "\n" + json.dumps({**record, field: value}) + "\n")
     with pytest.raises(CorpusError, match=rf"gold\.jsonl: line 2: {message}"):
         load_gold(path)
+
+
+@pytest.mark.parametrize("record", [
+    {"knowledge": None}, {}, {"knowledge": []},
+], ids=["null", "absent", "no-fragments"])
+def test_knowledge_that_is_null_absent_or_no_fragments_is_empty(tmp_path, record):
+    path = tmp_path / "gold.jsonl"
+    path.write_text(json.dumps({"dialogue_id": "A", "turn_index": 2, "label": "explicit", **record}))
+    assert load_gold(path)["A"][0].knowledge_delta.is_empty
 
 
 @pytest.mark.parametrize("turn_index", [0, -3])
@@ -170,20 +183,23 @@ def test_gold_turn_index_below_one_names_file_and_line(tmp_path, turn_index):
         load_gold(path)
 
 
-@pytest.mark.parametrize("corpus_turn, gold_records, message", [
-    ({"index": 1, "role": "narrator", "text": "hi"}, [],
+@pytest.mark.parametrize("corpus_turns, gold_records, message", [
+    ([{"index": 1, "role": "narrator", "text": "hi"}], [],
      r"corpus\.jsonl: line 1: unknown role 'narrator'"),
-    ({"index": 1, "role": "seeker", "text": "hi"},
+    ([{"index": 1, "role": "seeker", "text": "hi"}],
      [{"dialogue_id": "x", "turn_index": 2, "label": "explicit"}],
      r"gold\.jsonl: line 1: dialogue 'x' has no turn 2"),
-    ({"index": 1, "role": "seeker", "text": "hi"},
+    ([{"index": 1, "role": "seeker", "text": "hi"}],
      [{"dialogue_id": "x", "turn_index": 1, "label": "explicit"},
       {"dialogue_id": "x", "turn_index": 1, "label": "implicit"}],
      r"gold\.jsonl: line 2: dialogue 'x' turn 1 is already annotated on line 1"),
-], ids=["unknown-role", "turn-beyond-dialogue", "turn-annotated-twice"])
-def test_inconsistent_record_names_file_and_line(tmp_path, corpus_turn, gold_records, message):
+    ([{"index": 1, "role": "seeker", "text": "hi"}, {"index": 1, "role": "seeker", "text": "yo"}],
+     [], r"corpus\.jsonl: line 2: dialogue 'x' is already defined on line 1"),
+], ids=["unknown-role", "turn-beyond-dialogue", "turn-annotated-twice", "dialogue-defined-twice"])
+def test_inconsistent_record_names_file_and_line(tmp_path, corpus_turns, gold_records, message):
+    # One corpus line, dialogue "x", per turn.
     corpus, gold = tmp_path / "corpus.jsonl", tmp_path / "gold.jsonl"
-    corpus.write_text(_corpus_line(corpus_turn) + "\n")
+    corpus.write_text("".join(_corpus_line(turn) + "\n" for turn in corpus_turns))
     gold.write_text("".join(json.dumps(r) + "\n" for r in gold_records))
     with pytest.raises(CorpusError, match=message):
         load_gold(gold, load_dialogues(corpus))

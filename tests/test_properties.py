@@ -222,7 +222,7 @@ def test_key_index_returns_first_live_equivalent_position(ops):
             None,
         )
         if op == "find":
-            assert index.find(arg) == first
+            assert min(index.matches(arg), default=None) == first
             continue
         if first is None:
             first = len(slots)
@@ -330,9 +330,9 @@ def test_commit_over_overlapping_names_targets_exact_keys(kb, delta):
 @settings(max_examples=300, deadline=None)
 def test_commit_leaves_the_index_of_its_knowledge_base_unchanged(kb, delta):
     keys = [FactKey("row_count"), *(FactKey("column", n) for n in POOL_NAMES)]
-    before = [kb.index.find(key) for key in keys]
+    before = [min(indexed_facts(kb)[1].matches(key), default=None) for key in keys]
     commit(kb, delta)
-    assert [kb.index.find(key) for key in keys] == before
+    assert [min(indexed_facts(kb)[1].matches(key), default=None) for key in keys] == before
 
 
 @given(POOL_KNOWLEDGE, st.lists(POOL_KNOWLEDGE, min_size=1, max_size=4))
@@ -354,7 +354,7 @@ def test_a_merge_result_carries_the_facts_and_index_of_a_fresh_build(kb, deltas)
         fresh = dataclasses.replace(result)
         fresh_facts, index = indexed_facts(fresh)
         for key in pool_keys + [f.key for f in facts(result)]:
-            i, j = carried.find(key), index.find(key)
+            i, j = min(carried.matches(key), default=None), min(index.matches(key), default=None)
             assert (i is None) == (j is None)
             if i is not None:
                 assert carried_facts[i].key == fresh_facts[j].key
