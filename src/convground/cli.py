@@ -131,6 +131,11 @@ def cmd_annotate(args: argparse.Namespace) -> int:
         return _fail(str(exc))
     if not args.all_turns and gold is None:
         return _fail("annotate needs --gold to select turns (or pass --all-turns)")
+    if mode is CacheMode.RECORD:
+        try:
+            cache.check_writable()
+        except OSError as exc:
+            return _unwritable(args.cache, exc)
 
     def annotate(dialogue: Dialogue):
         if args.all_turns:

@@ -27,21 +27,19 @@ STOPWORDS = frozenset({
 })
 
 _UNIT_TOKENS = frozenset({"km2", "m2", "kg", "km", "m", "%"})
-_NON_WORD = re.compile(r"[^0-9a-z%]+")
+_DROPPED = STOPWORDS | _UNIT_TOKENS
+_WORD = re.compile(r"[0-9a-z%]+")
 
 
 def normalize_term(term: str) -> frozenset[str]:
     """Reduce a surface term to its set of content tokens.
 
-    Lowercases, strips punctuation, and drops stopwords, unit tokens, and
-    purely numeric tokens. The result may be empty.
+    Lowercases, splits into the maximal runs of ``[0-9a-z%]``, and drops
+    stopwords, unit tokens, and purely numeric tokens. The result may be empty.
     """
-    tokens = _NON_WORD.sub(" ", term.lower()).split()
     # Tokens hold only ASCII [0-9a-z%], so ``isdigit`` means a number.
-    return frozenset(
-        t for t in tokens
-        if t not in STOPWORDS and t not in _UNIT_TOKENS and not t.isdigit()
-    )
+    tokens = _WORD.findall(term.lower())
+    return frozenset([t for t in tokens if t not in _DROPPED and not t.isdigit()])
 
 
 def terms_equivalent(a: str, b: str) -> bool:
@@ -350,27 +348,38 @@ def _lists_equivalent(a: Sequence[Scalar], b: Sequence[Scalar]) -> bool:
     """Multiset equivalence of two ``values`` lists.
 
     Two strings match when :func:`_texts_equivalent` holds, any other pair
-    only when ``==``. Each string is normalised once per call, not once per
-    compared pair. A non-string gets an empty token set, so, like a string
-    without content tokens, only ``==`` can match it (and no string equals a
-    non-string). Both sides are sorted first so that equal values meet at
-    the same position, where the matcher tries them before anything else;
-    lists that are then equal item by item need no normalisation at all.
+    only when identical or ``==``. Lists equal item by item once both are
+    sorted need no normalisation at all; the sort serves only that check.
+    Otherwise each distinct string is normalised once, and each left value
+    is seeded with a right value from the same bucket: its content tokens,
+    or, when it has none (a number, "2020", "%"), the value itself. Only the
+    values left over are searched for, and that search may re-route seeded
+    pairs, since equivalence is not transitive.
     """
     if len(a) != len(b):
         return False
-    a, b = sorted(a, key=str), sorted(b, key=str)
-    if a == b:
+    if sorted(a, key=str) == sorted(b, key=str):
         return True
-    no_tokens: frozenset[str] = frozenset()
-    ta = [normalize_term(v) if isinstance(v, str) else no_tokens for v in a]
-    tb = [normalize_term(v) if isinstance(v, str) else no_tokens for v in b]
+    # A non-string has no entry, so, like a string without content tokens,
+    # it is bucketed by itself and only identity or ``==`` can match it.
+    terms = {v: normalize_term(v) for v in {*a, *b} if isinstance(v, str)}
+    buckets: dict[Any, list[int]] = {}
+    for j, y in enumerate(b):
+        buckets.setdefault(terms.get(y) or y, []).append(j)
+    seed = {}
+    for i, x in enumerate(a):
+        bucket = buckets.get(terms.get(x) or x)
+        if bucket:
+            seed[i] = bucket.pop()
 
     def eq(i: int, j: int) -> bool:
-        x, y = ta[i], tb[j]
-        return a[i] == b[j] or (bool(x) and bool(y) and (x <= y or y <= x))
+        x, y = a[i], b[j]
+        if x is y or x == y:
+            return True
+        tx, ty = terms.get(x), terms.get(y)
+        return bool(tx and ty) and (tx <= ty or ty <= tx)
 
-    return perfect_matching(len(a), len(b), eq)
+    return perfect_matching(len(a), len(b), eq, seed)
 
 
 def _field_values_equivalent(field: str, a: Any, b: Any) -> bool:
@@ -386,7 +395,7 @@ def _field_values_equivalent(field: str, a: Any, b: Any) -> bool:
         return _lists_equivalent(a, b)
     if field in _TEXT_FIELDS:
         return _texts_equivalent(str(a), str(b))
-    return a == b
+    return a is b or a == b
 
 
 def columns_equivalent(a: ColumnKnowledge, b: ColumnKnowledge) -> bool:

@@ -205,13 +205,27 @@ class ResponseCache:
     def get(self, key: str) -> Optional[str]:
         return self._responses.get(key)
 
+    def check_writable(self) -> None:
+        """Check that :meth:`put` can append to the file: create its
+        directory and open the file for append, removing the file again if
+        this made it, so that a run that keeps no reply leaves none.
+
+        Raises ``OSError`` when the file cannot be written, so that record
+        mode fails before it pays for a reply it could not keep.
+        """
+        self.path.parent.mkdir(parents=True, exist_ok=True)
+        made = not self.path.exists()
+        open(self.path, "ab").close()
+        if made:
+            self.path.unlink()
+
     def put(self, key: str, request: CompletionRequest, response: str) -> None:
-        """Store and append one record; safe to call from several threads."""
+        """Store and append one record; safe to call from several threads.
+        The file's directory must exist (see :meth:`check_writable`)."""
         record = {"hash": key, "request": request.wire_body(), "response": response}
         line = (json.dumps(record, ensure_ascii=False) + "\n").encode("utf-8")
         with self._lock:
             self._responses[key] = response
-            self.path.parent.mkdir(parents=True, exist_ok=True)
             with open(self.path, "ab") as handle:
                 handle.write(line)
 

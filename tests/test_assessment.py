@@ -206,6 +206,13 @@ class TestUpdateRule:
         (column,) = merged.column_info
         assert math.isnan(column.min_value) and column.max_value == 3
 
+    def test_a_column_with_a_nan_bound_matches_itself(self):
+        kb = parse_knowledge_json('{"column_name": "area", "min_value": NaN, "max_value": 3}')
+        merged, outcomes, ops = commit(kb, kb)
+        assert [o.verdict for o in outcomes] == [Verdict.MATCH]
+        assert [op.op for op in ops] == [OpKind.INSTANTIATE_NODE]
+        assert merged.column_info == kb.column_info
+
 
 def test_commit_indexes_each_name_once(monkeypatch):
     calls = []

@@ -339,6 +339,23 @@ class TestAnnotate:
         assert capsys.readouterr().err == "error: record mode requires --cache\n"
         assert not out.exists()
 
+    def test_record_mode_with_an_unwritable_cache_fails_before_any_request(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # A cache path under a regular file can never be created, and a reply
+        # paid for before that shows would be lost.
+        monkeypatch.setattr("convground.llm._post", lambda *_: pytest.fail("a request was sent"))
+        blocker = tmp_path / "FILE"
+        blocker.write_text("")
+        cache, out = blocker / "cache.jsonl", tmp_path / "out.jsonl"
+        assert run(
+            "annotate", "--corpus", CORPUS, "--gold", GOLD, "--mode", "record",
+            "--endpoint", "http://127.0.0.1:9", "--cache", str(cache), "--out", str(out),
+        ) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cache}: ") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_refused_request_is_listed_and_other_turns_run(self, tmp_path, capsys):
         bodies = []
 

@@ -10,7 +10,11 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-PINNED = "34bc9ffdb57ce53a18142f219623268be3190ab3b87fb355e286871367654b5b"
+# The digest's NaN bound is one float object throughout, as ``json`` reads
+# every NaN. A value equals another when identical or ``==``, so a column now
+# matches itself with that bound instead of conflicting with itself. Before
+# that rule, the digest was 34bc9ffd..., from the same 103 raised cases.
+PINNED = "0f5ec3937d1eb842d7d2c8387dd07039e04968970391d35547831c11f2d1f141"
 
 
 def test_commit_digest_is_pinned():

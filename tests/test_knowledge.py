@@ -1,3 +1,6 @@
+import json
+import random
+
 import pytest
 
 from convground import knowledge
@@ -15,6 +18,7 @@ from convground import (
     knowledge_equivalent,
     merge,
     normalize_term,
+    parse_knowledge_json,
     plan_ops,
     terms_equivalent,
 )
@@ -176,6 +180,73 @@ def test_equal_lists_need_no_normalisation(monkeypatch):
     values = [f"city {i}" for i in range(64)]
     assert _lists_equivalent(values, list(reversed(values)))
     assert calls == []
+
+
+def test_a_seeded_pair_is_re_routed_when_the_search_needs_its_right_index():
+    # Left 0 matches rights 0 and 1, left 1 only right 0. The seed gives
+    # right 0 to left 0, so left 1's search must move left 0 to right 1.
+    pairs = {(0, 0), (0, 1), (1, 0)}
+    assert perfect_matching(2, 2, lambda i, j: (i, j) in pairs, {0: 0})
+    assert not perfect_matching(2, 2, lambda i, j: (i, j) in pairs - {(0, 1)}, {0: 0})
+
+
+def test_the_search_repairs_a_seed_that_is_not_transitive():
+    # "area size" is seeded with "area size", so "area" only meets "size"
+    # after the search moves "area size" over to it.
+    assert _lists_equivalent(["area size", "area"], ["area size", "size"])
+    assert _lists_equivalent(["area", "area size"], ["size", "area size"])
+
+
+def count_eq_calls(monkeypatch):
+    """Count the ``eq`` calls of the list judge's matcher; returns a one-item list."""
+    calls = [0]
+
+    def counted(n_left, n_right, eq, seed=None):
+        def counted_eq(i, j):
+            calls[0] += 1
+            return eq(i, j)
+
+        return perfect_matching(n_left, n_right, counted_eq, seed)
+
+    monkeypatch.setattr(knowledge, "perfect_matching", counted)
+    return calls
+
+
+def test_case_variants_are_paired_without_an_eq_call(monkeypatch):
+    calls = count_eq_calls(monkeypatch)
+    words = [f"word{chr(ord('a') + i % 26)}{i // 26}" for i in range(64)]
+    forms = (str, str.title, str.upper, lambda w: f"{w}.")
+    variants = [forms[i % 4](w) for i, w in enumerate(words)]
+    random.Random(0).shuffle(variants)
+    assert _lists_equivalent(words, variants)
+    assert calls == [0]
+
+
+def test_a_near_miss_normalises_each_distinct_string_once(monkeypatch):
+    calls = count_normalize_calls(monkeypatch)
+    left = ["area"] * 11 + ["budget"]
+    right = ["Area"] * 11 + ["river"]
+    assert not _lists_equivalent(left, right)
+    assert sorted(calls) == ["Area", "area", "budget", "river"]
+
+
+class TestIdenticalOrEqual:
+    """Two values are equal when identical or ``==``, the rule Python's
+    containers use. ``json`` reads every NaN as one float object, which is
+    not ``==`` to itself."""
+
+    def test_a_lone_nan_value_equals_itself(self):
+        assert _lists_equivalent(json.loads("[NaN]"), json.loads("[NaN]"))
+
+    def test_a_nan_value_beside_case_variants(self):
+        assert _lists_equivalent(json.loads('[NaN, "x"]'), json.loads('[NaN, "X"]'))
+
+    def test_two_nan_objects_are_not_equal(self):
+        assert not _lists_equivalent([float("nan"), "x"], [float("nan"), "X"])
+
+    def test_a_column_with_a_nan_bound_is_equivalent_to_itself(self):
+        kb = parse_knowledge_json('{"column_name": "area", "min_value": NaN, "max_value": 3}')
+        assert knowledge_equivalent(kb, kb)
 
 
 def test_commit_normalises_each_column_name_a_bounded_number_of_times(monkeypatch):

@@ -228,6 +228,22 @@ class TestCache:
         reloaded = ResponseCache(tmp_path / "cache.jsonl")
         assert reloaded.get(request_hash(request)) == "Output label: explicit"
 
+    def test_a_writable_check_makes_the_directory_and_leaves_no_file(self, tmp_path):
+        path = tmp_path / "new" / "dir" / "cache.jsonl"
+        cache = ResponseCache(path)
+        cache.check_writable()
+        assert path.parent.is_dir() and not path.exists()
+        request = make_request()
+        cache.put(request_hash(request), request, "Output label: explicit")
+        assert ResponseCache(path).get(request_hash(request)) == "Output label: explicit"
+        cache.check_writable()  # an existing file is kept as it is
+        assert len(path.read_bytes().splitlines()) == 1
+
+    def test_a_writable_check_under_a_regular_file_raises(self, tmp_path):
+        (tmp_path / "FILE").write_text("")
+        with pytest.raises(OSError):
+            ResponseCache(tmp_path / "FILE" / "cache.jsonl").check_writable()
+
     def test_replay_miss_names_hash(self, tmp_path):
         cache = ResponseCache(tmp_path / "cache.jsonl")
         request = make_request()

@@ -2,7 +2,9 @@
 
 import dataclasses
 import itertools
+import math
 import re
+from unittest import mock
 
 import hypothesis.strategies as st
 import pytest
@@ -31,6 +33,7 @@ from convground.knowledge import (
     indexed_facts,
     normalize_term,
 )
+from convground.matching import perfect_matching
 
 # Single-word names from disjoint vocabularies so that no two generated
 # columns ever have equivalent names.
@@ -259,21 +262,22 @@ def test_constructor_rejects_exactly_equivalent_pairs(names):
 
 
 # Overlapping terms with repeats, plus numeric-only text whose token set is
-# empty (so only == matches it) and the numbers it must not match.
+# empty (so only == matches it), the numbers it must not match, and one NaN
+# object, equal only to itself.
 LIST_VALUES = st.sampled_from(
-    ("area", "Area", "area size", "area total", "size", "12", "12.0", 12, 12.0)
+    ("area", "Area", "area size", "area total", "size", "12", "12.0", 12, 12.0, math.nan)
 )
 
 
 def scalars_equivalent(a, b):
     """The rule for two list values, applied pair by pair: text by
-    ``_texts_equivalent``, anything else by ``==``, never text against a
-    non-string."""
+    ``_texts_equivalent``, anything else when identical or ``==``, never text
+    against a non-string."""
     if isinstance(a, str) and isinstance(b, str):
         return _texts_equivalent(a, b)
     if isinstance(a, str) or isinstance(b, str):
         return False
-    return a == b
+    return a is b or a == b
 
 
 @given(st.lists(LIST_VALUES, max_size=6), st.lists(LIST_VALUES, max_size=6))
@@ -284,6 +288,34 @@ def test_lists_equivalent_agrees_with_brute_force(a, b):
         for order in itertools.permutations(b)
     )
     assert _lists_equivalent(a, b) == expected
+
+
+@st.composite
+def long_list_pairs(draw):
+    """A list of 16-256 pool values, and a shuffle of it with a few values
+    swapped for other pool values, so both verdicts are common."""
+    a = draw(st.lists(LIST_VALUES, min_size=16, max_size=256))
+    b = list(draw(st.permutations(a)))
+    for k, value in draw(st.lists(st.tuples(st.integers(0, len(b) - 1), LIST_VALUES), max_size=3)):
+        b[k] = value
+    return a, b
+
+
+def checked_seeded_matching(n_left, n_right, eq, seed=None):
+    """``perfect_matching`` from the judge's seed, checked against the same
+    search with no seed."""
+    assert len(set(seed.values())) == len(seed)
+    assert all(eq(i, j) for i, j in seed.items())
+    found = perfect_matching(n_left, n_right, eq, seed)
+    assert found == perfect_matching(n_left, n_right, eq)
+    return found
+
+
+@given(long_list_pairs())
+@settings(max_examples=150, deadline=None)
+def test_a_seeded_list_match_agrees_with_an_unseeded_one(pair):
+    with mock.patch("convground.knowledge.perfect_matching", checked_seeded_matching):
+        _lists_equivalent(*pair)
 
 
 @st.composite
