@@ -44,15 +44,14 @@ from .evaluation import (
     render_report,
     score,
 )
+from .judge import fact_equivalent, knowledge_equivalent
 from .knowledge import (
     EMPTY_KNOWLEDGE,
     ColumnKnowledge,
     Fact,
     FactKey,
     GroundedKnowledge,
-    fact_equivalent,
     facts,
-    knowledge_equivalent,
     knowledge_from_facts,
     normalize_term,
     terms_equivalent,

@@ -12,13 +12,14 @@ import enum
 from dataclasses import dataclass
 from typing import Any, Optional
 
+from .judge import _field_values_equivalent
 from .knowledge import (
     ColumnKnowledge,
     Fact,
     FactKey,
     GroundedKnowledge,
     _bounds_ordered,
-    _field_values_equivalent,
+    _updated_fields,
     facts,
     fold_facts,
     indexed_facts,
@@ -79,21 +80,30 @@ class GraphOp:
 
 
 def _classify(existing: Fact, incoming: Fact) -> Verdict:
+    """Conflict unless the values agree; else a match when the update
+    (:func:`updated_value`) leaves the committed value as it is.
+
+    A column is judged on its fields, so no updated column is built: the
+    overlapping fields must agree and the updated bounds must not cross
+    (where they would, :func:`updated_value` falls back to the incoming
+    fields); new fields enrich.
+    """
     field = existing.key.field
     if field == "column":
-        # Overlapping fields must agree and the union's bounds must not
-        # cross; new fields enrich.
-        ex, inc = existing.value.fields(), incoming.value.fields()
-        union = {**ex, **inc}
+        old = existing.value.fields()
+        inc = incoming.value.fields()
+        new = _updated_fields(old, inc)
         agree = all(
-            _field_values_equivalent(n, ex[n], inc[n]) for n in set(ex) & set(inc)
-        ) and _bounds_ordered(union.get("min_value"), union.get("max_value"))
+            _field_values_equivalent(n, old[n], inc[n]) for n in old.keys() & inc.keys()
+        ) and _bounds_ordered(new.get("min_value"), new.get("max_value"))
     else:
-        agree = _field_values_equivalent(field, existing.value, incoming.value)
+        old, new = existing.value, updated_value(field, existing.value, incoming.value)
+        agree = _field_values_equivalent(field, old, incoming.value)
     if not agree:
         return Verdict.CONFLICT
-    updated = updated_value(field, existing.value, incoming.value)
-    return Verdict.MATCH if updated == existing.value else Verdict.PARTIAL_MATCH
+    # Dicts compare each field as identical or ``==`` on every Python version;
+    # dataclass ``==`` stopped treating an identical NaN as equal in 3.13.
+    return Verdict.MATCH if new == old else Verdict.PARTIAL_MATCH
 
 
 def assess(kb: GroundedKnowledge, delta: GroundedKnowledge) -> list[AssessmentOutcome]:
@@ -150,15 +160,18 @@ def merge(kb: GroundedKnowledge, ops: list[GraphOp]) -> GroundedKnowledge:
     earlier op removed; a create needs a key that neither ``kb`` nor an
     earlier create holds; anything else is a bug and raises
     :class:`StateError`. An update, or a created column equivalent to a
-    kept one, combines with it by the total :func:`updated_value`. Removed
-    facts retire their positions in a copy of ``kb``'s index, and created
-    facts take new ones or join an equivalent kept column's; the result
-    carries its facts by position and that index (see :func:`fold_facts`),
-    so the next commit against it normalises only its incoming names.
-    When every op is an instantiation, ``kb`` itself is returned.
+    kept one, combines with it by the total :func:`updated_value`. The
+    targets' positions are read from the ``exact`` map of ``kb``'s index.
+    Removed facts retire their positions in a copy of that index, and
+    created facts take new ones or join an equivalent kept column's; the
+    result carries its facts by position and that index (see
+    :func:`fold_facts`), so the next commit against it normalises only the
+    incoming names it does not hold exactly. A merge that neither creates
+    nor removes a fact shares ``kb``'s index as it is. When every op is an
+    instantiation, ``kb`` itself is returned.
     """
     kb_facts, kb_index = indexed_facts(kb)
-    position = {fact.key: i for i, fact in kb_facts.items()}
+    position = kb_index.exact
     kept = kb_facts.copy()
     created: dict[FactKey, Fact] = {}
     for op in ops:
@@ -176,10 +189,13 @@ def merge(kb: GroundedKnowledge, ops: list[GraphOp]) -> GroundedKnowledge:
         # INSTANTIATE_NODE only requires its target to exist.
     if all(op.op is OpKind.INSTANTIATE_NODE for op in ops):
         return kb
+    removed = kb_facts.keys() - kept.keys()
+    if not created and not removed:
+        return fold_facts(kept, (), kb_index)
     index = kb_index.copy()
-    for i in kb_facts.keys() - kept.keys():
-        index.discard(i)
-    return fold_facts(kept, ((index.add(fact.key), fact) for fact in created.values()), index)
+    for i in removed:
+        index.discard(kb_facts[i].key)
+    return fold_facts(kept, ((index.keep(fact.key), fact) for fact in created.values()), index)
 
 
 def commit(

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from .dialogue import GoldAnnotation, GroundingLabel
-from .knowledge import knowledge_equivalent
+from .judge import knowledge_equivalent
 
 SCORED_LABELS = (
     GroundingLabel.EXPLICIT,

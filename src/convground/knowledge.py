@@ -1,11 +1,11 @@
-"""Tabular knowledge schema, its facts and name index, and equivalence judging.
+"""Tabular knowledge schema, its facts and name index, and the update rule.
 
 A piece of grounded knowledge describes a tabular dataset: what the table is
 about, how large it is, and per-column properties. Raw extraction output is
 canonicalized into :class:`GroundedKnowledge` (see :mod:`convground.schema`)
-before anything else touches it. Equivalence between two knowledge objects
-is judged through token-set comparison of the surface terms, so "area in
-km2" and "area" count as the same column.
+before anything else touches it. Names compare through token-set comparison
+of the surface terms, so "area in km2" and "area" count as the same column;
+:mod:`convground.judge` judges whole values and knowledge objects.
 """
 
 from __future__ import annotations
@@ -13,9 +13,7 @@ from __future__ import annotations
 import re
 import threading
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Iterator, Optional, Sequence, Union
-
-from .matching import perfect_matching
+from typing import Any, Iterable, Iterator, Optional, Union
 
 Scalar = Union[int, float, str]
 
@@ -235,7 +233,7 @@ def indexed_facts(knowledge: GroundedKnowledge) -> tuple[dict[int, Fact], KeyInd
     index = KeyIndex()
     placed: dict[int, Fact] = {}
     for fact in facts(knowledge):
-        i = index.add(fact.key)
+        i = index.keep(fact.key)
         if i in placed:
             names = f"{placed[i].key.column!r} and {fact.key.column!r}"
             raise ValueError(f"columns {names} have equivalent names")
@@ -266,16 +264,24 @@ class KeyIndex:
     under each of its terms. A candidate sharing ``k`` of the probe's terms
     holds them all when ``k`` is the probe's term count, and lies within
     them when ``k`` is its own.
+
+    An index that is kept (see :func:`indexed_facts` and ``merge``) also
+    maps its live keys to their positions in ``exact``. A key takes a new
+    position only when no live key is equivalent, so no two live keys are,
+    and a probe equal to a live key matches that key's position alone,
+    with no normalising.
     """
 
     def __init__(self) -> None:
         self._sizes: dict[int, int] = {}  # term count of each live position
         self._postings: dict[Any, list[int]] = {}
+        self.exact: dict[FactKey, int] = {}  # written by keep and discard
         self._next = 0  # positions are never reused
 
     def matches(self, key: FactKey) -> Iterator[int]:
         """The live positions whose keys are equivalent to ``key``, in no set order."""
-        return self._matches(_key_terms(key))
+        i = self.exact.get(key)
+        return self._matches(_key_terms(key)) if i is None else iter((i,))
 
     def add(self, key: FactKey) -> int:
         """Position of the first live key equivalent to ``key``; when there
@@ -290,9 +296,18 @@ class KeyIndex:
                 self._postings.setdefault(term, []).append(i)
         return i
 
-    def discard(self, position: int) -> None:
-        """Retire a position: no later lookup returns it."""
-        del self._sizes[position]
+    def keep(self, key: FactKey) -> int:
+        """:meth:`add` for a kept index: a key that takes a new position is
+        recorded in ``exact``."""
+        new = self._next
+        i = self.add(key)
+        if i == new:
+            self.exact[key] = i
+        return i
+
+    def discard(self, key: FactKey) -> None:
+        """Retire the position ``key`` holds in ``exact``: no later lookup returns it."""
+        del self._sizes[self.exact.pop(key)]
 
     def copy(self) -> KeyIndex:
         """A copy to add to and discard from, leaving this index as it is.
@@ -300,6 +315,7 @@ class KeyIndex:
         outgrows its live keys by more than the copy's own discards."""
         copied = KeyIndex()
         sizes = copied._sizes = self._sizes.copy()
+        copied.exact = self.exact.copy()
         copied._next = self._next
         for term, positions in self._postings.items():
             live = [i for i in positions if i in sizes]
@@ -329,9 +345,7 @@ def updated_value(field: str, existing: Any, incoming: Any) -> Any:
     union's bounds would cross (see :func:`_bounds_ordered`).
     """
     if field == "column":
-        fields = existing.fields()
-        for name, value in incoming.fields().items():
-            fields[name] = updated_value(name, fields[name], value) if name in fields else value
+        fields = _updated_fields(existing.fields(), incoming.fields())
         if not _bounds_ordered(fields.get("min_value"), fields.get("max_value")):
             fields = incoming.fields()
         return ColumnKnowledge(existing.column_name, **fields)
@@ -340,86 +354,10 @@ def updated_value(field: str, existing: Any, incoming: Any) -> Any:
     return incoming
 
 
-# ---------------------------------------------------------------------------
-# Equivalence judging.
-# ---------------------------------------------------------------------------
-
-def _lists_equivalent(a: Sequence[Scalar], b: Sequence[Scalar]) -> bool:
-    """Multiset equivalence of two ``values`` lists.
-
-    Two strings match when :func:`_texts_equivalent` holds, any other pair
-    only when identical or ``==``. Lists equal item by item once both are
-    sorted need no normalisation at all; the sort serves only that check.
-    Otherwise each distinct string is normalised once, and each left value
-    is seeded with a right value from the same bucket: its content tokens,
-    or, when it has none (a number, "2020", "%"), the value itself. Only the
-    values left over are searched for, and that search may re-route seeded
-    pairs, since equivalence is not transitive.
-    """
-    if len(a) != len(b):
-        return False
-    if sorted(a, key=str) == sorted(b, key=str):
-        return True
-    # A non-string has no entry, so, like a string without content tokens,
-    # it is bucketed by itself and only identity or ``==`` can match it.
-    terms = {v: normalize_term(v) for v in {*a, *b} if isinstance(v, str)}
-    buckets: dict[Any, list[int]] = {}
-    for j, y in enumerate(b):
-        buckets.setdefault(terms.get(y) or y, []).append(j)
-    seed = {}
-    for i, x in enumerate(a):
-        bucket = buckets.get(terms.get(x) or x)
-        if bucket:
-            seed[i] = bucket.pop()
-
-    def eq(i: int, j: int) -> bool:
-        x, y = a[i], b[j]
-        if x is y or x == y:
-            return True
-        tx, ty = terms.get(x), terms.get(y)
-        return bool(tx and ty) and (tx <= ty or ty <= tx)
-
-    return perfect_matching(len(a), len(b), eq, seed)
-
-
-def _field_values_equivalent(field: str, a: Any, b: Any) -> bool:
-    """The one equivalence rule for two values of a schema field.
-
-    Text compares through :func:`_texts_equivalent`, ``values`` lists as
-    multisets requiring a perfect one-to-one matching, columns field by
-    field, and numbers exactly.
-    """
-    if field == "column":
-        return columns_equivalent(a, b)
-    if field == "values":
-        return _lists_equivalent(a, b)
-    if field in _TEXT_FIELDS:
-        return _texts_equivalent(str(a), str(b))
-    return a is b or a == b
-
-
-def columns_equivalent(a: ColumnKnowledge, b: ColumnKnowledge) -> bool:
-    if not _texts_equivalent(a.column_name, b.column_name):
-        return False
-    fa, fb = a.fields(), b.fields()
-    if set(fa) != set(fb):
-        return False
-    return all(_field_values_equivalent(name, fa[name], fb[name]) for name in fa)
-
-
-def fact_equivalent(a: Fact, b: Fact) -> bool:
-    """Judge two atomic facts as semantically the same grounded element.
-
-    Fields must agree, so ``table_domain`` and ``table_content`` are never
-    cross-matched; values then compare by :func:`_field_values_equivalent`,
-    which compares columns by name as well.
-    """
-    return a.key.field == b.key.field and _field_values_equivalent(
-        a.key.field, a.value, b.value
-    )
-
-
-def knowledge_equivalent(a: GroundedKnowledge, b: GroundedKnowledge) -> bool:
-    """True iff the fact sets of both sides admit a perfect matching."""
-    fa, fb = facts(a), facts(b)
-    return perfect_matching(len(fa), len(fb), lambda i, j: fact_equivalent(fa[i], fb[j]))
+def _updated_fields(existing: dict[str, Any], incoming: dict[str, Any]) -> dict[str, Any]:
+    """A column's fields (see :meth:`ColumnKnowledge.fields`) updated field
+    by field by :func:`updated_value`; neither argument is changed."""
+    fields = existing.copy()
+    for name, value in incoming.items():
+        fields[name] = updated_value(name, fields[name], value) if name in fields else value
+    return fields

@@ -1,6 +1,6 @@
 """Perfect bipartite matching by augmenting paths, from an optional seed.
 
-The equivalence judge in :mod:`convground.knowledge` pairs list values, and
+The equivalence judge in :mod:`convground.judge` pairs list values, and
 the facts of two knowledge objects, one to one with it. For lists it seeds
 the search with pairs it already knows to be equivalent, so only the values
 left over are searched for.

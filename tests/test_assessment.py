@@ -18,16 +18,19 @@ from convground import (
     parse_knowledge_json,
     plan_ops,
 )
-from convground.assessment import AssessmentOutcome
+from convground import knowledge
+from convground.assessment import AssessmentOutcome, _classify
+from convground.judge import _field_values_equivalent, knowledge_equivalent
 from convground.knowledge import (
     EMPTY_KNOWLEDGE,
     ColumnKnowledge,
     Fact,
     GroundedKnowledge,
     KeyIndex,
+    _bounds_ordered,
     facts,
     indexed_facts,
-    knowledge_equivalent,
+    updated_value,
 )
 
 
@@ -362,7 +365,115 @@ def test_a_chain_of_conflicts_keeps_each_posting_list_short():
     kb_facts, index = indexed_facts(kb)
     assert all(len(positions) <= 2 for positions in index._postings.values())
     assert index._sizes.keys() == kb_facts.keys()
+    assert index.exact == {f.key: i for i, f in kb_facts.items()}
     assert kb == bounds[1]
+
+
+def test_a_merge_that_creates_and_removes_nothing_shares_the_index():
+    kb = commit(EMPTY_KNOWLEDGE, canonicalize({
+        "table_domain": "parks", "column_names": ["area size", "name", "2020"],
+    }))[0]
+    delta = canonicalize({
+        "table_domain": "city parks",
+        "column_info": [{"column_name": "area", "max_value": 3}, {"column_name": "2020"}],
+    })
+    before = dict(indexed_facts(kb)[1].exact)
+    result, _, ops = commit(kb, delta)
+    assert [op.op for op in ops] == [
+        OpKind.UPDATE_NODE, OpKind.UPDATE_NODE, OpKind.INSTANTIATE_NODE,
+    ]
+    assert result != kb
+    assert indexed_facts(result)[1] is indexed_facts(kb)[1]
+    # A later commit that creates and removes facts copies the shared index.
+    later = commit(result, canonicalize({"column_names": ["founded"], "table_domain": "museums"}))[0]
+    assert indexed_facts(later)[1] is not indexed_facts(kb)[1]
+    assert indexed_facts(kb)[1].exact == before
+    assert [c.column_name for c in later.column_info] == ["area size", "name", "2020", "founded"]
+    # A merge that only removes (not a plan of assess's) retires in a copy.
+    pruned = merge(kb, [GraphOp(OpKind.REMOVE_NODE, FactKey("column", "name"))])
+    assert indexed_facts(pruned)[1] is not indexed_facts(kb)[1]
+    assert [o.verdict for o in assess(pruned, canonicalize({"column_name": "name"}))] == [
+        Verdict.NOVEL
+    ]
+
+
+def test_a_restated_fact_is_found_by_its_exact_key(monkeypatch):
+    kb = commit(EMPTY_KNOWLEDGE, canonicalize({
+        "row_count": 5,
+        "column_info": [
+            {"column_name": "area size", "max_value": 9},
+            {"column_name": "name"},
+            {"column_name": "visitors"},
+        ],
+    }))[0]
+    delta = canonicalize({"column_info": [
+        {"column_name": "name"},
+        {"column_name": "visitors", "min_value": 0},
+        {"column_name": "area", "max_value": 9},
+    ]})
+    calls = []
+    real = knowledge.normalize_term
+    monkeypatch.setattr(knowledge, "normalize_term", lambda term: calls.append(term) or real(term))
+    outcomes = assess(kb, delta)
+    assert [o.verdict for o in outcomes] == [
+        Verdict.MATCH, Verdict.PARTIAL_MATCH, Verdict.MATCH,
+    ]
+    # Only "area" is not a key the knowledge base holds.
+    assert calls == ["area"]
+
+
+def old_classify(existing, incoming):
+    """``_classify`` as it was: a column is updated whole by ``updated_value``
+    and compared with the committed one. Compared as field tuples, which are
+    equal when identical or ``==`` item by item, as dataclass ``==`` was
+    before Python 3.13 (whose ``==`` no longer treats identical NaNs as equal)."""
+    ex, inc = existing.value.fields(), incoming.value.fields()
+    union = {**ex, **inc}
+    agree = all(
+        _field_values_equivalent(n, ex[n], inc[n]) for n in set(ex) & set(inc)
+    ) and _bounds_ordered(union.get("min_value"), union.get("max_value"))
+    if not agree:
+        return Verdict.CONFLICT
+    updated = updated_value("column", existing.value, incoming.value)
+    same = dataclasses.astuple(updated) == dataclasses.astuple(existing.value)
+    return Verdict.MATCH if same else Verdict.PARTIAL_MATCH
+
+
+NAN = float("nan")
+
+
+def random_classify_column(rng):
+    fields = {}
+    if rng.random() < 0.5:
+        # Equal-length text ("total area"/"area total"/"Total Area") ties.
+        fields["description"] = rng.choice(["total area", "area total", "Total Area", "area"])
+    if rng.random() < 0.5:
+        fields["values"] = rng.choice([
+            ("Gobenu", "x"), ("gobenu", "X"), ("GOBENU.", "x"), ("x", "Gobenu"),
+            (1,), (1.0,), (NAN,), (float("nan"),),
+        ])
+    if rng.random() < 0.4:
+        fields["distinct_count"] = rng.choice([1, 1.0, 2])
+    for bound in ("min_value", "max_value"):
+        if rng.random() < 0.5:
+            fields[bound] = rng.choice([0, 1, 1.0, 2, NAN, float("nan")])
+    return ColumnKnowledge("area", **fields)
+
+
+def test_classify_keeps_the_verdicts_of_the_whole_column_rule():
+    rng = random.Random(17)
+    key = FactKey("column", "area")
+    seen = set()
+    for _ in range(3000):
+        try:
+            existing, incoming = random_classify_column(rng), random_classify_column(rng)
+        except ValueError:  # crossed bounds
+            continue
+        pair = (Fact(key, existing), Fact(key, incoming))
+        verdict = _classify(*pair)
+        assert verdict is old_classify(*pair), pair
+        seen.add(verdict)
+    assert seen == {Verdict.MATCH, Verdict.PARTIAL_MATCH, Verdict.CONFLICT}
 
 
 def test_an_index_is_kept_only_for_the_knowledge_base_indexed_last():

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from convground import knowledge
+from convground import judge, knowledge
 from convground import (
     ColumnKnowledge,
     Fact,
@@ -22,7 +22,8 @@ from convground import (
     plan_ops,
     terms_equivalent,
 )
-from convground.knowledge import EMPTY_KNOWLEDGE, _lists_equivalent
+from convground.judge import _lists_equivalent
+from convground.knowledge import EMPTY_KNOWLEDGE
 from convground.matching import perfect_matching
 
 
@@ -208,7 +209,7 @@ def count_eq_calls(monkeypatch):
 
         return perfect_matching(n_left, n_right, counted_eq, seed)
 
-    monkeypatch.setattr(knowledge, "perfect_matching", counted)
+    monkeypatch.setattr(judge, "perfect_matching", counted)
     return calls
 
 

@@ -25,10 +25,10 @@ from convground import (
     knowledge_from_facts,
     terms_equivalent,
 )
+from convground.judge import _lists_equivalent
 from convground.knowledge import (
     STOPWORDS,
     KeyIndex,
-    _lists_equivalent,
     _texts_equivalent,
     indexed_facts,
     normalize_term,
@@ -198,12 +198,26 @@ POOL_KEYS = st.one_of(
 )
 INDEX_OPS = st.lists(
     st.one_of(
-        st.tuples(st.just("add"), POOL_KEYS),
+        st.tuples(st.just("keep"), POOL_KEYS),
         st.tuples(st.just("find"), POOL_KEYS),
         st.tuples(st.just("discard"), st.integers(min_value=0, max_value=20)),
+        st.tuples(st.just("copy"), st.none()),
     ),
     max_size=30,
 )
+
+
+def check_index_against(index, slots):
+    """``index`` holds the live keys of ``slots`` (None once discarded) exactly,
+    and finds the first live equivalent one for every pool key."""
+    assert index.exact == {key: i for i, key in enumerate(slots) if key is not None}
+    for probe in [FactKey("row_count"), *(FactKey("column", n) for n in POOL_NAMES)]:
+        first = next(
+            (i for i, key in enumerate(slots)
+             if key is not None and pool_keys_equivalent(key, probe)),
+            None,
+        )
+        assert min(index.matches(probe), default=None) == first
 
 
 @given(INDEX_OPS)
@@ -211,12 +225,17 @@ INDEX_OPS = st.lists(
 def test_key_index_returns_first_live_equivalent_position(ops):
     index = KeyIndex()
     slots = []  # the oracle: the key at each position, None once discarded
+    copied_from = []  # (index, slots) at each copy, which the copy must not change
     for op, arg in ops:
+        if op == "copy":
+            copied_from.append((index, slots.copy()))
+            index = index.copy()
+            continue
         if op == "discard":
             live = [i for i, key in enumerate(slots) if key is not None]
             if live:
                 i = live[arg % len(live)]
-                index.discard(i)
+                index.discard(slots[i])
                 slots[i] = None
             continue
         first = next(
@@ -230,7 +249,10 @@ def test_key_index_returns_first_live_equivalent_position(ops):
         if first is None:
             first = len(slots)
             slots.append(arg)
-        assert index.add(arg) == first
+        assert index.keep(arg) == first
+    check_index_against(index, slots)
+    for original, original_slots in copied_from:
+        check_index_against(original, original_slots)
 
 
 @given(st.lists(st.tuples(OVERLAPPING, st.integers(min_value=0, max_value=9)), max_size=6))
@@ -314,7 +336,7 @@ def checked_seeded_matching(n_left, n_right, eq, seed=None):
 @given(long_list_pairs())
 @settings(max_examples=150, deadline=None)
 def test_a_seeded_list_match_agrees_with_an_unseeded_one(pair):
-    with mock.patch("convground.knowledge.perfect_matching", checked_seeded_matching):
+    with mock.patch("convground.judge.perfect_matching", checked_seeded_matching):
         _lists_equivalent(*pair)
 
 
@@ -393,3 +415,18 @@ def test_a_merge_result_carries_the_facts_and_index_of_a_fresh_build(kb, deltas)
         if result is not kb:
             assert indexed_facts(result)[1] is carried
         kb = result
+
+
+@given(POOL_KNOWLEDGE, st.lists(POOL_KNOWLEDGE, min_size=1, max_size=4))
+@settings(max_examples=300, deadline=None)
+def test_no_two_live_keys_of_a_merge_result_are_equivalent(kb, deltas):
+    # The exact-key lookup rests on this: a probe equal to a live key
+    # matches no other live key.
+    for delta in deltas:
+        kb = commit(kb, delta)[0]
+        placed, index = indexed_facts(kb)
+        keys = [f.key for f in placed.values()]
+        assert not any(
+            pool_keys_equivalent(a, b) for a, b in itertools.combinations(keys, 2)
+        )
+        assert index.exact == {f.key: i for i, f in placed.items()}
