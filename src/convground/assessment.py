@@ -9,7 +9,6 @@ updated knowledge base; conflicts resolve newest-wins.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import Any, Optional
 
 from .judge import _field_values_equivalent
@@ -18,6 +17,7 @@ from .knowledge import (
     Fact,
     FactKey,
     GroundedKnowledge,
+    Record,
     _bounds_ordered,
     _updated_fields,
     facts,
@@ -38,20 +38,22 @@ class Verdict(enum.Enum):
     NOVEL = "novel"
 
 
-@dataclass(frozen=True)
-class AssessmentOutcome:
+class AssessmentOutcome(Record):
     """Classification of one incoming fact against the knowledge base."""
 
-    fact: Fact
-    verdict: Verdict
-    matched_key: Optional[FactKey] = None
+    __slots__ = ("fact", "verdict", "matched_key")
 
-    def __post_init__(self) -> None:
-        if self.verdict is Verdict.NOVEL:
-            if self.matched_key is not None:
+    def __init__(
+        self, fact: Fact, verdict: Verdict, matched_key: Optional[FactKey] = None
+    ) -> None:
+        if verdict is Verdict.NOVEL:
+            if matched_key is not None:
                 raise ValueError("novel outcomes carry no matched key")
-        elif self.matched_key is None:
-            raise ValueError(f"{self.verdict.value} outcome requires a matched key")
+        elif matched_key is None:
+            raise ValueError(f"{verdict.value} outcome requires a matched key")
+        self._set("fact", fact)
+        self._set("verdict", verdict)
+        self._set("matched_key", matched_key)
 
 
 class OpKind(enum.Enum):
@@ -61,13 +63,15 @@ class OpKind(enum.Enum):
     REMOVE_NODE = "RemoveNode"
 
 
-@dataclass(frozen=True)
-class GraphOp:
+class GraphOp(Record):
     """One mutation of the knowledge graph."""
 
-    op: OpKind
-    target: FactKey
-    payload: Any = None
+    __slots__ = ("op", "target", "payload")
+
+    def __init__(self, op: OpKind, target: FactKey, payload: Any = None) -> None:
+        self._set("op", op)
+        self._set("target", target)
+        self._set("payload", payload)
 
     def to_json_dict(self) -> dict[str, Any]:
         out: dict[str, Any] = {"op": self.op.value, "target": str(self.target)}
@@ -101,8 +105,8 @@ def _classify(existing: Fact, incoming: Fact) -> Verdict:
         agree = _field_values_equivalent(field, old, incoming.value)
     if not agree:
         return Verdict.CONFLICT
-    # Dicts compare each field as identical or ``==`` on every Python version;
-    # dataclass ``==`` stopped treating an identical NaN as equal in 3.13.
+    # Dicts compare each field as identical or ``==``, as a record's ``==``
+    # does on every Python version: a column restated with its NaN bound matches.
     return Verdict.MATCH if new == old else Verdict.PARTIAL_MATCH
 
 

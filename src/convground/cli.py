@@ -20,7 +20,7 @@ from .dialogue import (
 )
 from .engine import gold_extractor, gold_labeler, process_dialogue
 from .evaluation import CoverageError, ReportFormat, render_report, score
-from .knowledge import EMPTY_KNOWLEDGE
+from .knowledge import EMPTY_KNOWLEDGE, ColumnKnowledge, GroundedKnowledge
 from .llm import (
     DEFAULT_MODEL,
     ENDPOINT_ENV,
@@ -51,6 +51,33 @@ def _unwritable(path: Path, exc: OSError) -> int:
 # Why a turn was skipped, in the order the groups are reported.
 _SKIPPED = ("cache misses", "unparseable replies", "request errors")
 
+# ``json.dumps(value, ensure_ascii=False)`` without building an encoder per call.
+_dumps = json.JSONEncoder(ensure_ascii=False).encode
+
+
+def _knowledge_json(
+    kb: GroundedKnowledge, texts: dict[int, tuple[ColumnKnowledge, str]]
+) -> str:
+    """``json.dumps(kb.to_json_dict(), ensure_ascii=False)``, taking the text
+    of each column that ``texts`` holds from there; ``texts`` is left holding
+    the text of ``kb``'s columns alone.
+
+    ``texts`` maps ``id(column)`` to the column and its text. Each entry
+    keeps its column alive, so no id is reused while the entry exists. It is
+    not keyed by ``==``: ``1``, ``1.0`` and ``True`` are equal but serialise
+    differently.
+    """
+    known = texts.copy()
+    texts.clear()
+    for column in kb.column_info:
+        entry = known.get(id(column))
+        texts[id(column)] = entry or (column, _dumps(column.to_json_dict()))
+    text = _dumps(kb.to_json_dict(columns=False))
+    if not kb.column_info:
+        return text
+    columns = ", ".join(texts[id(column)][1] for column in kb.column_info)
+    return f'{text[:-1]}{", " if len(text) > 2 else ""}"column_info": [{columns}]}}'
+
 
 def _annotate_dialogue(
     dialogue: Dialogue,
@@ -68,12 +95,12 @@ def _annotate_dialogue(
     """
     annotations: list[GoldAnnotation] = []
     skipped: list[tuple[str, str]] = []
-    kb, kb_json = EMPTY_KNOWLEDGE, None
+    kb, kb_json, column_texts = EMPTY_KNOWLEDGE, None, {}
     for turn_index in targets:
         history = dialogue.turns[:turn_index]
         cls_messages = build_classification_prompt(history)
         if args.incremental_kb and kb_json is None:
-            kb_json = json.dumps(kb.to_json_dict(), ensure_ascii=False)
+            kb_json = _knowledge_json(kb, column_texts)
         ext_messages = build_extraction_prompt(history, kb_json)
         where = f"dialogue {dialogue.id} turn {turn_index}"
         try:
@@ -106,7 +133,8 @@ def _annotate_dialogue(
             # Incremental mode: the extracted delta feeds the running KB
             # instead of regenerating everything from scratch next turn. A
             # commit that changes nothing returns the same object, and the
-            # serialised KB is kept.
+            # serialised KB is kept; one that does keeps its unchanged
+            # columns' text.
             grown, _, _ = commit(kb, knowledge)
             if grown is not kb:
                 kb, kb_json = grown, None

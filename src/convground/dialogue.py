@@ -4,11 +4,10 @@ from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Union
+from typing import Iterable, Optional, Union
 
-from .knowledge import EMPTY_KNOWLEDGE, GroundedKnowledge
+from .knowledge import EMPTY_KNOWLEDGE, GroundedKnowledge, Record
 from .schema import SchemaError, canonicalize
 
 PathLike = Union[str, Path]
@@ -65,37 +64,38 @@ class GroundingLabel(enum.Enum):
             raise CorpusError(f"unknown grounding label {text!r}") from None
 
 
-@dataclass(frozen=True)
-class Turn:
+class Turn(Record):
     """One utterance, stored verbatim (typos and emoji tokens included)."""
 
-    index: int
-    role: Role
-    text: str
+    __slots__ = ("index", "role", "text")
 
-    def __post_init__(self) -> None:
-        if not _is_int(self.index) or self.index < 1:
-            raise ValueError(f"turn index must be a positive integer, got {self.index!r}")
-        if not isinstance(self.text, str) or not self.text:
-            raise ValueError(f"turn {self.index}: expected non-empty text, got {self.text!r}")
+    def __init__(self, index: int, role: Role, text: str) -> None:
+        if not _is_int(index) or index < 1:
+            raise ValueError(f"turn index must be a positive integer, got {index!r}")
+        if not isinstance(text, str) or not text:
+            raise ValueError(f"turn {index}: expected non-empty text, got {text!r}")
+        self._set("index", index)
+        self._set("role", role)
+        self._set("text", text)
 
 
-@dataclass(frozen=True)
-class Dialogue:
-    id: str
-    domain_tag: str
-    turns: tuple[Turn, ...]
+class Dialogue(Record):
+    __slots__ = ("id", "domain_tag", "turns")
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.id, str):
-            raise ValueError(f"dialogue id: expected text, got {self.id!r}")
-        if not isinstance(self.turns, tuple):
-            object.__setattr__(self, "turns", tuple(self.turns))
-        if not self.turns:
-            raise ValueError(f"dialogue {self.id!r} has no turns")
-        for expected, turn in enumerate(self.turns, start=1):
+    def __init__(self, id: str, domain_tag: str, turns: Iterable[Turn]) -> None:
+        if not isinstance(id, str):
+            raise ValueError(f"dialogue id: expected text, got {id!r}")
+        if not isinstance(domain_tag, str):
+            raise ValueError(f"dialogue {id!r}: domain: expected text, got {domain_tag!r}")
+        turns = tuple(turns)
+        if not turns:
+            raise ValueError(f"dialogue {id!r} has no turns")
+        for expected, turn in enumerate(turns, start=1):
             if turn.index != expected:
-                raise ValueError(f"dialogue {self.id!r}: gap at index {expected}")
+                raise ValueError(f"dialogue {id!r}: gap at index {expected}")
+        self._set("id", id)
+        self._set("domain_tag", domain_tag)
+        self._set("turns", turns)
 
     def turn(self, index: int) -> Turn:
         if not 1 <= index <= len(self.turns):
@@ -103,21 +103,26 @@ class Dialogue:
         return self.turns[index - 1]
 
 
-@dataclass(frozen=True)
-class GoldAnnotation:
+class GoldAnnotation(Record):
     """Gold label plus the knowledge newly grounded at that turn."""
 
-    turn_index: int
-    label: GroundingLabel
-    knowledge_delta: GroundedKnowledge = EMPTY_KNOWLEDGE
+    __slots__ = ("turn_index", "label", "knowledge_delta")
 
-    def __post_init__(self) -> None:
-        if not _is_int(self.turn_index):
-            raise ValueError(f"turn_index: expected an integer, got {self.turn_index!r}")
-        if self.turn_index < 1:
-            raise ValueError(f"turn_index: turns are numbered from 1, got {self.turn_index}")
-        if self.label is GroundingLabel.NO_EVENT:
+    def __init__(
+        self,
+        turn_index: int,
+        label: GroundingLabel,
+        knowledge_delta: GroundedKnowledge = EMPTY_KNOWLEDGE,
+    ) -> None:
+        if not _is_int(turn_index):
+            raise ValueError(f"turn_index: expected an integer, got {turn_index!r}")
+        if turn_index < 1:
+            raise ValueError(f"turn_index: turns are numbered from 1, got {turn_index}")
+        if label is GroundingLabel.NO_EVENT:
             raise ValueError("gold annotations never carry the no-event label")
+        self._set("turn_index", turn_index)
+        self._set("label", label)
+        self._set("knowledge_delta", knowledge_delta)
 
 
 def _iter_records(path: PathLike):

@@ -9,35 +9,50 @@ question is unconfirmed, and its facts are neither staged nor committed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 from .assessment import GraphOp, commit
 from .dialogue import Dialogue, GoldAnnotation, GroundingLabel, Role, Turn
-from .knowledge import EMPTY_KNOWLEDGE, GroundedKnowledge
+from .knowledge import EMPTY_KNOWLEDGE, GroundedKnowledge, Record
 
 Labeler = Callable[[Sequence[Turn]], GroundingLabel]
 Extractor = Callable[[Sequence[Turn]], GroundedKnowledge]
 
 
-@dataclass(frozen=True)
-class TurnTrace:
+class TurnTrace(Record):
     """What one turn did: its label, extracted facts and committed graph ops."""
 
-    turn_index: int
-    label: GroundingLabel
-    facts: GroundedKnowledge
-    ops: tuple[GraphOp, ...] = ()
-    warning: Optional[str] = None
+    __slots__ = ("turn_index", "label", "facts", "ops", "warning")
+
+    def __init__(
+        self,
+        turn_index: int,
+        label: GroundingLabel,
+        facts: GroundedKnowledge,
+        ops: tuple[GraphOp, ...] = (),
+        warning: Optional[str] = None,
+    ) -> None:
+        self._set("turn_index", turn_index)
+        self._set("label", label)
+        self._set("facts", facts)
+        self._set("ops", ops)
+        self._set("warning", warning)
 
 
-@dataclass(frozen=True)
-class GroundingState:
+class GroundingState(Record):
     """Committed facts, presented facts awaiting acceptance, and one trace per turn."""
 
-    grounded: GroundedKnowledge = EMPTY_KNOWLEDGE
-    pending: GroundedKnowledge = EMPTY_KNOWLEDGE
-    history: tuple[TurnTrace, ...] = ()
+    __slots__ = ("grounded", "pending", "history")
+
+    def __init__(
+        self,
+        grounded: GroundedKnowledge = EMPTY_KNOWLEDGE,
+        pending: GroundedKnowledge = EMPTY_KNOWLEDGE,
+        history: tuple[TurnTrace, ...] = (),
+    ) -> None:
+        self._set("grounded", grounded)
+        self._set("pending", pending)
+        self._set("history", history)
 
 
 def present(state: GroundingState, facts: GroundedKnowledge) -> GroundingState:
@@ -50,9 +65,9 @@ def present(state: GroundingState, facts: GroundedKnowledge) -> GroundingState:
     if facts.is_empty:
         return state
     if state.pending.is_empty:
-        return replace(state, pending=facts)
+        return GroundingState(state.grounded, facts, state.history)
     combined, _, _ = commit(state.pending, facts)
-    return replace(state, pending=combined)
+    return GroundingState(state.grounded, combined, state.history)
 
 
 def observe_label(
@@ -73,13 +88,10 @@ def observe_label(
     if label.accepts:
         grounded, _, ops = commit(state.grounded, present(state, turn_facts).pending)
         entry = TurnTrace(turn.index, label, turn_facts, tuple(ops))
-        history = state.history + (entry,)
-        return replace(state, grounded=grounded, pending=EMPTY_KNOWLEDGE, history=history)
+        return GroundingState(grounded, EMPTY_KNOWLEDGE, state.history + (entry,))
     # Clarification and no-event leave both grounded and pending content as-is.
-    return replace(
-        state,
-        history=state.history + (TurnTrace(turn.index, label, turn_facts),),
-    )
+    entry = TurnTrace(turn.index, label, turn_facts)
+    return GroundingState(state.grounded, state.pending, state.history + (entry,))
 
 
 def process_dialogue(
@@ -114,7 +126,7 @@ def process_dialogue(
             state = observe_label(staged, label, turn, facts)
             continue
         entry = TurnTrace(turn.index, GroundingLabel.NO_EVENT, EMPTY_KNOWLEDGE, warning=warning)
-        state = replace(state, history=state.history + (entry,))
+        state = GroundingState(state.grounded, state.pending, state.history + (entry,))
     return state
 
 

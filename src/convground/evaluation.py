@@ -5,11 +5,11 @@ from __future__ import annotations
 import enum
 import json
 from collections import Counter
-from dataclasses import dataclass
 from typing import Any
 
 from .dialogue import GoldAnnotation, GroundingLabel
 from .judge import knowledge_equivalent
+from .knowledge import Record
 
 SCORED_LABELS = (
     GroundingLabel.EXPLICIT,
@@ -28,24 +28,35 @@ class KnowledgeVerdict(enum.Enum):
     NO_GOLD = "no_gold"
 
 
-@dataclass(frozen=True)
-class TurnResult:
-    dialogue_id: str
-    turn_index: int
-    gold_label: GroundingLabel
-    predicted_label: GroundingLabel
-    knowledge_verdict: KnowledgeVerdict
+class TurnResult(Record):
+    __slots__ = ("dialogue_id", "turn_index", "gold_label", "predicted_label", "knowledge_verdict")
+
+    def __init__(
+        self,
+        dialogue_id: str,
+        turn_index: int,
+        gold_label: GroundingLabel,
+        predicted_label: GroundingLabel,
+        knowledge_verdict: KnowledgeVerdict,
+    ) -> None:
+        self._set("dialogue_id", dialogue_id)
+        self._set("turn_index", turn_index)
+        self._set("gold_label", gold_label)
+        self._set("predicted_label", predicted_label)
+        self._set("knowledge_verdict", knowledge_verdict)
 
     @property
     def label_correct(self) -> bool:
         return self.predicted_label is self.gold_label
 
 
-@dataclass
-class EvalReport:
+class EvalReport(Record, frozen=False):
     """One result per scored gold turn; every count is derived from them."""
 
-    per_turn: list[TurnResult]
+    __slots__ = ("per_turn",)
+
+    def __init__(self, per_turn: list[TurnResult]) -> None:
+        self.per_turn = per_turn
 
     @property
     def confusion(self) -> dict[tuple[GroundingLabel, GroundingLabel], int]:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import re
 import threading
-from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Any, Iterable, Iterator, Optional, Union
 
 Scalar = Union[int, float, str]
@@ -58,6 +58,54 @@ _COLUMN_FIELDS = ("description", "values", "distinct_count", "min_value", "max_v
 _TEXT_FIELDS = frozenset({"table_domain", "table_content", "description"})
 
 
+class Record:
+    """Base of the package's records: a subclass declares ``__slots__`` and
+    an ``__init__`` that writes each slot once through ``_set``.
+
+    The slots whose names do not begin with an underscore are the record's
+    fields, in order. Two records are ``==`` when they are of the same class
+    and their field tuples are (tuple ``==`` counts an identical item as
+    equal), a record hashes as its field tuple, and its repr reads
+    ``Name(field=value, ...)``. Assigning or deleting an attribute raises
+    ``AttributeError``; a subclass declared with ``frozen=False`` allows it
+    and is unhashable.
+    """
+
+    __slots__ = ()
+    _set = object.__setattr__
+
+    def __init_subclass__(cls, frozen: bool = True, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        fields = cls._fields = tuple(n for n in cls.__slots__ if not n.startswith("_"))
+        # ``attrgetter`` of one name returns the value, not a 1-tuple.
+        get = attrgetter(*fields)
+        cls._values = staticmethod(get if len(fields) > 1 else lambda record: (get(record),))
+        if not frozen:
+            cls.__setattr__, cls.__delattr__ = object.__setattr__, object.__delattr__
+            cls.__hash__ = None
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values(self) == self._values(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self._fields, self._values(self)))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self) -> tuple[Any, ...]:
+        return type(self), self._values(self)
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
 def _bounds_ordered(min_value: Optional[Scalar], max_value: Optional[Scalar]) -> bool:
     """The one bounds rule: a column's minimum may not exceed its maximum.
 
@@ -67,27 +115,34 @@ def _bounds_ordered(min_value: Optional[Scalar], max_value: Optional[Scalar]) ->
     return min_value is None or max_value is None or not min_value > max_value
 
 
-@dataclass(frozen=True)
-class ColumnKnowledge:
+class ColumnKnowledge(Record):
     """Everything known about one column of the table."""
 
-    column_name: str
-    description: Optional[str] = None
-    values: Optional[tuple[Scalar, ...]] = None
-    distinct_count: Optional[int] = None
-    min_value: Optional[Scalar] = None
-    max_value: Optional[Scalar] = None
+    __slots__ = ("column_name", *_COLUMN_FIELDS)
 
-    def __post_init__(self) -> None:
-        if not self.column_name.strip():
+    def __init__(
+        self,
+        column_name: str,
+        description: Optional[str] = None,
+        values: Optional[Iterable[Scalar]] = None,
+        distinct_count: Optional[int] = None,
+        min_value: Optional[Scalar] = None,
+        max_value: Optional[Scalar] = None,
+    ) -> None:
+        if not column_name.strip():
             raise ValueError("column_name must be non-empty")
-        if self.values is not None and not isinstance(self.values, tuple):
-            object.__setattr__(self, "values", tuple(self.values))
-        if not _bounds_ordered(self.min_value, self.max_value):
+        if values is not None and not isinstance(values, tuple):
+            values = tuple(values)
+        if not _bounds_ordered(min_value, max_value):
             raise ValueError(
-                f"column {self.column_name!r}: min_value {self.min_value} "
-                f"exceeds max_value {self.max_value}"
+                f"column {column_name!r}: min_value {min_value} exceeds max_value {max_value}"
             )
+        self._set("column_name", column_name)
+        self._set("description", description)
+        self._set("values", values)
+        self._set("distinct_count", distinct_count)
+        self._set("min_value", min_value)
+        self._set("max_value", max_value)
 
     def fields(self) -> dict[str, Any]:
         """The populated fields beyond the name."""
@@ -109,36 +164,42 @@ class ColumnKnowledge:
 _last_indexed = threading.local()
 
 
-@dataclass(frozen=True, slots=True)
-class GroundedKnowledge:
+class GroundedKnowledge(Record):
     """A snapshot of what is known about the tabular dataset."""
 
-    table_domain: Optional[str] = None
-    table_content: Optional[str] = None
-    row_count: Optional[int] = None
-    column_count: Optional[int] = None
-    column_info: tuple[ColumnKnowledge, ...] = ()
-    # The ``(facts, index)`` pair a merge result carries (see :func:`fold_facts`).
-    _carried: Optional[tuple[dict[int, Fact], KeyIndex]] = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    # ``_carried`` is the ``(facts, index)`` pair a merge result carries (see
+    # :func:`fold_facts`); it is not a field.
+    __slots__ = (*_SCALAR_FIELDS, "column_info", "_carried")
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.column_info, tuple):
-            object.__setattr__(self, "column_info", tuple(self.column_info))
+    def __init__(
+        self,
+        table_domain: Optional[str] = None,
+        table_content: Optional[str] = None,
+        row_count: Optional[int] = None,
+        column_count: Optional[int] = None,
+        column_info: Iterable[ColumnKnowledge] = (),
+    ) -> None:
+        self._set("table_domain", table_domain)
+        self._set("table_content", table_content)
+        self._set("row_count", row_count)
+        self._set("column_count", column_count)
+        self._set("column_info", tuple(column_info))
+        self._set("_carried", None)
         indexed_facts(self)  # rejects equivalent names
 
     @property
     def is_empty(self) -> bool:
         return not self.column_info and all(getattr(self, n) is None for n in _SCALAR_FIELDS)
 
-    def to_json_dict(self) -> dict[str, Any]:
+    def to_json_dict(self, columns: bool = True) -> dict[str, Any]:
+        """The populated fields as JSON values; ``column_info`` comes last,
+        and only with ``columns``."""
         out: dict[str, Any] = {}
         for name in _SCALAR_FIELDS:
             value = getattr(self, name)
             if value is not None:
                 out[name] = value
-        if self.column_info:
+        if columns and self.column_info:
             out["column_info"] = [c.to_json_dict() for c in self.column_info]
         return out
 
@@ -147,21 +208,25 @@ class GroundedKnowledge:
 # Facts: the atomic grounded elements a knowledge object decomposes into.
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FactKey:
+class FactKey(Record):
     """Schema path of a fact: a top-level field or one column entry."""
 
-    field: str
-    column: Optional[str] = None
+    __slots__ = ("field", "column")
+
+    def __init__(self, field: str, column: Optional[str] = None) -> None:
+        self._set("field", field)
+        self._set("column", column)
 
     def __str__(self) -> str:
         return self.field if self.column is None else f"column:{self.column}"
 
 
-@dataclass(frozen=True)
-class Fact:
-    key: FactKey
-    value: Any  # scalar for top-level fields, ColumnKnowledge for columns
+class Fact(Record):
+    __slots__ = ("key", "value")
+
+    def __init__(self, key: FactKey, value: Any) -> None:
+        self._set("key", key)
+        self._set("value", value)  # scalar for top-level fields, ColumnKnowledge for columns
 
 
 def facts(knowledge: GroundedKnowledge) -> list[Fact]:

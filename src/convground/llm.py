@@ -2,21 +2,18 @@
 
 from __future__ import annotations
 
-import ast
 import enum
 import functools
-import hashlib
 import json
 import os
 import re
 import threading
 import time
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Optional, Union
+from typing import Any, Callable, Iterable, Optional, Union
 
 from .dialogue import CorpusError, GroundingLabel, _iter_records
-from .knowledge import GroundedKnowledge
+from .knowledge import GroundedKnowledge, Record
 from .schema import SchemaError, _excerpt, canonicalize
 from .prompts import ChatMessage
 
@@ -65,18 +62,22 @@ class KnowledgeParseError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class CompletionRequest:
-    model_name: str = DEFAULT_MODEL
-    messages: tuple[ChatMessage, ...] = ()
-    temperature: float = DEFAULT_TEMPERATURE
-    max_tokens: int = DEFAULT_MAX_TOKENS
+class CompletionRequest(Record):
+    __slots__ = ("model_name", "messages", "temperature", "max_tokens")
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.messages, tuple):
-            object.__setattr__(self, "messages", tuple(self.messages))
-        if self.max_tokens < 1:
+    def __init__(
+        self,
+        model_name: str = DEFAULT_MODEL,
+        messages: Iterable[ChatMessage] = (),
+        temperature: float = DEFAULT_TEMPERATURE,
+        max_tokens: int = DEFAULT_MAX_TOKENS,
+    ) -> None:
+        if max_tokens < 1:
             raise ValueError("max_tokens must be positive")
+        self._set("model_name", model_name)
+        self._set("messages", tuple(messages))
+        self._set("temperature", temperature)
+        self._set("max_tokens", max_tokens)
 
     def wire_body(self) -> dict[str, Any]:
         return {
@@ -87,10 +88,12 @@ class CompletionRequest:
         }
 
 
-@dataclass(frozen=True)
-class CompletionResult:
-    text: str
-    cached: bool
+class CompletionResult(Record):
+    __slots__ = ("text", "cached")
+
+    def __init__(self, text: str, cached: bool) -> None:
+        self._set("text", text)
+        self._set("cached", cached)
 
 
 # ``json.dumps(value, sort_keys=True, ensure_ascii=False)`` without building
@@ -105,6 +108,8 @@ class _Resume:
     __slots__ = ("max_tokens", "head", "start", "last")
 
     def __init__(self, max_tokens: int, head: tuple[ChatMessage, ...]):
+        import hashlib  # here, so that ground and evaluate never load OpenSSL
+
         self.max_tokens = max_tokens
         self.head = head
         parts = "".join(_dumps(m.to_json_dict()) + ", " for m in head)
@@ -163,6 +168,8 @@ def request_hash(request: CompletionRequest) -> str:
     """
     messages = request.messages
     if not messages:
+        import hashlib
+
         return hashlib.sha256(_dumps(request.wire_body()).encode("utf-8")).hexdigest()
     last = messages[-1]
     content = last.content
@@ -375,6 +382,8 @@ def _parse_tree(text: str) -> Any:
     # The printed single-quote rendering is Python-literal-like except for
     # JSON's null; a bare "{...}, {...}" sequence parses once wrapped.
     literal = _NULL_OUTSIDE_STRINGS.sub(lambda m: "None" if m[0] == "null" else m[0], text)
+    import ast  # here: replies that are JSON, and commands that parse none, never load it
+
     for candidate in (literal, f"[{literal}]"):
         try:
             return ast.literal_eval(candidate)

@@ -4,10 +4,10 @@ from __future__ import annotations
 
 import enum
 import operator
-from dataclasses import dataclass
 from typing import Sequence
 
 from .dialogue import Turn
+from .knowledge import Record
 
 
 class MessageRole(enum.Enum):
@@ -16,14 +16,14 @@ class MessageRole(enum.Enum):
     ASSISTANT = "assistant"
 
 
-@dataclass(frozen=True)
-class ChatMessage:
-    role: MessageRole
-    content: str
+class ChatMessage(Record):
+    __slots__ = ("role", "content")
 
-    def __post_init__(self) -> None:
-        if not self.content:
+    def __init__(self, role: MessageRole, content: str) -> None:
+        if not content:
             raise ValueError("message content must be non-empty")
+        self._set("role", role)
+        self._set("content", content)
 
     def to_json_dict(self) -> dict[str, str]:
         return {"role": self.role.value, "content": self.content}

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import random
 import weakref
@@ -346,7 +345,10 @@ def test_an_indexed_knowledge_base_equals_hashes_and_reprs_like_a_fresh_one():
     assert hash(indexed) == hash(fresh)
     assert repr(indexed) == repr(fresh)
     # A merge result carries its facts and index; a rebuilt copy carries none.
-    rebuilt = dataclasses.replace(merged)
+    rebuilt = GroundedKnowledge(
+        merged.table_domain, merged.table_content, merged.row_count, merged.column_count,
+        merged.column_info,
+    )
     assert merged._carried is not None and rebuilt._carried is None
     assert merged == rebuilt
     assert hash(merged) == hash(rebuilt)
@@ -424,9 +426,8 @@ def test_a_restated_fact_is_found_by_its_exact_key(monkeypatch):
 
 def old_classify(existing, incoming):
     """``_classify`` as it was: a column is updated whole by ``updated_value``
-    and compared with the committed one. Compared as field tuples, which are
-    equal when identical or ``==`` item by item, as dataclass ``==`` was
-    before Python 3.13 (whose ``==`` no longer treats identical NaNs as equal)."""
+    and compared with the committed one field by field, each field equal when
+    identical or ``==``, as a record's ``==`` compares its fields."""
     ex, inc = existing.value.fields(), incoming.value.fields()
     union = {**ex, **inc}
     agree = all(
@@ -435,7 +436,9 @@ def old_classify(existing, incoming):
     if not agree:
         return Verdict.CONFLICT
     updated = updated_value("column", existing.value, incoming.value)
-    same = dataclasses.astuple(updated) == dataclasses.astuple(existing.value)
+    same = (updated.column_name, updated.fields()) == (
+        existing.value.column_name, existing.value.fields()
+    )
     return Verdict.MATCH if same else Verdict.PARTIAL_MATCH
 
 

@@ -1,4 +1,5 @@
 import argparse
+import ast
 import hashlib
 import http.server
 import json
@@ -13,17 +14,20 @@ import pytest
 
 from convground import (
     EMPTY_KNOWLEDGE,
+    ColumnKnowledge,
     CompletionRequest,
     CompletionResult,
+    GroundedKnowledge,
     build_classification_prompt,
     build_extraction_prompt,
+    canonicalize,
     commit,
     fixtures,
     load_dialogues,
     load_gold,
     parse_knowledge_json,
 )
-from convground.cli import _build_parser, main
+from convground.cli import _build_parser, _knowledge_json, main
 from convground.llm import request_hash
 
 
@@ -291,6 +295,32 @@ class TestAnnotate:
         assert [a.knowledge_delta for a in predicted] == [
             parse_knowledge_json(json.dumps(reply)) for reply in replies
         ]
+
+    def test_knowledge_json_reuses_the_text_of_the_same_column_objects(self):
+        texts = {}
+        kb = EMPTY_KNOWLEDGE
+        deltas = [
+            {"row_count": 3},
+            {"column_info": [{"column_name": "Lüneburg", "values": ["Heide"]},
+                             {"column_name": "area", "max_value": 3}]},
+            {"column_name": "area", "min_value": 1},
+            {"table_domain": "parks", "column_name": "year", "values": [1921]},
+        ]
+        for delta in deltas:
+            before = dict(texts)
+            kb = commit(kb, canonicalize(delta))[0]
+            assert _knowledge_json(kb, texts) == json.dumps(kb.to_json_dict(), ensure_ascii=False)
+            assert [column for column, _ in texts.values()] == list(kb.column_info)
+            for key, (column, text) in texts.items():
+                assert key == id(column)
+                assert key not in before or before[key][1] is text
+        # Only "area" changed in the third delta and only "year" is new in the last.
+        assert len(before) == 2 and len(texts) == 3
+        # Equal columns are not the same text: 1, 1.0 and True are equal.
+        for value in (1, 1.0, True):
+            kb = GroundedKnowledge(column_info=[ColumnKnowledge("flag", values=[value])])
+            assert _knowledge_json(kb, texts) == json.dumps(kb.to_json_dict(), ensure_ascii=False)
+        assert _knowledge_json(EMPTY_KNOWLEDGE, texts) == "{}" and texts == {}
 
     def test_torn_final_cache_line_names_file_and_line(self, tmp_path, capsys):
         lines = Path(CACHE).read_text(encoding="utf-8").splitlines(keepends=True)
@@ -724,6 +754,32 @@ def test_cli_import_loads_no_http_client():
         cwd=src, capture_output=True, text=True, check=True, timeout=60,
     ).stdout
     assert out.strip() == "[]"
+
+
+@pytest.mark.parametrize("command, unloaded", [
+    # Records are plain slotted classes; hashlib (which loads OpenSSL) and ast
+    # are imported only where annotate hashes a request or parses a reply
+    # that is not JSON.
+    (None, {"dataclasses", "inspect", "hashlib", "_hashlib", "ast"}),
+    (["ground", "--corpus", CORPUS, "--gold", GOLD], {"_hashlib", "ast"}),
+    (["evaluate", "--corpus", CORPUS, "--gold", GOLD, "--predictions", PREDICTIONS],
+     {"_hashlib", "ast"}),
+], ids=["import", "ground", "evaluate"])
+def test_start_up_loads_no_dataclasses_and_commands_no_openssl(tmp_path, command, unloaded):
+    src = Path(__file__).resolve().parents[1] / "src"
+    argv = None if command is None else [*command, "--out", str(tmp_path / "out")]
+    code = (
+        "import sys; bare = set(sys.modules); import convground.cli; "
+        f"{argv!r} is None or convground.cli.main({argv!r}); "
+        "print(sorted(set(sys.modules) - bare))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        cwd=src, capture_output=True, text=True, check=True, timeout=60,
+    ).stdout
+    loaded = ast.literal_eval(out.splitlines()[-1])
+    assert "convground.cli" in loaded
+    assert unloaded.isdisjoint(loaded)
 
 
 def test_readme_flag_table_matches_the_parser():

@@ -133,8 +133,12 @@ def _corpus_line(turn):
     (_corpus_line({"index": 1, "role": "seeker", "text": ["hi"]}), "got \\['hi'\\]"),
     (json.dumps({"id": 5, "turns": [{"index": 1, "role": "seeker", "text": "hi"}]}),
      "dialogue id: expected text, got 5"),
+    # A domain that is not text would leave a record that cannot be hashed.
+    (json.dumps({"id": "y", "domain": {"a": [1]},
+                 "turns": [{"index": 1, "role": "seeker", "text": "hi"}]}),
+     "dialogue 'y': domain: expected text, got \\{'a': \\[1\\]\\}"),
     ("[" * 100_000, ""),
-], ids=["role", "index-true", "index-float", "text", "id", "nesting"])
+], ids=["role", "index-true", "index-float", "text", "id", "domain", "nesting"])
 def test_ill_typed_corpus_record_names_file_and_line(tmp_path, line, message):
     path = tmp_path / "corpus.jsonl"
     path.write_text(_corpus_line({"index": 1, "role": "seeker", "text": "hi"}) + "\n" + line + "\n")

@@ -1,15 +1,32 @@
+import inspect
 import json
+import pickle
 import random
 
 import pytest
 
 from convground import judge, knowledge
 from convground import (
+    AssessmentOutcome,
+    ChatMessage,
     ColumnKnowledge,
+    CompletionRequest,
+    CompletionResult,
+    Dialogue,
+    EvalReport,
     Fact,
     FactKey,
+    GoldAnnotation,
+    GraphOp,
     GroundedKnowledge,
+    GroundingLabel,
+    GroundingState,
+    KnowledgeVerdict,
+    MessageRole,
+    OpKind,
+    Role,
     SchemaError,
+    Turn,
     Verdict,
     assess,
     canonicalize,
@@ -22,6 +39,8 @@ from convground import (
     plan_ops,
     terms_equivalent,
 )
+from convground.engine import TurnTrace
+from convground.evaluation import TurnResult
 from convground.judge import _lists_equivalent
 from convground.knowledge import EMPTY_KNOWLEDGE
 from convground.matching import perfect_matching
@@ -431,3 +450,77 @@ class TestMerge:
         assert [c.to_json_dict() for c in merged.column_info] == [
             {"column_name": "area", "max_value": 2},
         ]
+
+
+# One factory per record type; two calls build equal records that are not
+# the same object.
+RECORDS = {
+    "ColumnKnowledge": lambda: ColumnKnowledge("area", "total area", [1, 2.5], 2, 1, 2.5),
+    "GroundedKnowledge": lambda: GroundedKnowledge(
+        "geography", None, 98, 1, [ColumnKnowledge("park name")]
+    ),
+    "FactKey": lambda: FactKey("column", "area"),
+    "Fact": lambda: Fact(FactKey("row_count"), 5),
+    "Turn": lambda: Turn(1, Role.SEEKER, "hi"),
+    "Dialogue": lambda: Dialogue("d", "media", [Turn(1, Role.SEEKER, "hi")]),
+    "GoldAnnotation": lambda: GoldAnnotation(
+        2, GroundingLabel.EXPLICIT, GroundedKnowledge(row_count=5)
+    ),
+    "AssessmentOutcome": lambda: AssessmentOutcome(
+        Fact(FactKey("row_count"), 5), Verdict.MATCH, FactKey("row_count")
+    ),
+    "GraphOp": lambda: GraphOp(OpKind.UPDATE_NODE, FactKey("row_count"), 5),
+    "TurnTrace": lambda: TurnTrace(
+        3, GroundingLabel.IMPLICIT, EMPTY_KNOWLEDGE,
+        (GraphOp(OpKind.CREATE_NODE, FactKey("row_count"), 5),), "labeler failed",
+    ),
+    "GroundingState": lambda: GroundingState(
+        GroundedKnowledge(row_count=5), EMPTY_KNOWLEDGE,
+        (TurnTrace(1, GroundingLabel.NO_EVENT, EMPTY_KNOWLEDGE),),
+    ),
+    "TurnResult": lambda: TurnResult(
+        "d", 1, GroundingLabel.EXPLICIT, GroundingLabel.IMPLICIT, KnowledgeVerdict.EQUIVALENT
+    ),
+    "EvalReport": lambda: EvalReport([
+        TurnResult("d", 1, GroundingLabel.EXPLICIT, GroundingLabel.EXPLICIT,
+                   KnowledgeVerdict.NO_GOLD),
+    ]),
+    "CompletionRequest": lambda: CompletionRequest(
+        "model", [ChatMessage(MessageRole.USER, "hi")], 0.5, 16
+    ),
+    "CompletionResult": lambda: CompletionResult("Output label: explicit", True),
+    "ChatMessage": lambda: ChatMessage(MessageRole.SYSTEM, "be brief"),
+}
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_records_compare_hash_and_print_by_their_fields(name):
+    a, b = RECORDS[name](), RECORDS[name]()
+    assert type(a).__name__ == name and a is not b
+    assert a == b and not a != b
+    fields = list(inspect.signature(type(a)).parameters)
+    assert repr(a) == f"{name}({', '.join(f'{f}={getattr(a, f)!r}' for f in fields)})"
+    assert repr(a) == repr(b)
+    assert pickle.loads(pickle.dumps(a)) == a
+    for other_name, make in RECORDS.items():
+        if other_name != name:
+            assert a != make() and not a == make()
+    if name == "EvalReport":
+        with pytest.raises(TypeError):
+            hash(a)
+        a.per_turn = []  # a report stays mutable
+        assert a != b
+        return
+    assert hash(a) == hash(b)
+    with pytest.raises(AttributeError):
+        setattr(a, fields[0], getattr(b, fields[-1]))
+    with pytest.raises(AttributeError):
+        delattr(a, fields[0])
+    assert a == b
+
+
+def test_records_of_different_classes_with_equal_fields_differ():
+    key, result = FactKey("column", "area"), CompletionResult("column", "area")
+    assert key != result and result != key
+    assert hash(key) == hash(result)  # the field tuples' hash, which a dict tolerates
+    assert len({key, result}) == 2
