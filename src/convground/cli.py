@@ -20,7 +20,7 @@ from .dialogue import (
 )
 from .engine import gold_extractor, gold_labeler, process_dialogue
 from .evaluation import CoverageError, ReportFormat, render_report, score
-from .knowledge import EMPTY_KNOWLEDGE, ColumnKnowledge, GroundedKnowledge
+from .knowledge import EMPTY_KNOWLEDGE, GroundedKnowledge
 from .llm import (
     DEFAULT_MODEL,
     ENDPOINT_ENV,
@@ -36,7 +36,7 @@ from .llm import (
     parse_knowledge_json,
     parse_label,
 )
-from .prompts import build_classification_prompt, build_extraction_prompt
+from .prompts import Transcript, build_classification_prompt, build_extraction_prompt
 
 
 def _fail(message: str) -> int:
@@ -55,23 +55,20 @@ _SKIPPED = ("cache misses", "unparseable replies", "request errors")
 _dumps = json.JSONEncoder(ensure_ascii=False).encode
 
 
-def _knowledge_json(
-    kb: GroundedKnowledge, texts: dict[int, tuple[ColumnKnowledge, str]]
-) -> str:
+def _knowledge_json(kb: GroundedKnowledge, transcript: Transcript) -> str:
     """``json.dumps(kb.to_json_dict(), ensure_ascii=False)``, taking the text
-    of each column that ``texts`` holds from there; ``texts`` is left holding
-    the text of ``kb``'s columns alone.
+    of each column that ``transcript.column_texts`` holds from there, which
+    is then left holding the text of ``kb``'s columns alone.
 
-    ``texts`` maps ``id(column)`` to the column and its text. Each entry
-    keeps its column alive, so no id is reused while the entry exists. It is
-    not keyed by ``==``: ``1``, ``1.0`` and ``True`` are equal but serialise
-    differently.
+    ``column_texts`` maps ``id(column)`` to the column and its text. Each
+    entry keeps its column alive, so no id is reused while the entry exists.
+    It is not keyed by ``==``: ``1``, ``1.0`` and ``True`` are equal but
+    serialise differently.
     """
-    known = texts.copy()
-    texts.clear()
+    known, texts = transcript.column_texts, {}
     for column in kb.column_info:
-        entry = known.get(id(column))
-        texts[id(column)] = entry or (column, _dumps(column.to_json_dict()))
+        texts[id(column)] = known.get(id(column)) or (column, _dumps(column.to_json_dict()))
+    transcript.column_texts = texts
     text = _dumps(kb.to_json_dict(columns=False))
     if not kb.column_info:
         return text
@@ -95,27 +92,20 @@ def _annotate_dialogue(
     """
     annotations: list[GoldAnnotation] = []
     skipped: list[tuple[str, str]] = []
-    kb, kb_json, column_texts = EMPTY_KNOWLEDGE, None, {}
+    kb, kb_json, transcript = EMPTY_KNOWLEDGE, None, Transcript()
     for turn_index in targets:
         history = dialogue.turns[:turn_index]
-        cls_messages = build_classification_prompt(history)
+        cls_messages = build_classification_prompt(history, transcript)
         if args.incremental_kb and kb_json is None:
-            kb_json = _knowledge_json(kb, column_texts)
-        ext_messages = build_extraction_prompt(history, kb_json)
+            kb_json = _knowledge_json(kb, transcript)
+        ext_messages = build_extraction_prompt(history, kb_json, transcript)
         where = f"dialogue {dialogue.id} turn {turn_index}"
         try:
-            label_text = complete(
-                CompletionRequest(args.model_name, tuple(cls_messages)),
-                mode,
-                cache=cache,
-                endpoint=args.endpoint,
-            ).text
-            knowledge_text = complete(
-                CompletionRequest(args.model_name, tuple(ext_messages)),
-                mode,
-                cache=cache,
-                endpoint=args.endpoint,
-            ).text
+            label_text, knowledge_text = [
+                complete(CompletionRequest(args.model_name, tuple(messages)), mode,
+                         cache=cache, endpoint=args.endpoint, transcript=transcript).text
+                for messages in (cls_messages, ext_messages)
+            ]
         except CacheMissError as exc:
             skipped.append(("cache misses", f"{where}: {exc.request_hash}"))
             continue

@@ -15,7 +15,7 @@ from typing import Any, Callable, Iterable, Optional, Union
 from .dialogue import CorpusError, GroundingLabel, _iter_records
 from .knowledge import GroundedKnowledge, Record
 from .schema import SchemaError, _excerpt, canonicalize
-from .prompts import ChatMessage
+from .prompts import ChatMessage, Transcript
 
 DEFAULT_MODEL = "gpt-3.5-turbo-1106"
 DEFAULT_TEMPERATURE = 0.0
@@ -105,41 +105,21 @@ class _Resume:
     """SHA-256 states of one head's canonical body, open inside the content of
     the last message (its first key under ``sort_keys``)."""
 
-    __slots__ = ("max_tokens", "head", "start", "last")
+    __slots__ = ("tokens", "head", "start", "last")
 
     def __init__(self, max_tokens: int, head: tuple[ChatMessage, ...]):
         import hashlib  # here, so that ground and evaluate never load OpenSSL
 
-        self.max_tokens = max_tokens
+        self.tokens = (max_tokens, type(max_tokens))
         self.head = head
         parts = "".join(_dumps(m.to_json_dict()) + ", " for m in head)
         self.start = hashlib.sha256(
             f'{{"max_tokens": {_dumps(max_tokens)}, "messages": [{parts}{{"content": "'
             .encode("utf-8")
         )
-        # (content prefix, state after it); replaced whole, and a stored state
-        # is only ever copied, so threads can only miss.
+        # The content prefix last hashed up to a newline, and the state after
+        # it; a stored state is only ever copied.
         self.last: tuple[str, Any] = ("", self.start)
-
-
-# The resume points of the latest heads, newest first; replaced whole.
-_resumes: tuple[_Resume, ...] = ()
-
-
-def _resume_point(max_tokens: int, head: tuple[ChatMessage, ...]) -> _Resume:
-    global _resumes
-    for resume in _resumes:
-        # Tuples compare the same message objects without calling ``__eq__``;
-        # the type check keeps apart 1, 1.0 and True, which encode differently.
-        if (
-            resume.head == head
-            and resume.max_tokens == max_tokens
-            and type(resume.max_tokens) is type(max_tokens)
-        ):
-            return resume
-    resume = _Resume(max_tokens, head)
-    _resumes = (resume, *_resumes[:7])
-    return resume
 
 
 @functools.lru_cache(maxsize=8, typed=True)
@@ -157,23 +137,32 @@ def _escaped(text: str) -> bytes:
     return json.encoder.encode_basestring(text)[1:-1].encode("utf-8")
 
 
-def request_hash(request: CompletionRequest) -> str:
+def request_hash(request: CompletionRequest, transcript: Optional[Transcript] = None) -> str:
     """Stable hash of the request, insensitive to incidental field ordering.
 
     The SHA-256 of ``json.dumps(request.wire_body(), sort_keys=True,
-    ensure_ascii=False)``. The state before the last message is the same for
-    every prompt of one kind, and the last message's content up to its last
-    newline (the dialogue so far) is where the next turn's content resumes,
-    so only the text added since is escaped and hashed.
+    ensure_ascii=False)``. ``transcript`` keeps, per head (the messages
+    before the last) and ``max_tokens``, the states before the last message's
+    content and after it up to its last newline (the dialogue so far), where
+    the next turn resumes: only the text added since is escaped and hashed.
     """
     messages = request.messages
     if not messages:
         import hashlib
 
         return hashlib.sha256(_dumps(request.wire_body()).encode("utf-8")).hexdigest()
-    last = messages[-1]
+    resumes = [] if transcript is None else transcript.resumes
+    head, last = messages[:-1], messages[-1]
+    # Tuples compare the same message objects without calling ``__eq__``; the
+    # type keeps apart 1, 1.0 and True, which encode differently.
+    tokens = (request.max_tokens, type(request.max_tokens))
+    for resume in resumes:
+        if resume.head == head and resume.tokens == tokens:
+            break
+    else:
+        resume = _Resume(request.max_tokens, head)
+        resumes.append(resume)
     content = last.content
-    resume = _resume_point(request.max_tokens, messages[:-1])
     prefix, state = resume.last
     if not content.startswith(prefix):
         prefix, state = "", resume.start
@@ -303,13 +292,15 @@ def complete(
     endpoint: Optional[str] = None,
     api_key: Optional[str] = None,
     sleep: Callable[[float], None] = time.sleep,
+    transcript: Optional[Transcript] = None,
 ) -> CompletionResult:
     """Resolve a chat completion through the cache or the live endpoint.
 
     Replay serves only from the cache; record sends the request and persists
-    the response; live bypasses the cache entirely.
+    the response; live bypasses the cache entirely. ``transcript`` is the
+    dialogue's state that :func:`request_hash` resumes from.
     """
-    key = request_hash(request)
+    key = request_hash(request, transcript)
     if mode is CacheMode.REPLAY:
         if cache is None:
             raise CacheMissError(key)

@@ -4,10 +4,10 @@ from __future__ import annotations
 
 import enum
 import operator
-from typing import Sequence
+from typing import Any, Optional, Sequence
 
 from .dialogue import Turn
-from .knowledge import Record
+from .knowledge import ColumnKnowledge, Record
 
 
 class MessageRole(enum.Enum):
@@ -92,27 +92,41 @@ EXTRACTION_EXAMPLES = (
 )
 
 
-# The last serialised history, kept so that the next turn's prompts format only
-# the turns added since. One tuple, replaced whole: a thread that reads another
-# dialogue's entry only misses.
-_last_history: tuple[tuple[Turn, ...], str] = ((), "")
+class Transcript:
+    """One dialogue's state, used by one thread: a cache handle, not a setting.
+
+    :func:`serialize_history`, the prompt builders and ``llm.request_hash``
+    give the same result with one as without. ``turns`` and ``text`` are the
+    last history serialised and its text, ``resumes`` the hash resume point
+    of each prompt head, and ``column_texts`` the JSON text of each column
+    that ``cli._knowledge_json`` serialised last.
+    """
+
+    __slots__ = ("turns", "text", "resumes", "column_texts")
+
+    def __init__(self) -> None:
+        self.turns: tuple[Turn, ...] = ()
+        self.text = ""
+        self.resumes: list[Any] = []
+        self.column_texts: dict[int, tuple[ColumnKnowledge, str]] = {}
 
 
-def serialize_history(history: Sequence[Turn]) -> str:
+def serialize_history(history: Sequence[Turn], transcript: Optional[Transcript] = None) -> str:
     """Render the dialogue history as a single space-joined line.
 
-    When ``history`` starts with the same ``Turn`` objects as the previous
-    call's, only the turns after them are formatted.
+    When ``history`` starts with the same ``Turn`` objects as the last
+    history serialised with ``transcript``, only the turns after them are
+    formatted.
     """
-    global _last_history
-    turns, text = _last_history
+    transcript = transcript or Transcript()
+    turns, text = transcript.turns, transcript.text
     if turns and len(history) >= len(turns) and all(map(operator.is_, turns, history)):
         added = history[len(turns):]
         if added:
             text += " " + " ".join(f"{turn.role.value}: {turn.text}" for turn in added)
     else:
         text = " ".join(f"{turn.role.value}: {turn.text}" for turn in history)
-    _last_history = (tuple(history), text)
+    transcript.turns, transcript.text = tuple(history), text
     return text
 
 
@@ -133,21 +147,26 @@ def _build(
     head: tuple[ChatMessage, ...],
     history: Sequence[Turn],
     answer_cue: str,
-    preamble: str = "",
+    preamble: str,
+    transcript: Optional[Transcript],
 ) -> list[ChatMessage]:
     if not history:
         raise ValueError("history must contain at least one turn")
-    final = f"{preamble}Input dialogue: {serialize_history(history)}\n{answer_cue}"
+    final = f"{preamble}Input dialogue: {serialize_history(history, transcript)}\n{answer_cue}"
     return [*head, ChatMessage(MessageRole.USER, final)]
 
 
-def build_classification_prompt(history: Sequence[Turn]) -> list[ChatMessage]:
+def build_classification_prompt(
+    history: Sequence[Turn], transcript: Optional[Transcript] = None
+) -> list[ChatMessage]:
     """Three-shot prompt asking for the grounding label of the last turn."""
-    return _build(_CLASSIFICATION_HEAD, history, "Output label: ")
+    return _build(_CLASSIFICATION_HEAD, history, "Output label: ", "", transcript)
 
 
 def build_extraction_prompt(
-    history: Sequence[Turn], known_kb_json: str | None = None
+    history: Sequence[Turn],
+    known_kb_json: str | None = None,
+    transcript: Optional[Transcript] = None,
 ) -> list[ChatMessage]:
     """Three-shot prompt asking for the newly grounded knowledge as JSON.
 
@@ -159,4 +178,4 @@ def build_extraction_prompt(
     preamble = (
         "" if known_kb_json is None else f"Already grounded knowledge: {known_kb_json}\n"
     )
-    return _build(_EXTRACTION_HEAD, history, "Output JSON: ", preamble)
+    return _build(_EXTRACTION_HEAD, history, "Output JSON: ", preamble, transcript)

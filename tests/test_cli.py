@@ -29,6 +29,7 @@ from convground import (
 )
 from convground.cli import _build_parser, _knowledge_json, main
 from convground.llm import request_hash
+from convground.prompts import Transcript
 
 
 CORPUS = str(fixtures.path(fixtures.DIALOGUES))
@@ -122,6 +123,52 @@ class TestAnnotate:
         assert outputs[0] == outputs[1] == outputs[2]
         assert outputs[0] == (tmp_path / "recorded.jsonl").read_bytes()
 
+    def test_parallel_jobs_escape_as_much_text_as_serial(self, tmp_path, monkeypatch):
+        # Characters passed through the JSON string escaper by three replays
+        # in one process: --jobs 1, then --jobs 4 with threads switching every
+        # microsecond, then --jobs 1 again. No dialogue's prompt and hash state
+        # is evicted by another's, and no run's by the run before it.
+        corpus = tmp_path / "corpus.jsonl"
+        with open(corpus, "w", encoding="utf-8") as handle:
+            for d in range(4):
+                turns = [
+                    {"index": i + 1, "role": ("seeker", "provider")[i % 2],
+                     "text": f"dialogue {d} turn {i} says {'x' * 40}"}
+                    for i in range(40)
+                ]
+                handle.write(json.dumps({"id": f"D{d}", "turns": turns}) + "\n")
+
+        def fake_post(url, body, headers):
+            content = body["messages"][-1]["content"]
+            reply = ("implicit" if content.endswith("Output label: ")
+                     else f"{{'row_count': {len(content) % 9}}}")
+            return 200, json.dumps({"choices": [{"message": {"content": reply}}]})
+
+        monkeypatch.setattr("convground.llm._post", fake_post)
+        cache = tmp_path / "cache.jsonl"
+        common = ("annotate", "--corpus", str(corpus), "--cache", str(cache),
+                  "--all-turns", "--incremental-kb")
+        assert run(*common, "--mode", "record", "--endpoint", "http://example.test",
+                   "--out", str(tmp_path / "recorded.jsonl")) == 0
+        escaped = []
+        escape = json.encoder.encode_basestring
+
+        def counting_escape(text):
+            escaped.append(len(text))
+            return escape(text)
+
+        monkeypatch.setattr(json.encoder, "encode_basestring", counting_escape)
+        counts, interval = [], sys.getswitchinterval()
+        for jobs in ("1", "4", "1"):
+            escaped.clear()
+            sys.setswitchinterval(1e-6 if jobs == "4" else interval)
+            try:
+                assert run(*common, "--jobs", jobs, "--out", str(tmp_path / "out.jsonl")) == 0
+            finally:
+                sys.setswitchinterval(interval)
+            counts.append(sum(escaped))
+        assert counts[0] > 0 and counts[0] == counts[1] == counts[2]
+
     def test_empty_cache_exits_one_and_lists_misses(self, tmp_path, capsys):
         empty = tmp_path / "empty.jsonl"
         empty.write_text("", encoding="utf-8")
@@ -143,7 +190,7 @@ class TestAnnotate:
         deltas = ["{'row_count': 500}", "{'row_count': 500}", "{'row_count': 98}"]
         shown = []
 
-        def fake_complete(request, mode, cache=None, endpoint=None):
+        def fake_complete(request, mode, cache=None, endpoint=None, transcript=None):
             content = request.messages[-1].content
             if content.endswith("Output label: "):
                 return CompletionResult("Output label: implicit", cached=True)
@@ -297,7 +344,7 @@ class TestAnnotate:
         ]
 
     def test_knowledge_json_reuses_the_text_of_the_same_column_objects(self):
-        texts = {}
+        transcript = Transcript()
         kb = EMPTY_KNOWLEDGE
         deltas = [
             {"row_count": 3},
@@ -307,9 +354,11 @@ class TestAnnotate:
             {"table_domain": "parks", "column_name": "year", "values": [1921]},
         ]
         for delta in deltas:
-            before = dict(texts)
+            before = dict(transcript.column_texts)
             kb = commit(kb, canonicalize(delta))[0]
-            assert _knowledge_json(kb, texts) == json.dumps(kb.to_json_dict(), ensure_ascii=False)
+            text = json.dumps(kb.to_json_dict(), ensure_ascii=False)
+            assert _knowledge_json(kb, transcript) == text
+            texts = transcript.column_texts
             assert [column for column, _ in texts.values()] == list(kb.column_info)
             for key, (column, text) in texts.items():
                 assert key == id(column)
@@ -319,8 +368,10 @@ class TestAnnotate:
         # Equal columns are not the same text: 1, 1.0 and True are equal.
         for value in (1, 1.0, True):
             kb = GroundedKnowledge(column_info=[ColumnKnowledge("flag", values=[value])])
-            assert _knowledge_json(kb, texts) == json.dumps(kb.to_json_dict(), ensure_ascii=False)
-        assert _knowledge_json(EMPTY_KNOWLEDGE, texts) == "{}" and texts == {}
+            text = json.dumps(kb.to_json_dict(), ensure_ascii=False)
+            assert _knowledge_json(kb, transcript) == text
+        assert _knowledge_json(EMPTY_KNOWLEDGE, transcript) == "{}"
+        assert transcript.column_texts == {}
 
     def test_torn_final_cache_line_names_file_and_line(self, tmp_path, capsys):
         lines = Path(CACHE).read_text(encoding="utf-8").splitlines(keepends=True)

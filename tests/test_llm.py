@@ -36,6 +36,7 @@ from convground.prompts import (
     EXTRACTION_EXAMPLES,
     ChatMessage,
     MessageRole,
+    Transcript,
     build_classification_prompt,
     build_extraction_prompt,
     serialize_history,
@@ -313,7 +314,8 @@ class TestCache:
             ))
         # Two dialogues grow a turn at a time, interleaved, with both prompt
         # kinds per turn, a knowledge base that changes between turns, and
-        # text that JSON escapes or that is not ASCII.
+        # text that JSON escapes or that is not ASCII. Each dialogue's prompts
+        # are built and hashed with its own transcript as they grow.
         odd_texts = [
             'say "hi"', "back\\slash", "two\nlines", "tab\there", "ctl\x01x",
             "sep\u2028x", "naïve 数据", "emoji 🙂", "plain",
@@ -328,30 +330,35 @@ class TestCache:
             ("modèle \"m\"\n", 0.3, 64),
             ("m", 0, True),
         ]
+        transcripts = [Transcript() for _ in dialogues]
         for turn in range(1, len(odd_texts) + 1):
             for d, turns in enumerate(dialogues):
-                history = turns[:turn]
+                history, transcript = turns[:turn], transcripts[d]
                 kb_json = json.dumps({"row_count": turn // 3, "note": odd_texts[turn - 1]},
                                      ensure_ascii=False)
                 model, temperature, max_tokens = configs[(turn + d) % len(configs)]
                 for messages in (
-                    build_classification_prompt(history),
-                    build_extraction_prompt(history),
-                    build_extraction_prompt(history, known_kb_json=kb_json),
+                    build_classification_prompt(history, transcript),
+                    build_extraction_prompt(history, transcript=transcript),
+                    build_extraction_prompt(history, kb_json, transcript),
                 ):
-                    requests.append(
-                        CompletionRequest(model, tuple(messages), temperature, max_tokens)
-                    )
+                    request = CompletionRequest(model, tuple(messages), temperature, max_tokens)
+                    assert request_hash(request, transcript) == canonical_digest(request)
+                    requests.append(request)
+        # Every request without state, and with one state that sees them all.
+        shared = Transcript()
         for request in requests:
-            assert request_hash(request) == canonical_digest(request)
+            assert request_hash(request) == request_hash(request, shared) == (
+                canonical_digest(request)
+            )
 
     def test_hashing_a_growing_dialogue_escapes_each_turn_a_bounded_number_of_times(
         self, monkeypatch
     ):
         # Characters passed through the JSON string escaper while building and
-        # hashing both prompts for every turn of one 200-turn dialogue. Hashing
-        # the whole history again for every turn escapes about 100 times the
-        # dialogue's text.
+        # hashing both prompts for every turn of one 200-turn dialogue, with
+        # the dialogue's transcript. Hashing the whole history again for every
+        # turn escapes about 100 times the dialogue's text.
         turns = [
             Turn(i + 1, Role.SEEKER if i % 2 else Role.PROVIDER, f"turn {i} says {'x' * 40}")
             for i in range(200)
@@ -365,18 +372,19 @@ class TestCache:
             return escape(text)
 
         monkeypatch.setattr(json.encoder, "encode_basestring", counting_escape)
+        transcript = Transcript()
         for turn in range(1, len(turns) + 1):
             history = turns[:turn]
             for messages in (
-                build_classification_prompt(history),
-                build_extraction_prompt(history, known_kb_json='{"row_count": 5}'),
+                build_classification_prompt(history, transcript),
+                build_extraction_prompt(history, '{"row_count": 5}', transcript),
             ):
-                request_hash(CompletionRequest(messages=tuple(messages)))
+                request_hash(CompletionRequest(messages=tuple(messages)), transcript)
         assert 0 < sum(escaped) < 4 * text_length
 
-    def test_threads_sharing_the_prompt_and_hash_memos_get_exact_results(self):
+    def test_threads_each_holding_a_transcript_get_exact_results(self):
         # More threads than cores, switching often, each growing its own
-        # dialogue: a thread may only miss the other's memo entries.
+        # dialogue with its own transcript.
         dialogues = [
             [Turn(i + 1, Role.SEEKER if i % 2 else Role.PROVIDER, f'd{d} t{i} "q"\n')
              for i in range(30)]
@@ -385,21 +393,22 @@ class TestCache:
         failures = []
 
         def grow(turns):
+            transcript = Transcript()
             for turn in range(1, len(turns) + 1):
                 history = turns[:turn]
                 text = " ".join(f"{t.role.value}: {t.text}" for t in history)
                 kb_json = json.dumps({"row_count": turn // 4})
                 for messages, content in (
-                    (build_classification_prompt(history),
+                    (build_classification_prompt(history, transcript),
                      f"Input dialogue: {text}\nOutput label: "),
-                    (build_extraction_prompt(history, known_kb_json=kb_json),
+                    (build_extraction_prompt(history, kb_json, transcript),
                      f"Already grounded knowledge: {kb_json}\n"
                      f"Input dialogue: {text}\nOutput JSON: "),
                 ):
                     request = CompletionRequest(messages=tuple(messages))
                     if messages[-1].content != content:
                         failures.append(("prompt", turns[0].text, turn))
-                    if request_hash(request) != canonical_digest(request):
+                    if request_hash(request, transcript) != canonical_digest(request):
                         failures.append(("hash", turns[0].text, turn))
 
         interval = sys.getswitchinterval()

@@ -2,6 +2,9 @@ import json
 
 import pytest
 
+from convground.dialogue import Role, Turn
+from convground.prompts import Transcript
+
 from convground import (
     ChatMessage,
     CompletionRequest,
@@ -78,6 +81,21 @@ def test_static_messages_byte_match_fixture(builder, fixture_name, history_a2):
 def test_builders_deterministic(history_a2):
     assert build_classification_prompt(history_a2) == build_classification_prompt(history_a2)
     assert build_extraction_prompt(history_a2) == build_extraction_prompt(history_a2)
+
+
+def test_a_transcript_gives_the_same_history_text(dialogues_by_id):
+    # Histories that grow, repeat, shrink, and restart with equal turns that
+    # are other objects or with other text, all through one transcript.
+    turns = dialogues_by_id["A"].turns
+    twins = [Turn(t.index, t.role, t.text) for t in turns]
+    other = [Turn(1, Role.PROVIDER, "another dialogue"), *turns[1:]]
+    transcript = Transcript()
+    for history in (turns[:1], turns[:3], turns[:3], turns[:8], turns[:2], twins[:4],
+                    turns[:5], other[:6], other[:7], turns[:len(turns)]):
+        assert serialize_history(history, transcript) == serialize_history(history)
+        assert serialize_history(history) == " ".join(
+            f"{t.role.value}: {t.text}" for t in history
+        )
 
 
 def test_single_turn_history(dialogues_by_id):
