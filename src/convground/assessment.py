@@ -127,7 +127,12 @@ def assess(kb: GroundedKnowledge, delta: GroundedKnowledge) -> list[AssessmentOu
             outcomes.append(AssessmentOutcome(incoming, Verdict.NOVEL))
             continue
         existing = kb_facts[i]
-        verdict = _classify(existing, incoming)
+        # A value equal to its target's is a match, as _classify would find:
+        # every field rule accepts equal values, and updating a value with
+        # an equal one leaves it equal.
+        verdict = (
+            Verdict.MATCH if incoming.value == existing.value else _classify(existing, incoming)
+        )
         outcomes.append(AssessmentOutcome(incoming, verdict, existing.key))
         if verdict is Verdict.CONFLICT:
             retired.add(i)

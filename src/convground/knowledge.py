@@ -10,6 +10,7 @@ of the surface terms, so "area in km2" and "area" count as the same column;
 
 from __future__ import annotations
 
+import functools
 import re
 import threading
 from operator import attrgetter
@@ -308,9 +309,21 @@ def indexed_facts(knowledge: GroundedKnowledge) -> tuple[dict[int, Fact], KeyInd
     return carried
 
 
+@functools.lru_cache(maxsize=256)
+def _name_terms(name: str) -> frozenset[str]:
+    """:func:`normalize_term` of a column name, memoised by the name.
+
+    A restated column's name is normalised once, not once per delta that
+    lists it. The memo is bounded, so hostile names cannot grow it, and
+    holds only immutable results. Value strings do not pass through it:
+    the judge meets too many distinct ones for a memo to pay.
+    """
+    return normalize_term(name)
+
+
 def _key_terms(key: FactKey) -> frozenset[Any]:
     """The content tokens of a column's name, or else the key itself."""
-    tokens = normalize_term(key.column) if key.field == "column" and key.column else None
+    tokens = _name_terms(key.column) if key.field == "column" and key.column else None
     return tokens or frozenset((key,))
 
 
@@ -325,10 +338,14 @@ class KeyIndex:
     transitive ("area" matches both "area size" and "area total", which do
     not match each other), so a lookup returns the lowest live position.
 
-    Each key is normalised once, when it is looked up or added, and listed
-    under each of its terms. A candidate sharing ``k`` of the probe's terms
-    holds them all when ``k`` is the probe's term count, and lies within
-    them when ``k`` is its own.
+    A key's terms come from a memo of its name (see :func:`_name_terms`),
+    and a key is listed under each of them. A candidate sharing ``k`` of
+    the probe's terms holds them all when ``k`` is the probe's term count,
+    and lies within them when ``k`` is its own.
+
+    Each posting list is a tuple of live positions, which a write replaces
+    whole, so a copy shares every list with its original until it writes
+    that list.
 
     An index that is kept (see :func:`indexed_facts` and ``merge``) also
     maps its live keys to their positions in ``exact``. A key takes a new
@@ -339,7 +356,7 @@ class KeyIndex:
 
     def __init__(self) -> None:
         self._sizes: dict[int, int] = {}  # term count of each live position
-        self._postings: dict[Any, list[int]] = {}
+        self._postings: dict[Any, tuple[int, ...]] = {}
         self.exact: dict[FactKey, int] = {}  # written by keep and discard
         self._next = 0  # positions are never reused
 
@@ -357,8 +374,9 @@ class KeyIndex:
             i = self._next
             self._next += 1
             self._sizes[i] = len(terms)
+            postings = self._postings
             for term in terms:
-                self._postings.setdefault(term, []).append(i)
+                postings[term] = postings.get(term, ()) + (i,)
         return i
 
     def keep(self, key: FactKey) -> int:
@@ -371,21 +389,26 @@ class KeyIndex:
         return i
 
     def discard(self, key: FactKey) -> None:
-        """Retire the position ``key`` holds in ``exact``: no later lookup returns it."""
-        del self._sizes[self.exact.pop(key)]
+        """Retire the position ``key`` holds in ``exact``: no later lookup
+        returns it, and it leaves the posting lists of ``key``'s terms."""
+        i = self.exact.pop(key)
+        del self._sizes[i]
+        postings = self._postings
+        for term in _key_terms(key):
+            live = tuple([j for j in postings[term] if j != i])
+            if live:
+                postings[term] = live
+            else:
+                del postings[term]
 
     def copy(self) -> KeyIndex:
         """A copy to add to and discard from, leaving this index as it is.
-        Retired positions are left out of its postings, so no posting list
-        outgrows its live keys by more than the copy's own discards."""
+        The copy shares the posting lists until it replaces them."""
         copied = KeyIndex()
-        sizes = copied._sizes = self._sizes.copy()
+        copied._sizes = self._sizes.copy()
+        copied._postings = self._postings.copy()
         copied.exact = self.exact.copy()
         copied._next = self._next
-        for term, positions in self._postings.items():
-            live = [i for i in positions if i in sizes]
-            if live:
-                copied._postings[term] = live
         return copied
 
     def _matches(self, terms: frozenset[Any]) -> Iterator[int]:
@@ -394,7 +417,7 @@ class KeyIndex:
             for i in self._postings.get(term, ()):
                 shared[i] = shared.get(i, 0) + 1
         sizes = self._sizes
-        return (i for i, k in shared.items() if i in sizes and k in (len(terms), sizes[i]))
+        return (i for i, k in shared.items() if k in (len(terms), sizes[i]))
 
 
 EMPTY_KNOWLEDGE = GroundedKnowledge()

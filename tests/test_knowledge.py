@@ -282,6 +282,17 @@ def test_commit_normalises_each_column_name_a_bounded_number_of_times(monkeypatc
     assert len(calls) <= 8 * len(names)
 
 
+def test_the_name_memo_stays_within_its_bound():
+    # Hostile input may hold any number of distinct column names.
+    memo = knowledge._name_terms
+    bound = memo.cache_info().maxsize
+    assert bound is not None
+    for i in range(bound + 100):
+        knowledge.KeyIndex().add(FactKey("column", f"name{i:05d} x"))
+        assert memo.cache_info().currsize <= bound
+    assert memo.cache_info().currsize == bound
+
+
 class TestCanonicalize:
     def test_column_names_shorthand(self):
         k = canonicalize(
