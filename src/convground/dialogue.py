@@ -136,7 +136,7 @@ def _iter_records(path: PathLike):
         for line_no, raw in enumerate(handle, start=1):
             try:
                 line = raw.decode("utf-8")
-                if not line.strip():
+                if not line or line.isspace():  # blank, without copying the line
                     continue
                 record = json.loads(line)
             except (ValueError, RecursionError) as exc:  # not UTF-8, malformed or too deep

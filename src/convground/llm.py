@@ -101,6 +101,24 @@ class CompletionResult(Record):
 _dumps = json.JSONEncoder(sort_keys=True, ensure_ascii=False).encode
 
 
+@functools.lru_cache(maxsize=1)
+def _sha256() -> Callable[..., Any]:
+    """The SHA-256 constructor of the interpreter's built-in module (``_sha2``
+    from Python 3.12, ``_sha256`` before), or ``hashlib``'s on a build that
+    has neither. ``hashlib`` loads OpenSSL, which costs a replay run more
+    memory and start-up time than its faster hash saves on the few megabytes
+    the run hashes. Resolved once per process: a failed import is not
+    cached, so trying ``_sha2`` on every call would search the path again."""
+    try:
+        from _sha2 import sha256
+    except ImportError:
+        try:
+            from _sha256 import sha256
+        except ImportError:
+            from hashlib import sha256
+    return sha256
+
+
 class _Resume:
     """SHA-256 states of one head's canonical body, open inside the content of
     the last message (its first key under ``sort_keys``)."""
@@ -108,12 +126,10 @@ class _Resume:
     __slots__ = ("tokens", "head", "start", "last")
 
     def __init__(self, max_tokens: int, head: tuple[ChatMessage, ...]):
-        import hashlib  # here, so that ground and evaluate never load OpenSSL
-
         self.tokens = (max_tokens, type(max_tokens))
         self.head = head
         parts = "".join(_dumps(m.to_json_dict()) + ", " for m in head)
-        self.start = hashlib.sha256(
+        self.start = _sha256()(
             f'{{"max_tokens": {_dumps(max_tokens)}, "messages": [{parts}{{"content": "'
             .encode("utf-8")
         )
@@ -148,9 +164,7 @@ def request_hash(request: CompletionRequest, transcript: Optional[Transcript] = 
     """
     messages = request.messages
     if not messages:
-        import hashlib
-
-        return hashlib.sha256(_dumps(request.wire_body()).encode("utf-8")).hexdigest()
+        return _sha256()(_dumps(request.wire_body()).encode("utf-8")).hexdigest()
     resumes = [] if transcript is None else transcript.resumes
     head, last = messages[:-1], messages[-1]
     # Tuples compare the same message objects without calling ``__eq__``; the
@@ -341,6 +355,11 @@ _CODE_FENCE = re.compile(r"^```[a-zA-Z]*\n(.*?)\n?```\s*$", re.DOTALL)
 _NULL_OUTSIDE_STRINGS = re.compile(
     r"""'(?:[^'\\]|\\[\s\S])*'?|"(?:[^"\\]|\\[\s\S])*"?|\bnull\b"""
 )
+# CPython 3.11.7 keeps the AST constructor's recursion depth per interpreter,
+# not per thread, so two ``annotate --jobs`` threads in ``ast.literal_eval``
+# at once can raise ``SystemError`` ("AST constructor recursion depth
+# mismatch"); replies are read as literals one at a time.
+_LITERAL_LOCK = threading.Lock()
 
 
 def parse_knowledge_json(raw: str) -> GroundedKnowledge:
@@ -377,7 +396,8 @@ def _parse_tree(text: str) -> Any:
 
     for candidate in (literal, f"[{literal}]"):
         try:
-            return ast.literal_eval(candidate)
+            with _LITERAL_LOCK:
+                return ast.literal_eval(candidate)
         except (ValueError, TypeError, SyntaxError, MemoryError, RecursionError):
             continue  # what ``literal_eval`` raises on malformed or too deeply nested text
     raise KnowledgeParseError(

@@ -808,14 +808,17 @@ def test_cli_import_loads_no_http_client():
 
 
 @pytest.mark.parametrize("command, unloaded", [
-    # Records are plain slotted classes; hashlib (which loads OpenSSL) and ast
-    # are imported only where annotate hashes a request or parses a reply
-    # that is not JSON.
+    # Records are plain slotted classes; ast is imported only where annotate
+    # parses a reply that is not JSON. annotate hashes its requests with the
+    # interpreter's built-in SHA-256, so no offline command loads hashlib,
+    # which loads OpenSSL.
     (None, {"dataclasses", "inspect", "hashlib", "_hashlib", "ast"}),
-    (["ground", "--corpus", CORPUS, "--gold", GOLD], {"_hashlib", "ast"}),
+    (["ground", "--corpus", CORPUS, "--gold", GOLD], {"hashlib", "_hashlib", "ast"}),
     (["evaluate", "--corpus", CORPUS, "--gold", GOLD, "--predictions", PREDICTIONS],
-     {"_hashlib", "ast"}),
-], ids=["import", "ground", "evaluate"])
+     {"hashlib", "_hashlib", "ast"}),
+    (["annotate", "--corpus", CORPUS, "--gold", GOLD, "--cache", CACHE, "--mode", "replay"],
+     {"hashlib", "_hashlib"}),
+], ids=["import", "ground", "evaluate", "annotate"])
 def test_start_up_loads_no_dataclasses_and_commands_no_openssl(tmp_path, command, unloaded):
     src = Path(__file__).resolve().parents[1] / "src"
     argv = None if command is None else [*command, "--out", str(tmp_path / "out")]

@@ -51,6 +51,20 @@ def test_malformed_record_names_line(tmp_path):
         load_dialogues(path)
 
 
+def test_lines_of_only_spaces_tabs_or_carriage_returns_are_skipped(tmp_path):
+    turn = {"index": 1, "role": "seeker", "text": "hi"}
+    path = tmp_path / "corpus.jsonl"
+    path.write_text(
+        "   \n" + _corpus_line(turn) + "\n\t\n\r\n \t\r \n\n"
+        + json.dumps({"id": "y", "turns": [turn]}) + "\r\n\t \n" + "not json\n",
+        encoding="utf-8", newline="",
+    )
+    with pytest.raises(CorpusError, match=r"corpus\.jsonl: line 9: "):
+        load_dialogues(path)
+    path.write_bytes(path.read_bytes().removesuffix(b"not json\n"))
+    assert [d.id for d in load_dialogues(path)] == ["x", "y"]
+
+
 def test_turn_text_stored_verbatim(dialogues_by_id):
     a = dialogues_by_id["A"]
     assert a.turns[11].text == ":blush:"

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import http.server
 import json
@@ -20,6 +21,7 @@ from convground import (
     parse_knowledge_json,
     parse_label,
 )
+from convground import llm
 from convground.dialogue import Role, Turn
 from convground.llm import (
     DEFAULT_MAX_TOKENS,
@@ -210,6 +212,49 @@ class TestParseKnowledgeJson:
         assert message.endswith(end)
         assert len(message) < 200
 
+    def test_threads_reading_python_literal_replies_at_once_all_succeed(self):
+        # A reply that is not JSON is read by ast.literal_eval. Threads switch
+        # every microsecond while the collector runs the finalizers (Python
+        # code) of garbage cycles, so a thread is often interrupted inside
+        # the AST constructor while another one enters it.
+        raw = "{'column_info': [" + ", ".join(
+            f"{{'column_name': 'c{i}', 'values': ['a', 'b'], 'max_value': {i}}}"
+            for i in range(20)
+        ) + "]}"
+        expected = parse_knowledge_json(raw)
+
+        class Cycle:
+            def __del__(self):
+                pass
+
+        failures = []
+
+        def read():
+            for _ in range(60):
+                cycle = Cycle()
+                cycle.me = cycle
+                del cycle
+                try:
+                    if parse_knowledge_json(raw) != expected:
+                        failures.append("wrong result")
+                except SystemError as exc:
+                    failures.append(exc)
+
+        threshold, interval = gc.get_threshold(), sys.getswitchinterval()
+        gc.set_threshold(50, 5, 5)
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=read) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+            gc.set_threshold(*threshold)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
+
 
 def test_max_tokens_must_be_positive():
     with pytest.raises(ValueError, match="max_tokens must be positive"):
@@ -351,6 +396,19 @@ class TestCache:
             assert request_hash(request) == request_hash(request, shared) == (
                 canonical_digest(request)
             )
+
+    def test_hash_falls_back_to_hashlib_with_the_same_digests(self, monkeypatch):
+        # The interpreter's built-in SHA-256 module hashes unless the build
+        # has none; then hashlib does, and every digest above stays the same.
+        assert llm._sha256().__module__ in ("_sha2", "_sha256")
+        monkeypatch.setitem(sys.modules, "_sha2", None)
+        monkeypatch.setitem(sys.modules, "_sha256", None)
+        llm._sha256.cache_clear()
+        try:
+            assert llm._sha256() is hashlib.sha256
+            self.test_hash_equals_the_canonical_body_digest()
+        finally:
+            llm._sha256.cache_clear()
 
     def test_hashing_a_growing_dialogue_escapes_each_turn_a_bounded_number_of_times(
         self, monkeypatch
