@@ -144,7 +144,9 @@ def cmd_annotate(args: argparse.Namespace) -> int:
     try:
         dialogues = load_dialogues(args.corpus)
         gold = load_gold(args.gold, dialogues) if args.gold else None
-        cache = ResponseCache(args.cache) if args.cache else None
+        # Replay reads only the cache, so a missing one is an error, not empty.
+        cache = (ResponseCache(args.cache, missing_ok=mode is not CacheMode.REPLAY)
+                 if args.cache else None)
     except CorpusError as exc:
         return _fail(str(exc))
     if not args.all_turns and gold is None:

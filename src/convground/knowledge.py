@@ -248,6 +248,37 @@ def knowledge_from_facts(fact_list: Iterable[Fact]) -> GroundedKnowledge:
     return fold_facts({}, ((index.add(fact.key), fact) for fact in fact_list))
 
 
+def knowledge_from_parts(
+    scalars: dict[str, Any], columns: list[ColumnKnowledge]
+) -> GroundedKnowledge:
+    """:func:`knowledge_from_facts` of the top-level fields ``scalars`` (by
+    name), then of ``columns``. Only two or more columns can fold, so fewer
+    take no fact, key or index."""
+    if len(columns) > 1:
+        return knowledge_from_facts([
+            *(Fact(FactKey(name), value) for name, value in scalars.items()),
+            *(Fact(FactKey("column", c.column_name), c) for c in columns),
+        ])
+    return _assembled(scalars, columns)
+
+
+def _assembled(
+    scalars: dict[str, Any],
+    columns: list[ColumnKnowledge],
+    carried: Optional[tuple[dict[int, Fact], KeyIndex]] = None,
+) -> GroundedKnowledge:
+    """A knowledge object of ``scalars`` and ``columns`` as they are,
+    carrying ``carried`` (see :func:`fold_facts`). Nothing is checked here:
+    without ``carried``, the index is built, and checked, when first looked
+    up."""
+    knowledge = object.__new__(GroundedKnowledge)
+    for name in _SCALAR_FIELDS:
+        object.__setattr__(knowledge, name, scalars.get(name))
+    object.__setattr__(knowledge, "column_info", tuple(columns))
+    object.__setattr__(knowledge, "_carried", carried)
+    return knowledge
+
+
 def fold_facts(
     placed: dict[int, Fact],
     positioned: Iterable[tuple[int, Fact]],
@@ -273,12 +304,7 @@ def fold_facts(
     # guess never draws on the free list of its size, which then grows.
     columns = [f.value for f in placed.values() if f.key.field == "column"]
     scalars = {f.key.field: f.value for f in placed.values() if f.key.field != "column"}
-    knowledge = object.__new__(GroundedKnowledge)
-    for name in _SCALAR_FIELDS:
-        object.__setattr__(knowledge, name, scalars.get(name))
-    object.__setattr__(knowledge, "column_info", tuple(columns))
-    object.__setattr__(knowledge, "_carried", None if index is None else (placed, index))
-    return knowledge
+    return _assembled(scalars, columns, None if index is None else (placed, index))
 
 
 def indexed_facts(knowledge: GroundedKnowledge) -> tuple[dict[int, Fact], KeyIndex]:

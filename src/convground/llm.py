@@ -193,21 +193,26 @@ def request_hash(request: CompletionRequest, transcript: Optional[Transcript] = 
 
 
 class ResponseCache:
-    """Line-delimited (hash, request, response) store for record/replay."""
+    """Line-delimited (hash, request, response) store for record/replay.
 
-    def __init__(self, path: Union[str, Path]):
+    A file that does not exist reads as empty when ``missing_ok``, and
+    raises ``CorpusError`` otherwise, as one that cannot be read does.
+    """
+
+    def __init__(self, path: Union[str, Path], missing_ok: bool = True):
         self.path = Path(path)
         self._responses: dict[str, str] = {}
         self._lock = threading.Lock()
-        if self.path.exists():
-            for line_no, record in _iter_records(self.path):
-                if not (isinstance(record, dict) and isinstance(record.get("hash"), str)
-                        and isinstance(record.get("response"), str)):
-                    raise CorpusError(
-                        f"{self.path}: line {line_no}: expected an object with "
-                        "text 'hash' and 'response'"
-                    )
-                self._responses[record["hash"]] = record["response"]
+        if missing_ok and not self.path.exists():
+            return
+        for line_no, record in _iter_records(self.path):
+            if not (isinstance(record, dict) and isinstance(record.get("hash"), str)
+                    and isinstance(record.get("response"), str)):
+                raise CorpusError(
+                    f"{self.path}: line {line_no}: expected an object with "
+                    "text 'hash' and 'response'"
+                )
+            self._responses[record["hash"]] = record["response"]
 
     def __len__(self) -> int:
         return len(self._responses)
@@ -349,17 +354,8 @@ def parse_label(raw: str) -> GroundingLabel:
 
 
 _JSON_PREFIX = re.compile(r"^\s*output\s+json\s*:\s*", re.IGNORECASE)
-_CODE_FENCE = re.compile(r"^```[a-zA-Z]*\n(.*?)\n?```\s*$", re.DOTALL)
-# A quoted string in either style, escapes included, or else a bare ``null``.
-# An unclosed string runs to the end, so one pass stays linear.
-_NULL_OUTSIDE_STRINGS = re.compile(
-    r"""'(?:[^'\\]|\\[\s\S])*'?|"(?:[^"\\]|\\[\s\S])*"?|\bnull\b"""
-)
-# CPython 3.11.7 keeps the AST constructor's recursion depth per interpreter,
-# not per thread, so two ``annotate --jobs`` threads in ``ast.literal_eval``
-# at once can raise ``SystemError`` ("AST constructor recursion depth
-# mismatch"); replies are read as literals one at a time.
-_LITERAL_LOCK = threading.Lock()
+# Blanks and ``\r`` may trail either fence line.
+_CODE_FENCE = re.compile(r"^```[a-zA-Z]*[ \t]*\r?\n(.*?)\r?\n?```\s*$", re.DOTALL)
 
 
 def parse_knowledge_json(raw: str) -> GroundedKnowledge:
@@ -391,16 +387,12 @@ def _parse_tree(text: str) -> Any:
         raise KnowledgeParseError(f"unparseable extraction output: {exc}") from None
     # The printed single-quote rendering is Python-literal-like except for
     # JSON's null; a bare "{...}, {...}" sequence parses once wrapped.
-    literal = _NULL_OUTSIDE_STRINGS.sub(lambda m: "None" if m[0] == "null" else m[0], text)
-    import ast  # here: replies that are JSON, and commands that parse none, never load it
+    # Imported here, so that commands that read only JSON never compile it.
+    from . import literal
 
-    for candidate in (literal, f"[{literal}]"):
-        try:
-            with _LITERAL_LOCK:
-                return ast.literal_eval(candidate)
-        except (ValueError, TypeError, SyntaxError, MemoryError, RecursionError):
-            continue  # what ``literal_eval`` raises on malformed or too deeply nested text
-    raise KnowledgeParseError(
-        f"unparseable extraction output at offset {offset}: {_excerpt(text)}"
-    )
-
+    try:
+        return literal.read(text)
+    except ValueError:
+        raise KnowledgeParseError(
+            f"unparseable extraction output at offset {offset}: {_excerpt(text)}"
+        ) from None

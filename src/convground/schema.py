@@ -4,9 +4,7 @@ from __future__ import annotations
 
 from typing import Any, Union
 
-from .knowledge import (
-    _COLUMN_FIELDS, ColumnKnowledge, Fact, FactKey, GroundedKnowledge, knowledge_from_facts,
-)
+from .knowledge import _COLUMN_FIELDS, ColumnKnowledge, GroundedKnowledge, knowledge_from_parts
 
 
 class SchemaError(ValueError):
@@ -101,19 +99,25 @@ def _canonicalize_entry(raw: Any) -> ColumnKnowledge:
         raise SchemaError(str(exc)) from None
 
 
-def _fragment_facts(raw: dict) -> list[Fact]:
-    """One tree's facts: its scalars, then its columns in the order read."""
+_SCALARS = (("table_domain", _as_text), ("table_content", _as_text),
+            ("row_count", _as_count), ("column_count", _as_count))
+
+
+def _read_fragment(
+    raw: dict, scalars: dict[str, Any], columns: list[ColumnKnowledge]
+) -> None:
+    """Read one tree: its columns onto ``columns`` in the order read, then
+    its scalars into ``scalars``, over any a former tree gave."""
     data = {k: v for k, v in raw.items() if v is not None}
     unknown = set(data) - _TOP_LEVEL_KEYS
     if unknown:
         raise SchemaError(f"unknown key {_excerpt(sorted(unknown, key=str)[0])}")
 
-    entries: list[ColumnKnowledge] = []
     if "column_names" in data:
         names = data.pop("column_names")
         if not isinstance(names, (list, tuple)):
             raise SchemaError(f"column_names: expected a list, got {_excerpt(names)}")
-        entries.extend(
+        columns.extend(
             _canonicalize_entry({"column_name": name}) for name in names
         )
     if "column_name" in data:
@@ -121,7 +125,7 @@ def _fragment_facts(raw: dict) -> list[Fact]:
         for name in _COLUMN_FIELDS:
             if name in data:
                 entry[name] = data.pop(name)
-        entries.append(_canonicalize_entry(entry))
+        columns.append(_canonicalize_entry(entry))
     stray = [name for name in _COLUMN_FIELDS if name in data]
     if stray:
         raise SchemaError(f"key {stray[0]!r} requires an accompanying column_name")
@@ -129,14 +133,11 @@ def _fragment_facts(raw: dict) -> list[Fact]:
         info = data.pop("column_info")
         if not isinstance(info, (list, tuple)):
             raise SchemaError(f"column_info: expected a list, got {_excerpt(info)}")
-        entries.extend(_canonicalize_entry(e) for e in info)
+        columns.extend(_canonicalize_entry(e) for e in info)
 
-    scalars = (("table_domain", _as_text), ("table_content", _as_text),
-               ("row_count", _as_count), ("column_count", _as_count))
-    fact_list = [Fact(FactKey(name), as_value(name, data[name]))
-                 for name, as_value in scalars if name in data]
-    fact_list.extend(Fact(FactKey("column", e.column_name), e) for e in entries)
-    return fact_list
+    for name, as_value in _SCALARS:
+        if name in data:
+            scalars[name] = as_value(name, data[name])
 
 
 def canonicalize(raw: Any) -> GroundedKnowledge:
@@ -154,12 +155,13 @@ def canonicalize(raw: Any) -> GroundedKnowledge:
     fragments = (raw,) if isinstance(raw, dict) else raw
     if not isinstance(fragments, (list, tuple)):
         raise SchemaError(f"expected a key/value tree, got {type(raw).__name__}")
-    fact_list: list[Fact] = []
+    scalars: dict[str, Any] = {}
+    columns: list[ColumnKnowledge] = []
     for fragment in fragments:
         if not isinstance(fragment, dict):
             raise SchemaError(f"expected objects, got {_excerpt(fragment)}")
-        fact_list.extend(_fragment_facts(fragment))
-    knowledge = knowledge_from_facts(fact_list)
+        _read_fragment(fragment, scalars, columns)
+    knowledge = knowledge_from_parts(scalars, columns)
     row_count = knowledge.row_count
     if row_count is not None:
         for column in knowledge.column_info:

@@ -202,8 +202,10 @@ class TestAnnotate:
         corpus.write_text(
             Path(CORPUS).read_text(encoding="utf-8").splitlines()[0] + "\n", encoding="utf-8"
         )
+        cache = tmp_path / "unused.jsonl"  # replay needs a cache file, though none is read
+        cache.write_text("", encoding="utf-8")
         assert run(
-            "annotate", "--corpus", str(corpus), "--cache", str(tmp_path / "unused.jsonl"),
+            "annotate", "--corpus", str(corpus), "--cache", str(cache),
             "--all-turns", "--incremental-kb", "--out", str(tmp_path / "out.jsonl"),
         ) == 0
         expected, kb = [], EMPTY_KNOWLEDGE
@@ -704,6 +706,9 @@ class TestPrompts:
      "{tmp}/missing.jsonl: No such file or directory"),
     (["annotate", "--corpus", CORPUS, "--gold", GOLD, "--cache", CACHE,
       "--out", "{tmp}/missing/p.jsonl"], "{tmp}/missing/p.jsonl: No such file or directory"),
+    (["annotate", "--corpus", CORPUS, "--gold", GOLD, "--cache", "{tmp}/missing.jsonl",
+      "--mode", "replay", "--out", "{tmp}/p.jsonl"],
+     "{tmp}/missing.jsonl: No such file or directory"),
     (["ground", "--corpus", CORPUS, "--gold", GOLD, "--out", "{tmp}/missing/t.jsonl"],
      "{tmp}/missing/t.jsonl: No such file or directory"),
     (["evaluate", "--gold", GOLD, "--predictions", PREDICTIONS, "--out", "{tmp}/missing/r.json"],
@@ -711,7 +716,7 @@ class TestPrompts:
 ], ids=["annotate-no-out", "annotate-no-turns", "annotate-zero-jobs", "annotate-negative-jobs",
         "ground-no-corpus", "ground-torn-corpus", "prompts-no-corpus", "prompts-torn-corpus",
         "ground-corpus-not-utf8", "evaluate-missing-gold", "annotate-out-unwritable",
-        "ground-out-unwritable", "evaluate-out-unwritable"])
+        "annotate-replay-missing-cache", "ground-out-unwritable", "evaluate-out-unwritable"])
 def test_unusable_arguments_exit_one_with_an_error_line(tmp_path, capsys, argv, error):
     (tmp_path / "torn.jsonl").write_text("not json\n", encoding="utf-8")
     (tmp_path / "latin1.jsonl").write_bytes(b'\n{"id": "caf\xe9"}\n')
@@ -808,16 +813,18 @@ def test_cli_import_loads_no_http_client():
 
 
 @pytest.mark.parametrize("command, unloaded", [
-    # Records are plain slotted classes; ast is imported only where annotate
-    # parses a reply that is not JSON. annotate hashes its requests with the
-    # interpreter's built-in SHA-256, so no offline command loads hashlib,
-    # which loads OpenSSL.
-    (None, {"dataclasses", "inspect", "hashlib", "_hashlib", "ast"}),
-    (["ground", "--corpus", CORPUS, "--gold", GOLD], {"hashlib", "_hashlib", "ast"}),
+    # Records are plain slotted classes. convground.literal is imported only
+    # where annotate parses a reply that is not JSON, and ast only where
+    # such a reply does not translate to JSON, which no fixture reply does.
+    # annotate hashes its requests with the interpreter's built-in SHA-256,
+    # so no offline command loads hashlib, which loads OpenSSL.
+    (None, {"dataclasses", "inspect", "hashlib", "_hashlib", "ast", "convground.literal"}),
+    (["ground", "--corpus", CORPUS, "--gold", GOLD],
+     {"hashlib", "_hashlib", "ast", "convground.literal"}),
     (["evaluate", "--corpus", CORPUS, "--gold", GOLD, "--predictions", PREDICTIONS],
-     {"hashlib", "_hashlib", "ast"}),
+     {"hashlib", "_hashlib", "ast", "convground.literal"}),
     (["annotate", "--corpus", CORPUS, "--gold", GOLD, "--cache", CACHE, "--mode", "replay"],
-     {"hashlib", "_hashlib"}),
+     {"hashlib", "_hashlib", "ast"}),
 ], ids=["import", "ground", "evaluate", "annotate"])
 def test_start_up_loads_no_dataclasses_and_commands_no_openssl(tmp_path, command, unloaded):
     src = Path(__file__).resolve().parents[1] / "src"

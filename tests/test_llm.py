@@ -2,6 +2,7 @@ import gc
 import hashlib
 import http.server
 import json
+import random
 import sys
 import threading
 
@@ -21,7 +22,7 @@ from convground import (
     parse_knowledge_json,
     parse_label,
 )
-from convground import llm
+from convground import literal, llm
 from convground.dialogue import Role, Turn
 from convground.llm import (
     DEFAULT_MAX_TOKENS,
@@ -154,6 +155,14 @@ class TestParseKnowledgeJson:
         k = parse_knowledge_json('```json\n{"row_count": 98}\n```')
         assert k.row_count == 98
 
+    @pytest.mark.parametrize("raw", [
+        '```json\r\n{"row_count": 3}\r\n```',
+        '```json \n{"row_count": 3}\n```',
+        "```python\t \r\n{'row_count': 3}  \r\n```\r\n",
+    ], ids=["crlf", "blank-after-tag", "literal-blanks-and-crlf"])
+    def test_a_fence_line_may_end_in_blanks_and_a_carriage_return(self, raw):
+        assert parse_knowledge_json(raw).row_count == 3
+
     def test_null_fields_dropped(self):
         k = parse_knowledge_json(
             "{'row_count': 191, 'column_info': [{'column_name': "
@@ -213,15 +222,18 @@ class TestParseKnowledgeJson:
         assert len(message) < 200
 
     def test_threads_reading_python_literal_replies_at_once_all_succeed(self):
-        # A reply that is not JSON is read by ast.literal_eval. Threads switch
+        # A literal reply that json cannot read once translated (here, for
+        # its escaped quotes) is read by ast.literal_eval. Threads switch
         # every microsecond while the collector runs the finalizers (Python
         # code) of garbage cycles, so a thread is often interrupted inside
         # the AST constructor while another one enters it.
         raw = "{'column_info': [" + ", ".join(
-            f"{{'column_name': 'c{i}', 'values': ['a', 'b'], 'max_value': {i}}}"
+            f"{{'column_name': 'c{i}\\'s', 'values': ['a', 'b'], 'max_value': {i}}}"
             for i in range(20)
         ) + "]}"
+        assert literal.translated(raw) is None
         expected = parse_knowledge_json(raw)
+        assert expected.column_info[0].column_name == "c0's"
 
         class Cycle:
             def __del__(self):
@@ -254,6 +266,89 @@ class TestParseKnowledgeJson:
             gc.set_threshold(*threshold)
         assert not any(thread.is_alive() for thread in threads)
         assert failures == []
+
+
+# Pieces of Python-literal replies: tokens that json reads once translated,
+# and tokens it must leave to ast.literal_eval, which reads some and rejects
+# the rest.
+_LITERAL_ATOMS = (
+    "None", "True", "False", "null", "0", "-0", "12", "-7", "3.5", "-0.0", "1e5", "2E-3",
+    "1e400", "-1E+02", "''", '""', "'a'", '"b"', "'it\"s'", '"it\'s"', "'null'", "'None'",
+    "'[{'", "'}]: ,'", "'日本 🙂'", "'area size'", "'\u2028'", "'\ufeff'", "'\xa0'", "3", "'3'",
+)
+_FOREIGN_ATOMS = (
+    "true", "false", "NaN", "Infinity", "-Infinity", "1_0", "01", "00", ".5", "1.", "+1",
+    "- 1", "--1", "1j", "1+2j", "0x1F", "b'x'", "r'x'", "u'x'", "f'x'", "rb'x'",
+    "'a\\'b'", "'a\\nb'", "'\\u00e9'", "'tab\there'", "'cr\rx'", "'\x00'", "'\x7f'",
+    "'\x85'", "'\ud800'", "'\udfff'", "'''t'''", '"""t"""', "'a' 'b'", "'a''b'", "()",
+    "(1,)", "(1, 2)", "{1, 2}", "{'a'}", "...", "\x0c", "\xa0", "١", "1 2", "[1][0]",
+    "None1", "nullx", "TrueFalse", "9" * 4400, "'unclosed", '"unclosed', "# c\n1",
+)
+_LITERAL_KEYS = (
+    "table_domain", "row_count", "column_count", "column_info", "column_names",
+    "column_name", "description", "values", "distinct_count", "min_value", "max_value",
+)
+_SEPARATORS = (", ", ",", ",\n", " , ", ",\t", ",\r\n", ",\r", "\n")
+
+
+def _literal_value(rng: random.Random, depth: int) -> str:
+    shape = rng.random()
+    if depth > 3 or shape < 0.35:
+        return rng.choice(_FOREIGN_ATOMS if rng.random() < 0.1 else _LITERAL_ATOMS)
+    sep = rng.choice(_SEPARATORS[:-1])
+    items = range(rng.randint(0, 4))
+    trailing = rng.choice(("", "", "", ",")) if items else ""
+    if shape < 0.75:
+        quote = rng.choice("'\"")
+        keys = [quote + rng.choice(_LITERAL_KEYS) + quote if rng.random() < 0.97
+                else rng.choice(("1", "None", "(1, 2)", "'extra'")) for _ in items]
+        body = sep.join(key + rng.choice((": ", ":", " :\n")) + _literal_value(rng, depth + 1)
+                        for key in keys)
+        return "{" + body + trailing + "}"
+    brackets = rng.choice(("[]", "[]", "()", "{}"))
+    body = sep.join(_literal_value(rng, depth + 1) for _ in items)
+    return brackets[0] + body + trailing + brackets[1]
+
+
+def _literal_reply(rng: random.Random) -> str:
+    shape = rng.random()
+    if shape < 0.25:  # a well-formed tree, so that many readings reach canonicalize
+        columns = [{"column_name": rng.choice(("area", "area size", "2020", "rank")),
+                    "max_value": rng.choice((3, 9.5, None)),
+                    "values": rng.sample(["a", "it's", 'say "hi"', 7, "None"], 2)}
+                   for _ in range(rng.randint(0, 3))]
+        text = repr({"row_count": rng.choice((5, None)), "column_info": columns})
+        text = text.replace("None", "null") if rng.random() < 0.5 else text
+    elif shape < 0.9:
+        text = _literal_value(rng, 0)
+    else:
+        depth = rng.choice((98, 99, 100, 101, 198, 199, 200, 250))
+        text = "[" * depth + rng.choice(("{'row_count': 1}", "'a'", "null")) + "]" * depth
+    if rng.random() < 0.2:  # a bare sequence, on one line or several
+        text = rng.choice(_SEPARATORS).join((text, _literal_value(rng, 1)))
+    return text
+
+
+def _reading(raw: str) -> str:
+    try:
+        return repr(parse_knowledge_json(raw))
+    except KnowledgeParseError as exc:
+        return f"error: {exc}"
+
+
+def test_literal_replies_read_through_json_as_through_ast(monkeypatch):
+    # Each reply's knowledge, or error message, is the one that reading it
+    # with ast.literal_eval alone gives.
+    rng = random.Random(22)
+    replies = [_literal_reply(rng) for _ in range(6000)]
+    translated = sum(literal.translated(raw) is not None for raw in replies)
+    readings = [_reading(raw) for raw in replies]
+    monkeypatch.setattr(literal, "translated", lambda text: None)
+    differ = [(raw, reading, other) for raw, reading in zip(replies, readings)
+              for other in (_reading(raw),) if other != reading]
+    assert differ[:3] == []
+    assert translated > 2000
+    assert sum(not r.startswith("error") for r in readings) > 1000
 
 
 def test_max_tokens_must_be_positive():
@@ -296,6 +391,12 @@ class TestCache:
         with pytest.raises(CacheMissError) as excinfo:
             complete(request, CacheMode.REPLAY, cache=cache)
         assert excinfo.value.request_hash == request_hash(request)
+
+    def test_a_missing_file_reads_as_empty_only_when_allowed(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        assert len(ResponseCache(path)) == 0
+        with pytest.raises(CorpusError, match=r"cache\.jsonl: No such file or directory"):
+            ResponseCache(path, missing_ok=False)
 
     def test_record_without_response_names_file_and_line(self, tmp_path):
         path = tmp_path / "cache.jsonl"

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from convground import (
     EMPTY_KNOWLEDGE,
     ColumnKnowledge,
+    Fact,
     FactKey,
     GroundedKnowledge,
     OpKind,
@@ -267,6 +268,27 @@ def test_canonicalize_folds_like_first_match_fold(entries):
         {"column_name": name, "distinct_count": count} for name, count in entries
     ]})
     assert [[c.column_name, c.distinct_count] for c in kb.column_info] == folded
+
+
+@given(st.lists(st.tuples(
+    st.sampled_from(("row_count", "table_domain", None)),
+    st.lists(st.tuples(OVERLAPPING, st.integers(min_value=0, max_value=9)), max_size=3),
+), min_size=1, max_size=3))
+def test_canonicalize_is_the_fold_of_its_fragments_facts(fragments):
+    # Scalars, then columns, fragment by fragment, through one fold.
+    trees, fact_list = [], []
+    for n, (scalar, entries) in enumerate(fragments):
+        tree = {"column_info": [{"column_name": name, "max_value": count}
+                                for name, count in entries]}
+        if scalar is not None:
+            tree[scalar] = n if scalar == "row_count" else f"domain {n}"
+            fact_list.append(Fact(FactKey(scalar), tree[scalar]))
+        fact_list.extend(Fact(FactKey("column", name), ColumnKnowledge(name, max_value=count))
+                         for name, count in entries)
+        trees.append(tree)
+    expected = knowledge_from_facts(fact_list)
+    kb = canonicalize(trees)
+    assert (repr(kb), kb._carried) == (repr(expected), None)
 
 
 @given(st.lists(OVERLAPPING, max_size=5))
