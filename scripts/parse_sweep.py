@@ -4,13 +4,20 @@ Builds ``--replies`` seeded knowledge trees and renders each in the shapes
 models emit: JSON, JSON behind ``Output JSON:``, JSON in a code fence, a
 Python literal with JSON's ``null``, a bare ``{...}, {...}`` sequence of
 literals, and a literal whose strings need backslash escapes. Then one tree
-of ``--widths`` columns each, as JSON and as a literal. Prints the
+of ``--widths`` columns each, as JSON and as a literal, and the same tree
+as JSON with one token per column name, so that no two names share a term
+and ``canonicalize`` has nothing to fold (names such as "area 3" and
+"area 7" share "area", so the first tree folds). Prints the
 microseconds per reply, the least of ``--repeats`` runs (on a shared host,
 the one that other processes slowed least), and whether ``ast`` was loaded
 before the escaped literals, the one shape that must reach it.
 
 Exits 1 if any reply's knowledge differs from what ``ast.literal_eval`` of
-the tree's Python rendering gives through ``canonicalize``.
+the tree's Python rendering gives through ``canonicalize``, or if that
+differs from the fold of the tree's facts: each column read on its own,
+then all facts in order through ``knowledge_from_facts``. The second check
+covers ``canonicalize``'s choice of which trees to fold, which the first,
+with ``canonicalize`` on both sides, cannot.
 
 Uses no module of the repository but ``convground``, so any version's
 ``src`` can be timed:
@@ -88,10 +95,28 @@ def _shapes(args: argparse.Namespace) -> list[tuple[str, list[tuple[str, Any]]]]
         wide = _tree(rng, width)
         shapes.append((f"json, {width} columns", [(json.dumps(wide), wide)]))
         shapes.append((f"literal, {width} columns", [(_literal(wide), wide)]))
+        unshared = {**wide, "column_info": [
+            {**column, "column_name": f"col{i}"} for i, column in enumerate(wide["column_info"])
+        ]}
+        shapes.append((f"json, {width} unshared", [(json.dumps(unshared), unshared)]))
     # Last: the one shape that needs ast, so that the others show whether
     # they loaded it.
     shapes.append(("escaped literal", [(repr(t), t) for t in escaped]))
     return shapes
+
+
+def _fold_of_facts(tree: Any) -> Any:
+    """The fold of ``tree``'s facts: each fragment's top-level fields, and
+    each of its ``column_info`` entries, read on its own (one column never
+    folds), then every fact, in order, through ``knowledge_from_facts``."""
+    from convground import canonicalize, facts, knowledge_from_facts
+
+    fact_list = []
+    for fragment in tree if isinstance(tree, list) else [tree]:
+        rest = {k: v for k, v in fragment.items() if k != "column_info"}
+        for part in [rest, *({"column_info": [e]} for e in fragment.get("column_info", ()))]:
+            fact_list.extend(facts(canonicalize(part)))
+    return knowledge_from_facts(fact_list)
 
 
 def _reading(parse, raw: str) -> str:
@@ -133,7 +158,9 @@ def main(argv: list[str] | None = None) -> int:
     for name, replies in shapes:
         for raw, tree in replies:
             expected = _reading(lambda _: canonicalize(ast.literal_eval(repr(tree))), raw)
-            if _reading(parse_knowledge_json, raw) != expected:
+            readings = (_reading(parse_knowledge_json, raw),
+                        _reading(lambda _: _fold_of_facts(tree), raw))
+            if any(reading != expected for reading in readings):
                 wrong.append((name, raw))
     print(f"{'shape':<22}  {'replies':>7}  {'us/reply':>9}")
     for name, count, micros in timed:
@@ -142,7 +169,8 @@ def main(argv: list[str] | None = None) -> int:
     for name, raw in wrong[:5]:
         print(f"WRONG ({name}): {raw[:120]!r}")
     if wrong:
-        print(f"{len(wrong)} replies read differently from ast.literal_eval")
+        print(f"{len(wrong)} replies read differently from ast.literal_eval"
+              " or from the fold of their facts")
     return 1 if wrong else 0
 
 

@@ -14,6 +14,7 @@ from .dialogue import (
     CorpusError,
     Dialogue,
     GoldAnnotation,
+    _dumps,
     load_dialogues,
     load_gold,
     save_annotations,
@@ -50,9 +51,6 @@ def _unwritable(path: Path, exc: OSError) -> int:
 
 # Why a turn was skipped, in the order the groups are reported.
 _SKIPPED = ("cache misses", "unparseable replies", "request errors")
-
-# ``json.dumps(value, ensure_ascii=False)`` without building an encoder per call.
-_dumps = json.JSONEncoder(ensure_ascii=False).encode
 
 
 def _knowledge_json(kb: GroundedKnowledge, transcript: Transcript) -> str:
@@ -222,12 +220,12 @@ def cmd_ground(args: argparse.Namespace) -> int:
                     }
                     if entry.warning is not None:
                         record["warning"] = entry.warning
-                    handle.write(json.dumps(record, ensure_ascii=False) + "\n")
+                    handle.write(_dumps(record) + "\n")
                 final = {
                     "dialogue_id": dialogue.id,
                     "final_knowledge": state.grounded.to_json_dict(),
                 }
-                handle.write(json.dumps(final, ensure_ascii=False) + "\n")
+                handle.write(_dumps(final) + "\n")
     except OSError as exc:
         return _unwritable(args.out, exc)
     print(f"wrote grounding traces for {len(dialogues)} dialogues to {args.out}")

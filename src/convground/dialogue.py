@@ -12,6 +12,9 @@ from .schema import SchemaError, canonicalize
 
 PathLike = Union[str, Path]
 
+# ``json.dumps(value, ensure_ascii=False)`` without building an encoder per call.
+_dumps = json.JSONEncoder(ensure_ascii=False).encode
+
 
 class CorpusError(ValueError):
     """A corpus or gold file is malformed or internally inconsistent."""
@@ -228,4 +231,4 @@ def save_annotations(
                     "label": a.label.value,
                     "knowledge": a.knowledge_delta.to_json_dict(),
                 }
-                handle.write(json.dumps(record, ensure_ascii=False) + "\n")
+                handle.write(_dumps(record) + "\n")

@@ -252,14 +252,21 @@ def knowledge_from_parts(
     scalars: dict[str, Any], columns: list[ColumnKnowledge]
 ) -> GroundedKnowledge:
     """:func:`knowledge_from_facts` of the top-level fields ``scalars`` (by
-    name), then of ``columns``. Only two or more columns can fold, so fewer
-    take no fact, key or index."""
-    if len(columns) > 1:
-        return knowledge_from_facts([
-            *(Fact(FactKey(name), value) for name, value in scalars.items()),
-            *(Fact(FactKey("column", c.column_name), c) for c in columns),
-        ])
-    return _assembled(scalars, columns)
+    name), then of ``columns``. Equivalent names share a term (see
+    :class:`KeyIndex`), so only a tree of two or more columns in which two
+    names share a term, or one has none, can fold; any other is assembled
+    as it is, with no fact, key or index."""
+    if len(columns) < 2:
+        return _assembled(scalars, columns)
+    terms = [_name_terms(c.column_name) for c in columns]
+    if all(terms) and sum(map(len, terms)) == len(frozenset().union(*terms)):
+        return _assembled(scalars, columns)
+    index = KeyIndex()
+    placed: dict[int, ColumnKnowledge] = {}
+    for column, tokens in zip(columns, terms):
+        i = index.add_terms(tokens or frozenset((FactKey("column", column.column_name),)))
+        placed[i] = updated_value("column", placed[i], column) if i in placed else column
+    return _assembled(scalars, list(placed.values()))
 
 
 def _assembled(
@@ -394,7 +401,10 @@ class KeyIndex:
     def add(self, key: FactKey) -> int:
         """Position of the first live key equivalent to ``key``; when there
         is none, ``key`` takes the next new position, which is returned."""
-        terms = _key_terms(key)
+        return self.add_terms(_key_terms(key))
+
+    def add_terms(self, terms: frozenset[Any]) -> int:
+        """:meth:`add` of a key whose terms (see :func:`_key_terms`) are ``terms``."""
         i = min(self._matches(terms), default=None)
         if i is None:
             i = self._next

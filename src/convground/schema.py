@@ -26,6 +26,7 @@ _TOP_LEVEL_KEYS = frozenset(
      "column_info", "column_names", "column_name", *_COLUMN_FIELDS}
 )
 _ENTRY_KEYS = frozenset({"column_name", *_COLUMN_FIELDS})
+_VALUE_TYPES = frozenset({str, int, float})
 
 
 def _as_count(name: str, value: Any) -> int:
@@ -84,9 +85,12 @@ def _canonicalize_entry(raw: Any) -> ColumnKnowledge:
         values = data["values"]
         if not isinstance(values, (list, tuple)):
             raise SchemaError(f"values: expected a list, got {_excerpt(values)}")
-        for value in values:
-            if isinstance(value, bool) or not isinstance(value, (str, int, float)):
-                raise SchemaError(f"values: expected text or numbers, got {_excerpt(value)}")
+        # One pass in C over the exact types; only a list holding some other
+        # type (bool, None, a container, a subclass) is checked item by item.
+        if not _VALUE_TYPES.issuperset(map(type, values)):
+            for value in values:
+                if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+                    raise SchemaError(f"values: expected text or numbers, got {_excerpt(value)}")
         kwargs["values"] = tuple(values)
     if "distinct_count" in data:
         kwargs["distinct_count"] = _as_count("distinct_count", data["distinct_count"])

@@ -372,6 +372,10 @@ class TestCanonicalize:
          "values: expected text or numbers, got {'x': 2}"),
         ({"column_name": "a", "values": [None]}, "values: expected text or numbers, got None"),
         ({"column_name": "a", "values": [1, True]}, "values: expected text or numbers, got True"),
+        ({"column_name": "a", "values": ["a", True]},
+         "values: expected text or numbers, got True"),
+        ({"column_name": "a", "values": ["a", None]},
+         "values: expected text or numbers, got None"),
         ({"column_info": 5}, "column_info: expected a list, got 5"),
         (5, "expected a key/value tree, got int"),
         ([{"row_count": 3}, "x"], "expected objects, got 'x'"),
@@ -380,12 +384,25 @@ class TestCanonicalize:
     ], ids=["count-bool", "count-fraction", "count-list", "count-negative", "number-bool",
             "number-text", "number-list", "text", "entry-not-object", "entry-unknown-key",
             "entry-unnamed", "entry-blank-name", "values-not-list", "values-item-list",
-            "values-item-object", "values-item-null", "values-item-bool", "column-info-not-list",
+            "values-item-object", "values-item-null", "values-item-bool",
+            "values-text-then-bool", "values-text-then-null", "column-info-not-list",
             "not-a-tree", "fragment-not-object", "fragments-distinct-count"])
     def test_ill_typed_input_rejected(self, raw, message):
         with pytest.raises(SchemaError) as info:
             canonicalize(raw)
         assert str(info.value) == message
+
+    def test_values_of_text_and_number_subclasses_are_accepted(self):
+        class Text(str):
+            pass
+
+        class Count(int):
+            pass
+
+        values = [Text("north"), Count(3), "south", 2.5]
+        k = canonicalize({"column_name": "a", "values": values})
+        assert k.column_info[0].values == tuple(values)
+        assert [type(v) for v in k.column_info[0].values] == [Text, Count, str, float]
 
     def test_integral_floats_read_as_integers(self):
         k = canonicalize({"row_count": 3.0, "column_name": "a", "min_value": 2.0, "max_value": 2.5})

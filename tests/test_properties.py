@@ -7,7 +7,7 @@ from unittest import mock
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from convground import (
     EMPTY_KNOWLEDGE,
@@ -186,6 +186,8 @@ def regex_normalize_term(term):
     st.text(),
     st.sampled_from(POOL_NAMES),
     st.text(alphabet="0123456789.,% kmgKM2aréİ٣\n", max_size=20),
+    # Long runs of digits, letters and "%".
+    st.text(alphabet="0123456789a% ", max_size=200),
 ))
 @settings(max_examples=500)
 def test_normalize_term_agrees_with_the_regex_reference(term):
@@ -270,10 +272,19 @@ def test_canonicalize_folds_like_first_match_fold(entries):
     assert [[c.column_name, c.distinct_count] for c in kb.column_info] == folded
 
 
+# POOL_NAMES and names that share no term with any other name, so that a
+# tree's names may all have terms and share none (nothing can fold), or not.
+FOLD_NAMES = st.sampled_from((*POOL_NAMES, "river", "novel", "height in m"))
+
+
 @given(st.lists(st.tuples(
     st.sampled_from(("row_count", "table_domain", None)),
-    st.lists(st.tuples(OVERLAPPING, st.integers(min_value=0, max_value=9)), max_size=3),
+    st.lists(st.tuples(FOLD_NAMES, st.integers(min_value=0, max_value=9)), max_size=3),
 ), min_size=1, max_size=3))
+@example([("row_count", [("river", 1), ("height in m", 2), ("area size", 3)])])
+@example([(None, [("2020", 1), ("river", 2)]), ("table_domain", [("2020", 3)])])
+@example([(None, [("%", 1), ("2020", 2)])])
+@settings(max_examples=300)
 def test_canonicalize_is_the_fold_of_its_fragments_facts(fragments):
     # Scalars, then columns, fragment by fragment, through one fold.
     trees, fact_list = [], []
