@@ -204,7 +204,7 @@ def merge(kb: GroundedKnowledge, ops: list[GraphOp]) -> GroundedKnowledge:
     index = kb_index.copy()
     for i in removed:
         index.discard(kb_facts[i].key)
-    return fold_facts(kept, ((index.keep(fact.key), fact) for fact in created.values()), index)
+    return fold_facts(kept, ((index.add(fact.key), fact) for fact in created.values()), index)
 
 
 def commit(

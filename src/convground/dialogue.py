@@ -147,6 +147,11 @@ def _iter_records(path: PathLike):
             yield line_no, record
 
 
+def _reason(exc: Exception) -> str:
+    """A loader's message for ``exc``; a ``KeyError`` names the missing field."""
+    return f"missing field {exc.args[0]!r}" if isinstance(exc, KeyError) else str(exc)
+
+
 def load_dialogues(path: PathLike) -> list[Dialogue]:
     """Load a line-delimited dialogue corpus, validating turn indices.
 
@@ -156,13 +161,16 @@ def load_dialogues(path: PathLike) -> list[Dialogue]:
     first_lines: dict[str, int] = {}
     for line_no, record in _iter_records(path):
         try:
+            turns = record["turns"]
+            if not isinstance(turns, list):
+                raise CorpusError(f"turns: expected a list, got {turns!r}")
             turns = tuple(
                 Turn(index=t["index"], role=Role.parse(t["role"]), text=t["text"])
-                for t in record["turns"]
+                for t in turns
             )
             dialogue = Dialogue(id=record["id"], domain_tag=record.get("domain", ""), turns=turns)
         except (KeyError, TypeError, ValueError) as exc:
-            raise CorpusError(f"{path}: line {line_no}: {exc}") from None
+            raise CorpusError(f"{path}: line {line_no}: {_reason(exc)}") from None
         first = first_lines.setdefault(dialogue.id, line_no)
         if first != line_no:
             raise CorpusError(
@@ -195,7 +203,7 @@ def load_gold(
             knowledge = canonicalize({} if raw is None else raw)
             annotation = GoldAnnotation(turn_index, label, knowledge)
         except (KeyError, TypeError, ValueError, SchemaError) as exc:
-            raise CorpusError(f"{path}: line {line_no}: {exc}") from None
+            raise CorpusError(f"{path}: line {line_no}: {_reason(exc)}") from None
         if by_id is not None:
             if dialogue_id not in by_id:
                 raise CorpusError(

@@ -50,13 +50,13 @@ class TurnResult(Record):
         return self.predicted_label is self.gold_label
 
 
-class EvalReport(Record, frozen=False):
+class EvalReport(Record):
     """One result per scored gold turn; every count is derived from them."""
 
     __slots__ = ("per_turn",)
 
     def __init__(self, per_turn: list[TurnResult]) -> None:
-        self.per_turn = per_turn
+        self._set("per_turn", per_turn)
 
     @property
     def confusion(self) -> dict[tuple[GroundingLabel, GroundingLabel], int]:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import functools
 import re
-import threading
 from operator import attrgetter
 from typing import Any, Iterable, Iterator, Optional, Union
 
@@ -68,22 +67,18 @@ class Record:
     and their field tuples are (tuple ``==`` counts an identical item as
     equal), a record hashes as its field tuple, and its repr reads
     ``Name(field=value, ...)``. Assigning or deleting an attribute raises
-    ``AttributeError``; a subclass declared with ``frozen=False`` allows it
-    and is unhashable.
+    ``AttributeError``.
     """
 
     __slots__ = ()
     _set = object.__setattr__
 
-    def __init_subclass__(cls, frozen: bool = True, **kwargs: Any) -> None:
+    def __init_subclass__(cls, **kwargs: Any) -> None:
         super().__init_subclass__(**kwargs)
         fields = cls._fields = tuple(n for n in cls.__slots__ if not n.startswith("_"))
         # ``attrgetter`` of one name returns the value, not a 1-tuple.
         get = attrgetter(*fields)
         cls._values = staticmethod(get if len(fields) > 1 else lambda record: (get(record),))
-        if not frozen:
-            cls.__setattr__, cls.__delattr__ = object.__setattr__, object.__delattr__
-            cls.__hash__ = None
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
@@ -160,16 +155,11 @@ class ColumnKnowledge(Record):
         return out
 
 
-# Per thread, the last knowledge base indexed that carries no index of its
-# own, with its facts and index, replaced whole.
-_last_indexed = threading.local()
-
-
 class GroundedKnowledge(Record):
     """A snapshot of what is known about the tabular dataset."""
 
-    # ``_carried`` is the ``(facts, index)`` pair a merge result carries (see
-    # :func:`fold_facts`); it is not a field.
+    # ``_carried`` is the ``(facts, index)`` pair of :func:`indexed_facts`,
+    # built at most once; it is not a field.
     __slots__ = (*_SCALAR_FIELDS, "column_info", "_carried")
 
     def __init__(
@@ -245,7 +235,7 @@ def facts(knowledge: GroundedKnowledge) -> list[Fact]:
 def knowledge_from_facts(fact_list: Iterable[Fact]) -> GroundedKnowledge:
     """Rebuild a knowledge object from facts, folding equivalent columns together."""
     index = KeyIndex()
-    return fold_facts({}, ((index.add(fact.key), fact) for fact in fact_list))
+    return fold_facts({}, ((index.add(fact.key), fact) for fact in fact_list), index)
 
 
 def knowledge_from_parts(
@@ -287,21 +277,16 @@ def _assembled(
 
 
 def fold_facts(
-    placed: dict[int, Fact],
-    positioned: Iterable[tuple[int, Fact]],
-    index: Optional[KeyIndex] = None,
+    placed: dict[int, Fact], positioned: Iterable[tuple[int, Fact]], index: KeyIndex
 ) -> GroundedKnowledge:
     """Fold ``positioned`` facts into ``placed``, the facts by position: a
     column at a taken position joins the fact there by :func:`updated_value`,
     keeping its name, and a top-level field overwrites. The positions come
-    from a :class:`KeyIndex`, which gives an equivalent key the position of
-    the first one, so the columns need no second check, and the fold is total.
+    from ``index``, which gives an equivalent key the position of the first
+    one, so the columns need no second check, and the fold is total.
 
-    Given ``index``, the one the positions came from, the result carries
-    ``placed`` and ``index`` for :func:`indexed_facts`. :func:`merge` passes
-    its index, so its result, the next commit's knowledge base, is never
-    indexed again. Any other result is indexed, and checked, when it is
-    first looked up.
+    The result carries ``placed`` and ``index`` for :func:`indexed_facts`,
+    so it is never indexed again.
     """
     for i, fact in positioned:
         if i in placed and fact.key.field == "column":
@@ -311,35 +296,29 @@ def fold_facts(
     # guess never draws on the free list of its size, which then grows.
     columns = [f.value for f in placed.values() if f.key.field == "column"]
     scalars = {f.key.field: f.value for f in placed.values() if f.key.field != "column"}
-    return _assembled(scalars, columns, None if index is None else (placed, index))
+    return _assembled(scalars, columns, (placed, index))
 
 
 def indexed_facts(knowledge: GroundedKnowledge) -> tuple[dict[int, Fact], KeyIndex]:
     """The facts of ``knowledge`` by position, in ``facts(knowledge)``'s
     column order, and their :class:`KeyIndex`, neither to be changed.
 
-    A merge result carries both (see :func:`fold_facts`). For any other
-    knowledge base each thread keeps the pair it built last, so a knowledge
-    base committed against again is not indexed again, and no index
-    outlives its use. Building the pair raises ``ValueError`` for columns
-    with equivalent names.
+    The pair is built when it is first asked for and kept on ``knowledge``;
+    a result of :func:`fold_facts` carries it from the start. Building it
+    raises ``ValueError`` for columns with equivalent names. Threads that
+    race here build equal pairs that nothing changes, so either may be kept.
     """
-    if knowledge._carried is not None:
-        return knowledge._carried
-    kb, carried = getattr(_last_indexed, "entry", (None, None))
-    if kb is knowledge:
-        return carried
-    index = KeyIndex()
-    placed: dict[int, Fact] = {}
-    for fact in facts(knowledge):
-        i = index.keep(fact.key)
-        if i in placed:
-            names = f"{placed[i].key.column!r} and {fact.key.column!r}"
-            raise ValueError(f"columns {names} have equivalent names")
-        placed[i] = fact
-    carried = (placed, index)
-    _last_indexed.entry = (knowledge, carried)
-    return carried
+    if knowledge._carried is None:
+        index = KeyIndex()
+        placed: dict[int, Fact] = {}
+        for fact in facts(knowledge):
+            i = index.add(fact.key)
+            if i in placed:
+                names = f"{placed[i].key.column!r} and {fact.key.column!r}"
+                raise ValueError(f"columns {names} have equivalent names")
+            placed[i] = fact
+        knowledge._set("_carried", (placed, index))
+    return knowledge._carried
 
 
 @functools.lru_cache(maxsize=256)
@@ -380,17 +359,16 @@ class KeyIndex:
     whole, so a copy shares every list with its original until it writes
     that list.
 
-    An index that is kept (see :func:`indexed_facts` and ``merge``) also
-    maps its live keys to their positions in ``exact``. A key takes a new
-    position only when no live key is equivalent, so no two live keys are,
-    and a probe equal to a live key matches that key's position alone,
-    with no normalising.
+    The index maps the live keys it was given by :meth:`add` to their
+    positions in ``exact``. A key takes a new position only when no live
+    key is equivalent, so no two live keys are, and a probe equal to a live
+    key matches that key's position alone, with no normalising.
     """
 
     def __init__(self) -> None:
         self._sizes: dict[int, int] = {}  # term count of each live position
         self._postings: dict[Any, tuple[int, ...]] = {}
-        self.exact: dict[FactKey, int] = {}  # written by keep and discard
+        self.exact: dict[FactKey, int] = {}  # written by add and discard
         self._next = 0  # positions are never reused
 
     def matches(self, key: FactKey) -> Iterator[int]:
@@ -400,11 +378,17 @@ class KeyIndex:
 
     def add(self, key: FactKey) -> int:
         """Position of the first live key equivalent to ``key``; when there
-        is none, ``key`` takes the next new position, which is returned."""
-        return self.add_terms(_key_terms(key))
+        is none, ``key`` takes the next new position, which is returned and
+        recorded in ``exact``."""
+        new = self._next
+        i = self.add_terms(_key_terms(key))
+        if i == new:
+            self.exact[key] = i
+        return i
 
     def add_terms(self, terms: frozenset[Any]) -> int:
-        """:meth:`add` of a key whose terms (see :func:`_key_terms`) are ``terms``."""
+        """:meth:`add` of a key whose terms (see :func:`_key_terms`) are
+        ``terms``, recorded in no ``exact`` map."""
         i = min(self._matches(terms), default=None)
         if i is None:
             i = self._next
@@ -413,15 +397,6 @@ class KeyIndex:
             postings = self._postings
             for term in terms:
                 postings[term] = postings.get(term, ()) + (i,)
-        return i
-
-    def keep(self, key: FactKey) -> int:
-        """:meth:`add` for a kept index: a key that takes a new position is
-        recorded in ``exact``."""
-        new = self._next
-        i = self.add(key)
-        if i == new:
-            self.exact[key] = i
         return i
 
     def discard(self, key: FactKey) -> None:

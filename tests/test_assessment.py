@@ -1,6 +1,5 @@
 import math
 import random
-import weakref
 
 import hypothesis.strategies as st
 import pytest
@@ -19,8 +18,10 @@ from convground import (
     parse_knowledge_json,
     plan_ops,
 )
-from convground import knowledge
+from convground import fixtures, knowledge
 from convground.assessment import AssessmentOutcome, _classify
+from convground.dialogue import load_gold
+from convground.evaluation import score
 from convground.judge import _field_values_equivalent, knowledge_equivalent
 from convground.knowledge import (
     EMPTY_KNOWLEDGE,
@@ -297,7 +298,7 @@ def test_a_repeated_commit_indexes_only_the_created_facts(monkeypatch):
         return add(self, key)
 
     monkeypatch.setattr(KeyIndex, "add", counting_add)
-    # The index the first commit built is kept for the knowledge base last indexed.
+    # The index the first commit built is kept on the knowledge base.
     assert commit(kb, delta) == first
     assert len(calls) <= len(facts(delta))
 
@@ -346,12 +347,10 @@ def test_an_indexed_knowledge_base_equals_hashes_and_reprs_like_a_fresh_one():
     assert indexed == fresh
     assert hash(indexed) == hash(fresh)
     assert repr(indexed) == repr(fresh)
-    # A merge result carries its facts and index; a rebuilt copy carries none.
     rebuilt = GroundedKnowledge(
         merged.table_domain, merged.table_content, merged.row_count, merged.column_count,
         merged.column_info,
     )
-    assert merged._carried is not None and rebuilt._carried is None
     assert merged == rebuilt
     assert hash(merged) == hash(rebuilt)
     assert repr(merged) == repr(rebuilt)
@@ -588,22 +587,47 @@ def test_writes_to_a_copy_leave_its_original_unchanged():
             if live and rng.random() < 0.4:
                 index.discard(rng.choice(live))
             else:
-                index.keep(rng.choice(pool))
+                index.add(rng.choice(pool))
         # A posting list holds live positions only.
         assert all(i in index._sizes for ps in index._postings.values() for i in ps)
     for original, before in seen:
         assert answers(original) == before
 
 
-def test_an_index_is_kept_only_for_the_knowledge_base_indexed_last():
-    # A parsed annotation that once served as a commit's knowledge base can
-    # live for a whole run; its index must not live as long.
+def test_a_knowledge_base_keeps_the_index_it_built(monkeypatch):
+    # A parsed annotation builds its index when a commit first looks it up,
+    # and keeps it while other knowledge bases are indexed.
     annotation = canonicalize({"column_names": ["area size", "name"]})
-    commit(annotation, canonicalize({"column_name": "area", "max_value": 3}))
-    index = weakref.ref(indexed_facts(annotation)[1])
+    delta = canonicalize({"column_names": ["area", "founded"]})
+    assert annotation._carried is None
+    commit(annotation, delta)
+    carried = annotation._carried
     commit(canonicalize({"row_count": 5}), annotation)
-    assert index() is None
-    assert min(indexed_facts(annotation)[1].matches(FactKey("column", "area")), default=None) == 0
+    calls = []
+    add = KeyIndex.add
+
+    def counting_add(self, key):
+        calls.append(key)
+        return add(self, key)
+
+    monkeypatch.setattr(KeyIndex, "add", counting_add)
+    _, _, ops = commit(annotation, delta)
+    assert annotation._carried is carried
+    # The second commit adds only the facts it creates.
+    assert calls == [op.target for op in ops if op.op is OpKind.CREATE_NODE]
+    assert calls == [FactKey("column", "founded")]
+
+
+def test_parsed_knowledge_builds_no_index_until_looked_up():
+    # `evaluate` only judges gold and predicted deltas, so it builds no index.
+    gold = load_gold(fixtures.path(fixtures.GOLD))
+    predicted = load_gold(fixtures.path(fixtures.PREDICTIONS))
+    deltas = [a.knowledge_delta for by_id in (gold, predicted)
+              for annotations in by_id.values() for a in annotations]
+    deltas.append(canonicalize({"column_names": ["area size", "name", "area total"]}))
+    score(gold, predicted)
+    assert all(delta._carried is None for delta in deltas)
+    assert indexed_facts(deltas[-1]) is deltas[-1]._carried is not None
 
 
 def test_names_without_content_tokens_equal_themselves():

@@ -152,12 +152,20 @@ def _corpus_line(turn):
                  "turns": [{"index": 1, "role": "seeker", "text": "hi"}]}),
      "dialogue 'y': domain: expected text, got \\{'a': \\[1\\]\\}"),
     ("[" * 100_000, ""),
-], ids=["role", "index-true", "index-float", "text", "id", "domain", "nesting"])
+    (_corpus_line({"role": "seeker", "text": "hi"}), "missing field 'index'"),
+    (json.dumps({"id": "y"}), "missing field 'turns'"),
+    (json.dumps({"id": "y", "turns": 5}), "turns: expected a list, got 5"),
+    (json.dumps({"id": "y", "turns": {"index": 1}}), "turns: expected a list, got \\{'index': 1\\}"),
+], ids=["role", "index-true", "index-float", "text", "id", "domain", "nesting",
+        "index-missing", "turns-missing", "turns-int", "turns-object"])
 def test_ill_typed_corpus_record_names_file_and_line(tmp_path, line, message):
     path = tmp_path / "corpus.jsonl"
     path.write_text(_corpus_line({"index": 1, "role": "seeker", "text": "hi"}) + "\n" + line + "\n")
     with pytest.raises(CorpusError, match=rf"corpus\.jsonl: line 2: .*{message}"):
         load_dialogues(path)
+
+
+MISSING = object()  # the field is left out of the record
 
 
 @pytest.mark.parametrize("field, value, message", [
@@ -168,12 +176,19 @@ def test_ill_typed_corpus_record_names_file_and_line(tmp_path, line, message):
     ("knowledge", 0, "expected a key/value tree, got int"),
     ("knowledge", False, "expected a key/value tree, got bool"),
     ("knowledge", "", "expected a key/value tree, got str"),
+    ("turn_index", MISSING, "missing field 'turn_index'"),
+    ("dialogue_id", MISSING, "missing field 'dialogue_id'"),
+    ("label", MISSING, "missing field 'label'"),
 ], ids=["label", "index-float", "index-true", "dialogue-id",
-        "knowledge-zero", "knowledge-false", "knowledge-empty-text"])
+        "knowledge-zero", "knowledge-false", "knowledge-empty-text",
+        "index-missing", "dialogue-id-missing", "label-missing"])
 def test_ill_typed_gold_record_names_file_and_line(tmp_path, field, value, message):
     record = {"dialogue_id": "A", "turn_index": 2, "label": "explicit", "knowledge": {}}
+    bad = {**record, field: value}
+    if value is MISSING:
+        del bad[field]
     path = tmp_path / "gold.jsonl"
-    path.write_text(json.dumps(record) + "\n" + json.dumps({**record, field: value}) + "\n")
+    path.write_text(json.dumps(record) + "\n" + json.dumps(bad) + "\n")
     with pytest.raises(CorpusError, match=rf"gold\.jsonl: line 2: {message}"):
         load_gold(path)
 

@@ -535,11 +535,9 @@ def test_records_compare_hash_and_print_by_their_fields(name):
             assert a != make() and not a == make()
     if name == "EvalReport":
         with pytest.raises(TypeError):
-            hash(a)
-        a.per_turn = []  # a report stays mutable
-        assert a != b
-        return
-    assert hash(a) == hash(b)
+            hash(a)  # its field is a list
+    else:
+        assert hash(a) == hash(b)
     with pytest.raises(AttributeError):
         setattr(a, fields[0], getattr(b, fields[-1]))
     with pytest.raises(AttributeError):

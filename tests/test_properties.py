@@ -251,7 +251,7 @@ def test_key_index_returns_first_live_equivalent_position(ops):
         if first is None:
             first = len(slots)
             slots.append(arg)
-        assert index.keep(arg) == first
+        assert index.add(arg) == first
     check_index_against(index, slots)
     for original, original_slots in copied_from:
         check_index_against(original, original_slots)
@@ -430,31 +430,40 @@ def test_commit_leaves_the_index_of_its_knowledge_base_unchanged(kb, delta):
     assert [min(indexed_facts(kb)[1].matches(key), default=None) for key in keys] == before
 
 
+def check_carried_against_a_fresh_build(kb):
+    carried_facts, carried = kb._carried
+    assert {f.key: f for f in carried_facts.values()} == {f.key: f for f in facts(kb)}
+    assert len(carried_facts) == len(facts(kb))
+    # Columns hold positions in their order, so the lowest equivalent
+    # position is the first equivalent column.
+    columns = [f for _, f in sorted(carried_facts.items()) if f.key.field == "column"]
+    assert columns == [f for f in facts(kb) if f.key.field == "column"]
+    assert carried._sizes.keys() == carried_facts.keys()
+    assert carried.exact == {f.key: i for i, f in carried_facts.items()}
+    # The constructor indexes the same knowledge afresh and would raise on
+    # columns with equivalent names.
+    fresh = rebuilt(kb)
+    fresh_facts, index = indexed_facts(fresh)
+    pool_keys = [FactKey("row_count"), *(FactKey("column", n) for n in POOL_NAMES)]
+    for key in pool_keys + [f.key for f in facts(kb)]:
+        i, j = min(carried.matches(key), default=None), min(index.matches(key), default=None)
+        assert (i is None) == (j is None)
+        if i is not None:
+            assert carried_facts[i].key == fresh_facts[j].key
+
+
 @given(POOL_KNOWLEDGE, st.lists(POOL_KNOWLEDGE, min_size=1, max_size=4))
 @settings(max_examples=300, deadline=None)
 def test_a_merge_result_carries_the_facts_and_index_of_a_fresh_build(kb, deltas):
-    pool_keys = [FactKey("row_count"), *(FactKey("column", n) for n in POOL_NAMES)]
     for delta in deltas:
         result = commit(kb, delta)[0]
-        carried_facts, carried = indexed_facts(result)
-        assert {f.key: f for f in carried_facts.values()} == {f.key: f for f in facts(result)}
-        assert len(carried_facts) == len(facts(result))
-        # Columns hold positions in their order, so the lowest equivalent
-        # position is the first equivalent column.
-        columns = [f for _, f in sorted(carried_facts.items()) if f.key.field == "column"]
-        assert columns == [f for f in facts(result) if f.key.field == "column"]
-        assert carried._sizes.keys() == carried_facts.keys()
-        # The constructor indexes the same knowledge afresh (evicting the
-        # per-thread slot) and would raise on columns with equivalent names.
-        fresh = rebuilt(result)
-        fresh_facts, index = indexed_facts(fresh)
-        for key in pool_keys + [f.key for f in facts(result)]:
-            i, j = min(carried.matches(key), default=None), min(index.matches(key), default=None)
-            assert (i is None) == (j is None)
-            if i is not None:
-                assert carried_facts[i].key == fresh_facts[j].key
-        if result is not kb:
-            assert indexed_facts(result)[1] is carried
+        carried = indexed_facts(result)
+        check_carried_against_a_fresh_build(result)
+        assert indexed_facts(result) is carried
+        # A fold of the same facts carries its index as well.
+        check_carried_against_a_fresh_build(
+            knowledge_from_facts([*facts(kb), *facts(delta)])
+        )
         kb = result
 
 
