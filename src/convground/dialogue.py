@@ -5,7 +5,7 @@ from __future__ import annotations
 import enum
 import json
 from pathlib import Path
-from typing import Iterable, Optional, Union
+from typing import Any, Iterable, Optional, Union
 
 from .knowledge import EMPTY_KNOWLEDGE, GroundedKnowledge, Record
 from .schema import SchemaError, canonicalize
@@ -152,6 +152,14 @@ def _reason(exc: Exception) -> str:
     return f"missing field {exc.args[0]!r}" if isinstance(exc, KeyError) else str(exc)
 
 
+def _object(value: Any, where: str = "") -> dict[str, Any]:
+    """``value`` when it is a JSON object; otherwise a ``CorpusError``
+    whose message begins with ``where``."""
+    if not isinstance(value, dict):
+        raise CorpusError(f"{where}expected an object, got {value!r}")
+    return value
+
+
 def load_dialogues(path: PathLike) -> list[Dialogue]:
     """Load a line-delimited dialogue corpus, validating turn indices.
 
@@ -161,12 +169,12 @@ def load_dialogues(path: PathLike) -> list[Dialogue]:
     first_lines: dict[str, int] = {}
     for line_no, record in _iter_records(path):
         try:
-            turns = record["turns"]
+            turns = _object(record)["turns"]
             if not isinstance(turns, list):
                 raise CorpusError(f"turns: expected a list, got {turns!r}")
             turns = tuple(
                 Turn(index=t["index"], role=Role.parse(t["role"]), text=t["text"])
-                for t in turns
+                for t in (_object(t, f"turns[{k}]: ") for k, t in enumerate(turns))
             )
             dialogue = Dialogue(id=record["id"], domain_tag=record.get("domain", ""), turns=turns)
         except (KeyError, TypeError, ValueError) as exc:
@@ -194,7 +202,7 @@ def load_gold(
     first_lines: dict[tuple[str, int], int] = {}
     for line_no, record in _iter_records(path):
         try:
-            dialogue_id = record["dialogue_id"]
+            dialogue_id = _object(record)["dialogue_id"]
             if not isinstance(dialogue_id, str):
                 raise CorpusError(f"dialogue_id: expected text, got {dialogue_id!r}")
             turn_index = record["turn_index"]

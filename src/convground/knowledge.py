@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 import re
 from operator import attrgetter
-from typing import Any, Iterable, Iterator, Optional, Union
+from typing import Any, Callable, Iterable, Iterator, Optional, Union
 
 Scalar = Union[int, float, str]
 
@@ -40,17 +40,29 @@ def normalize_term(term: str) -> frozenset[str]:
     return frozenset([t for t in tokens if t not in _DROPPED and not t.isdigit()])
 
 
+def _tokens_equivalent(sa: frozenset[str], sb: frozenset[str]) -> bool:
+    """True iff one token set is a non-empty subset of the other."""
+    return bool(sa and sb) and (sa <= sb or sb <= sa)
+
+
 def terms_equivalent(a: str, b: str) -> bool:
     """True iff one side's content tokens are a non-empty subset of the other's."""
-    sa, sb = normalize_term(a), normalize_term(b)
-    if not sa or not sb:
-        return False
-    return sa <= sb or sb <= sa
+    return _tokens_equivalent(normalize_term(a), normalize_term(b))
 
 
-def _texts_equivalent(a: str, b: str) -> bool:
-    """Equal text is always equivalent, even without content tokens ("2020", "%")."""
-    return a == b or terms_equivalent(a, b)
+def _texts_equivalent(
+    a: str, b: str, terms: Optional[Callable[[str], frozenset[str]]] = None
+) -> bool:
+    """Equal text is always equivalent, even without content tokens ("2020", "%").
+
+    ``terms`` reads a text's content tokens; when None, the texts go to
+    :func:`terms_equivalent`.
+    """
+    if a == b:
+        return True
+    if terms is None:
+        return terms_equivalent(a, b)
+    return _tokens_equivalent(terms(a), terms(b))
 
 
 _SCALAR_FIELDS = ("table_domain", "table_content", "row_count", "column_count")
@@ -333,9 +345,11 @@ def _name_terms(name: str) -> frozenset[str]:
     return normalize_term(name)
 
 
-def _key_terms(key: FactKey) -> frozenset[Any]:
-    """The content tokens of a column's name, or else the key itself."""
-    tokens = _name_terms(key.column) if key.field == "column" and key.column else None
+def _key_terms(
+    key: FactKey, terms: Callable[[str], frozenset[str]] = _name_terms
+) -> frozenset[Any]:
+    """The content tokens of a column's name, read by ``terms``, or else the key itself."""
+    tokens = terms(key.column) if key.field == "column" and key.column else None
     return tokens or frozenset((key,))
 
 

@@ -156,8 +156,9 @@ def _corpus_line(turn):
     (json.dumps({"id": "y"}), "missing field 'turns'"),
     (json.dumps({"id": "y", "turns": 5}), "turns: expected a list, got 5"),
     (json.dumps({"id": "y", "turns": {"index": 1}}), "turns: expected a list, got \\{'index': 1\\}"),
+    ("[1]", "expected an object, got \\[1\\]"),
 ], ids=["role", "index-true", "index-float", "text", "id", "domain", "nesting",
-        "index-missing", "turns-missing", "turns-int", "turns-object"])
+        "index-missing", "turns-missing", "turns-int", "turns-object", "record-list"])
 def test_ill_typed_corpus_record_names_file_and_line(tmp_path, line, message):
     path = tmp_path / "corpus.jsonl"
     path.write_text(_corpus_line({"index": 1, "role": "seeker", "text": "hi"}) + "\n" + line + "\n")
@@ -166,6 +167,7 @@ def test_ill_typed_corpus_record_names_file_and_line(tmp_path, line, message):
 
 
 MISSING = object()  # the field is left out of the record
+RECORD = None  # the value replaces the whole record
 
 
 @pytest.mark.parametrize("field, value, message", [
@@ -179,12 +181,13 @@ MISSING = object()  # the field is left out of the record
     ("turn_index", MISSING, "missing field 'turn_index'"),
     ("dialogue_id", MISSING, "missing field 'dialogue_id'"),
     ("label", MISSING, "missing field 'label'"),
+    (RECORD, "A", "expected an object, got 'A'"),
 ], ids=["label", "index-float", "index-true", "dialogue-id",
         "knowledge-zero", "knowledge-false", "knowledge-empty-text",
-        "index-missing", "dialogue-id-missing", "label-missing"])
+        "index-missing", "dialogue-id-missing", "label-missing", "record-text"])
 def test_ill_typed_gold_record_names_file_and_line(tmp_path, field, value, message):
     record = {"dialogue_id": "A", "turn_index": 2, "label": "explicit", "knowledge": {}}
-    bad = {**record, field: value}
+    bad = value if field is RECORD else {**record, field: value}
     if value is MISSING:
         del bad[field]
     path = tmp_path / "gold.jsonl"
@@ -228,7 +231,11 @@ def test_gold_turn_index_below_one_names_file_and_line(tmp_path, turn_index):
      r"gold\.jsonl: line 2: dialogue 'x' turn 1 is already annotated on line 1"),
     ([{"index": 1, "role": "seeker", "text": "hi"}, {"index": 1, "role": "seeker", "text": "yo"}],
      [], r"corpus\.jsonl: line 2: dialogue 'x' is already defined on line 1"),
-], ids=["unknown-role", "turn-beyond-dialogue", "turn-annotated-twice", "dialogue-defined-twice"])
+    ([5], [], r"corpus\.jsonl: line 1: turns\[0\]: expected an object, got 5"),
+    ([{"index": 1, "role": "seeker", "text": "hi"}], [[1]],
+     r"gold\.jsonl: line 1: expected an object, got \[1\]"),
+], ids=["unknown-role", "turn-beyond-dialogue", "turn-annotated-twice", "dialogue-defined-twice",
+        "turn-not-an-object", "gold-record-not-an-object"])
 def test_inconsistent_record_names_file_and_line(tmp_path, corpus_turns, gold_records, message):
     # One corpus line, dialogue "x", per turn.
     corpus, gold = tmp_path / "corpus.jsonl", tmp_path / "gold.jsonl"

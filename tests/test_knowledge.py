@@ -243,11 +243,35 @@ def test_case_variants_are_paired_without_an_eq_call(monkeypatch):
 
 
 def test_a_near_miss_normalises_each_distinct_string_once(monkeypatch):
+    # Values of two words each, which only the general path decides.
     calls = count_normalize_calls(monkeypatch)
-    left = ["area"] * 11 + ["budget"]
-    right = ["Area"] * 11 + ["river"]
+    left = ["area size"] * 11 + ["river budget"]
+    right = ["Area Size"] * 11 + ["lake budget"]
     assert not _lists_equivalent(left, right)
-    assert sorted(calls) == ["Area", "area", "budget", "river"]
+    assert sorted(calls) == ["Area Size", "area size", "lake budget", "river budget"]
+
+
+def test_one_word_lists_need_no_normalisation(monkeypatch):
+    calls = count_normalize_calls(monkeypatch)
+    words = [f"sotamo{i}" for i in range(32)]
+    variants = [f"{w.title()}." for w in reversed(words)]
+    assert _lists_equivalent(words, variants)
+    assert not _lists_equivalent(words, variants[:-1] + ["Lake."])
+    assert not _lists_equivalent(["area"] * 11 + ["budget"], ["Area"] * 11 + ["river"])
+    assert calls == []
+
+
+def test_fact_matching_normalises_each_differing_name_once(monkeypatch):
+    # More names than the bounded name memo of knowledge.py holds.
+    names = [f"total col{i}" for i in range(300)]
+    kb = canonicalize({"column_names": names})
+    reordered = canonicalize({"column_names": names[::-1]})
+    shouted = canonicalize({"column_names": [n.upper() for n in reversed(names)]})
+    calls = count_normalize_calls(monkeypatch)
+    assert knowledge_equivalent(kb, reordered)
+    assert calls == []
+    assert knowledge_equivalent(kb, shouted)
+    assert sorted(calls) == sorted(names + [n.upper() for n in names])
 
 
 class TestIdenticalOrEqual:

@@ -20,6 +20,7 @@ from convground import (
     assess,
     canonicalize,
     commit,
+    fact_equivalent,
     facts,
     knowledge_equivalent,
     knowledge_from_facts,
@@ -344,6 +345,56 @@ def test_lists_equivalent_agrees_with_brute_force(a, b):
     assert _lists_equivalent(a, b) == expected
 
 
+# Values of one content word: case and punctuation variants, and a word
+# of a letter and a digit.
+ONE_WORDS = st.sampled_from((
+    "sotamo", "Sotamo.", "SOTAMO", "(sotamo)", "caf", "Caf!", "k", "K.", "x1", "X1.",
+))
+# The same, and the edges of that rule, most in two forms: stopwords,
+# units, a number, "%" alone and inside a token, non-ASCII text (the
+# Kelvin sign, which lower-cases to "k", a mark around a word, "é" ending
+# the token "caf", a letter inside a word), a line break or a space inside
+# a value, a space around a word, text without a token, and values that
+# are not text.
+ONE_WORD_EDGES = st.one_of(ONE_WORDS, st.sampled_from((
+    "The", "the.", "of.", "KM2", "km2", "m.", "M", "12", "12.", "%", "50%", "k%",
+    "\u212a", "«Sotamo»", "café", "CAFÉ", "naïve", "NA VE", "sotamo\ncaf", "sotamo caf",
+    " caf", "", ".", 12, math.nan,
+)))
+
+
+@st.composite
+def one_word_list_pairs(draw):
+    """Two lists, of one-word values or of edge values: the second drawn
+    freely, or a shuffle of the first with up to two values swapped for
+    edge values."""
+    values = draw(st.sampled_from((ONE_WORDS, ONE_WORD_EDGES)))
+    a = draw(st.lists(values, max_size=6))
+    if draw(st.booleans()):
+        return a, draw(st.lists(values, min_size=len(a), max_size=len(a)))
+    b = list(draw(st.permutations(a)))
+    for k, value in draw(st.lists(st.tuples(st.integers(0, 5), ONE_WORD_EDGES), max_size=2)):
+        if k < len(b):
+            b[k] = value
+    return a, b
+
+
+@given(one_word_list_pairs())
+@example((["The"], ["the."]))
+@example((["12"], ["12."]))
+@example((["k%"], ["K"]))
+@example((["sotamo\ncaf"], ["Caf!"]))
+@example((["café"], ["CAF"]))
+@settings(max_examples=300)
+def test_one_word_lists_agree_with_brute_force(pair):
+    a, b = pair
+    expected = any(
+        all(scalars_equivalent(x, y) for x, y in zip(a, order))
+        for order in itertools.permutations(b)
+    )
+    assert _lists_equivalent(a, b) == expected
+
+
 @st.composite
 def long_list_pairs(draw):
     """A list of 16-256 pool values, and a shuffle of it with a few values
@@ -398,6 +449,32 @@ def rebuilt(knowledge):
 POOL_KNOWLEDGE = st.lists(pool_column(), max_size=4).map(
     lambda entries: canonicalize({"column_info": entries})
 )
+
+
+@st.composite
+def pool_knowledge_pairs(draw):
+    """Two knowledge objects over the pool: the second often the first's
+    columns reordered, with a name or two swapped for other pool names."""
+    entries = draw(st.lists(pool_column(), max_size=4))
+    if draw(st.booleans()):
+        others = draw(st.lists(pool_column(), max_size=4))
+    else:
+        others = list(draw(st.permutations(entries)))
+        for k, name in draw(st.lists(st.tuples(st.integers(0, 3), st.sampled_from(POOL_NAMES)),
+                                     max_size=2)):
+            if k < len(others):
+                others[k] = {**others[k], "column_name": name}
+    return canonicalize({"column_info": entries}), canonicalize({"column_info": others})
+
+
+@given(pool_knowledge_pairs())
+@settings(max_examples=500, deadline=None)
+def test_a_seeded_fact_match_agrees_with_an_unseeded_one(pair):
+    a, b = pair
+    fa, fb = facts(a), facts(b)
+    unseeded = perfect_matching(len(fa), len(fb), lambda i, j: fact_equivalent(fa[i], fb[j]))
+    with mock.patch("convground.judge.perfect_matching", checked_seeded_matching):
+        assert knowledge_equivalent(a, b) == unseeded
 
 
 @given(POOL_KNOWLEDGE, POOL_KNOWLEDGE)
