@@ -30,11 +30,9 @@ from .dialogue import (
 )
 from .engine import (
     GroundingState,
-    gold_extractor,
-    gold_labeler,
-    observe_label,
     present,
     process_dialogue,
+    step,
 )
 from .evaluation import (
     CoverageError,

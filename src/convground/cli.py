@@ -19,7 +19,7 @@ from .dialogue import (
     load_gold,
     save_annotations,
 )
-from .engine import gold_extractor, gold_labeler, process_dialogue
+from .engine import process_dialogue
 from .evaluation import CoverageError, ReportFormat, render_report, score
 from .knowledge import EMPTY_KNOWLEDGE, GroundedKnowledge
 from .llm import (
@@ -207,10 +207,7 @@ def cmd_ground(args: argparse.Namespace) -> int:
     try:
         with open(args.out, "w", encoding="utf-8") as handle:
             for dialogue in dialogues:
-                annotations = source.get(dialogue.id, [])
-                state = process_dialogue(
-                    dialogue, gold_labeler(annotations), gold_extractor(annotations)
-                )
+                state = process_dialogue(dialogue, source.get(dialogue.id, []))
                 for entry in state.history:
                     record = {
                         "dialogue_id": dialogue.id,
@@ -218,8 +215,6 @@ def cmd_ground(args: argparse.Namespace) -> int:
                         "label": entry.label.value,
                         "ops": [op.to_json_dict() for op in entry.ops],
                     }
-                    if entry.warning is not None:
-                        record["warning"] = entry.warning
                     handle.write(_dumps(record) + "\n")
                 final = {
                     "dialogue_id": dialogue.id,

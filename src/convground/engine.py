@@ -2,27 +2,25 @@
 
 Provider contributions sit in a pending buffer until the partner accepts
 them (explicitly or implicitly); only then are they committed to the shared
-knowledge base. Every provider turn presents its facts, whatever its label,
-so a provider's clarifying turn stages them too; a seeker's clarifying
-question is unconfirmed, and its facts are neither staged nor committed.
+knowledge base. :func:`step` is the one transition: every provider turn
+presents its facts, whatever its label, so a provider's clarifying turn
+stages them too; a seeker's clarifying question is unconfirmed, and its
+facts are neither staged nor committed.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+from typing import Iterable
 
 from .assessment import GraphOp, commit
 from .dialogue import Dialogue, GoldAnnotation, GroundingLabel, Role, Turn
 from .knowledge import EMPTY_KNOWLEDGE, GroundedKnowledge, Record
 
-Labeler = Callable[[Sequence[Turn]], GroundingLabel]
-Extractor = Callable[[Sequence[Turn]], GroundedKnowledge]
-
 
 class TurnTrace(Record):
     """What one turn did: its label, extracted facts and committed graph ops."""
 
-    __slots__ = ("turn_index", "label", "facts", "ops", "warning")
+    __slots__ = ("turn_index", "label", "facts", "ops")
 
     def __init__(
         self,
@@ -30,13 +28,11 @@ class TurnTrace(Record):
         label: GroundingLabel,
         facts: GroundedKnowledge,
         ops: tuple[GraphOp, ...] = (),
-        warning: Optional[str] = None,
     ) -> None:
         self._set("turn_index", turn_index)
         self._set("label", label)
         self._set("facts", facts)
         self._set("ops", ops)
-        self._set("warning", warning)
 
 
 class GroundingState(Record):
@@ -70,73 +66,41 @@ def present(state: GroundingState, facts: GroundedKnowledge) -> GroundingState:
     return GroundingState(state.grounded, combined, state.history)
 
 
-def observe_label(
+def step(
     state: GroundingState,
-    label: GroundingLabel,
     turn: Turn,
-    turn_facts: GroundedKnowledge = EMPTY_KNOWLEDGE,
+    label: GroundingLabel = GroundingLabel.NO_EVENT,
+    facts: GroundedKnowledge = EMPTY_KNOWLEDGE,
 ) -> GroundingState:
-    """Advance the state machine with the grounding act of one turn.
+    """Advance the state machine by one turn with its grounding act and facts.
 
-    An accepting act (see :attr:`GroundingLabel.accepts`) stages the facts
-    extracted from the turn itself with :func:`present` and commits the
-    pending facts. Clarification and no-event turns only append to the
-    history and keep the pending facts staged; the turn's own facts are not
-    staged here (a provider turn's were already presented, see
-    :func:`process_dialogue`).
+    A provider's facts are presented with :func:`present` whatever the
+    label; a seeker's only on an accepting act (see
+    :attr:`GroundingLabel.accepts`). An accepting act then commits the
+    pending facts. The turn's facts are presented once. Presenting and
+    committing cannot fail: facts that cannot combine with committed ones
+    replace them (newest wins).
     """
+    if turn.role is Role.PROVIDER or label.accepts:
+        state = present(state, facts)
+    grounded, pending, ops = state.grounded, state.pending, ()
     if label.accepts:
-        grounded, _, ops = commit(state.grounded, present(state, turn_facts).pending)
-        entry = TurnTrace(turn.index, label, turn_facts, tuple(ops))
-        return GroundingState(grounded, EMPTY_KNOWLEDGE, state.history + (entry,))
-    # Clarification and no-event leave both grounded and pending content as-is.
-    entry = TurnTrace(turn.index, label, turn_facts)
-    return GroundingState(state.grounded, state.pending, state.history + (entry,))
+        grounded, _, ops = commit(grounded, pending)
+        pending = EMPTY_KNOWLEDGE
+    entry = TurnTrace(turn.index, label, facts, tuple(ops))
+    return GroundingState(grounded, pending, state.history + (entry,))
 
 
 def process_dialogue(
-    dialogue: Dialogue, labeler: Labeler, extractor: Extractor
+    dialogue: Dialogue, annotations: Iterable[GoldAnnotation]
 ) -> GroundingState:
-    """Run a dialogue through the engine with injected labeler/extractor.
+    """Replay a dialogue's annotations through :func:`step`.
 
-    Returns the final state; its ``history`` holds one :class:`TurnTrace` per
-    turn. Provider turns whose extraction is non-empty count as presentations.
-    A labeler or extractor failure (a ``ValueError``, ``KeyError`` or
-    ``RuntimeError``: unparseable replies, schema violations, cache misses,
-    API and transport errors) downgrades the turn to no-event with empty
-    facts and a warning in the trace; any other exception propagates.
-    Presenting and committing cannot fail: facts that cannot combine with
-    committed ones replace them (newest wins).
+    A turn with no annotation is no-event with no facts. Returns the final
+    state; its ``history`` holds one :class:`TurnTrace` per turn.
     """
+    by_turn = {a.turn_index: (a.label, a.knowledge_delta) for a in annotations}
     state = GroundingState()
-    history: list[Turn] = []
     for turn in dialogue.turns:
-        history.append(turn)
-        warning = None
-        try:
-            facts = extractor(history)
-        except (ValueError, KeyError, RuntimeError) as exc:
-            facts, warning = EMPTY_KNOWLEDGE, f"extractor failed: {exc}"
-        try:
-            label = labeler(history)
-        except (ValueError, KeyError, RuntimeError) as exc:
-            label, warning = GroundingLabel.NO_EVENT, f"labeler failed: {exc}"
-        if warning is None:
-            staged = present(state, facts) if turn.role is Role.PROVIDER else state
-            state = observe_label(staged, label, turn, facts)
-            continue
-        entry = TurnTrace(turn.index, GroundingLabel.NO_EVENT, EMPTY_KNOWLEDGE, warning=warning)
-        state = GroundingState(state.grounded, state.pending, state.history + (entry,))
+        state = step(state, turn, *by_turn.get(turn.index, ()))
     return state
-
-
-def gold_labeler(annotations: list[GoldAnnotation]) -> Labeler:
-    """A labeler replaying gold labels; unannotated turns are no-event."""
-    by_turn = {a.turn_index: a.label for a in annotations}
-    return lambda history: by_turn.get(history[-1].index, GroundingLabel.NO_EVENT)
-
-
-def gold_extractor(annotations: list[GoldAnnotation]) -> Extractor:
-    """An extractor replaying gold knowledge deltas."""
-    by_turn = {a.turn_index: a.knowledge_delta for a in annotations}
-    return lambda history: by_turn.get(history[-1].index, EMPTY_KNOWLEDGE)

@@ -14,7 +14,6 @@ from convground import (
     CompletionRequest,
     GroundingLabel,
     GroundingState,
-    Role,
     assess,
     build_classification_prompt,
     build_extraction_prompt,
@@ -22,16 +21,13 @@ from convground import (
     commit,
     facts,
     fixtures,
-    gold_extractor,
-    gold_labeler,
     knowledge_equivalent,
     knowledge_from_facts,
-    observe_label,
     parse_knowledge_json,
     parse_label,
-    present,
     process_dialogue,
     score,
+    step,
     terms_equivalent,
 )
 from convground.assessment import Verdict
@@ -84,9 +80,7 @@ def test_criterion_2_knowledge_verdicts(gold, predictions):
 
 def test_criterion_3_gold_replay(dialogues_by_id, gold):
     def check():
-        state_a = process_dialogue(
-            dialogues_by_id["A"], gold_labeler(gold["A"]), gold_extractor(gold["A"])
-        )
+        state_a = process_dialogue(dialogues_by_id["A"], gold["A"])
         expected_a = canonicalize({
             "table_domain": "media",
             "table_content": "time travel works of fiction",
@@ -101,9 +95,7 @@ def test_criterion_3_gold_replay(dialogues_by_id, gold):
         })
         assert knowledge_equivalent(state_a.grounded, expected_a)
 
-        state_b = process_dialogue(
-            dialogues_by_id["B"], gold_labeler(gold["B"]), gold_extractor(gold["B"])
-        )
+        state_b = process_dialogue(dialogues_by_id["B"], gold["B"])
         grounded = state_b.grounded
         assert grounded.row_count == 98
         by_name = {c.column_name: c for c in grounded.column_info}
@@ -116,16 +108,10 @@ def test_criterion_3_gold_replay(dialogues_by_id, gold):
 def test_criterion_4_clarification_guard(dialogues_by_id, gold):
     def check():
         dialogue = dialogues_by_id["A"]
-        labeler = gold_labeler(gold["A"])
-        extractor = gold_extractor(gold["A"])
+        by_turn = {a.turn_index: (a.label, a.knowledge_delta) for a in gold["A"]}
         state = GroundingState()
-        history = []
         for turn in dialogue.turns:
-            history.append(turn)
-            delta = extractor(history)
-            if turn.role is Role.PROVIDER and not delta.is_empty:
-                state = present(state, delta)
-            state = observe_label(state, labeler(history), turn, delta)
+            state = step(state, turn, *by_turn.get(turn.index, ()))
             if turn.index >= 8:
                 visible = [c.column_name for c in state.grounded.column_info]
                 visible += [c.column_name for c in state.pending.column_info]

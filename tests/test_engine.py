@@ -1,19 +1,17 @@
-import pytest
+from unittest import mock
 
 from convground import (
-    FactKey,
     GroundingLabel,
     GroundingState,
     Role,
     Turn,
     canonicalize,
-    gold_extractor,
-    gold_labeler,
     knowledge_equivalent,
-    observe_label,
     present,
     process_dialogue,
+    step,
 )
+from convground import engine
 from convground.knowledge import EMPTY_KNOWLEDGE
 
 
@@ -51,11 +49,13 @@ class TestPresent:
 
 
 class TestObserveLabel:
+    """How :func:`step` treats each grounding label."""
+
     def test_explicit_commits_pending(self):
         pending = canonicalize({"column_names": ["year", "title", "author",
                                                  "short text description", "category"]})
         state = present(GroundingState(), pending)
-        state = observe_label(state, GroundingLabel.EXPLICIT, seeker_turn(11))
+        state = step(state, seeker_turn(11), GroundingLabel.EXPLICIT)
         assert state.pending.is_empty
         assert len(state.grounded.column_info) == 5
         assert state.history[-1].turn_index == 11
@@ -65,10 +65,10 @@ class TestObserveLabel:
             GroundingState(),
             canonicalize({"table_content": "time travel works of fiction"}),
         )
-        state = observe_label(
+        state = step(
             state,
-            GroundingLabel.IMPLICIT,
             seeker_turn(4, "How many rows are there in the dataset?"),
+            GroundingLabel.IMPLICIT,
             canonicalize({"table_content": "time travel works of fiction"}),
         )
         assert state.grounded.table_content == "time travel works of fiction"
@@ -83,10 +83,10 @@ class TestObserveLabel:
             {"column_names": ["year", "title", "author", "short text description",
                               "type of work"]}
         )
-        state = observe_label(
+        state = step(
             state,
-            GroundingLabel.CLARIFICATION,
             seeker_turn(8, "Is there no column for the type of the work?"),
+            GroundingLabel.CLARIFICATION,
             clarifying,
         )
         pending_names = [c.column_name for c in state.pending.column_info]
@@ -94,21 +94,19 @@ class TestObserveLabel:
         assert state.grounded.is_empty
 
     def test_empty_commit_is_not_an_error(self):
-        state = observe_label(GroundingState(), GroundingLabel.EXPLICIT, seeker_turn(1))
+        state = step(GroundingState(), seeker_turn(1), GroundingLabel.EXPLICIT)
         assert state.grounded.is_empty
         assert len(state.history) == 1
 
     def test_no_event_only_appends_history(self):
-        state = observe_label(GroundingState(), GroundingLabel.NO_EVENT, seeker_turn(1))
+        state = step(GroundingState(), seeker_turn(1))
         assert state.grounded.is_empty
         assert state.history[0].label is GroundingLabel.NO_EVENT
 
 
 class TestGoldReplay:
     def test_dialogue_a_final_knowledge(self, dialogues_by_id, gold):
-        state = process_dialogue(
-            dialogues_by_id["A"], gold_labeler(gold["A"]), gold_extractor(gold["A"])
-        )
+        state = process_dialogue(dialogues_by_id["A"], gold["A"])
         expected = canonicalize({
             "table_domain": "media",
             "table_content": "time travel works of fiction",
@@ -124,9 +122,7 @@ class TestGoldReplay:
         assert knowledge_equivalent(state.grounded, expected)
 
     def test_dialogue_b_final_knowledge(self, dialogues_by_id, gold):
-        state = process_dialogue(
-            dialogues_by_id["B"], gold_labeler(gold["B"]), gold_extractor(gold["B"])
-        )
+        state = process_dialogue(dialogues_by_id["B"], gold["B"])
         grounded = state.grounded
         assert grounded.row_count == 98
         year = next(c for c in grounded.column_info if c.column_name == "year")
@@ -140,16 +136,9 @@ class TestGoldReplay:
         dialogue = dialogues_by_id["A"]
         annotations = gold["A"]
         state = GroundingState()
-        labeler = gold_labeler(annotations)
-        extractor = gold_extractor(annotations)
-        history = []
+        by_turn = {a.turn_index: (a.label, a.knowledge_delta) for a in annotations}
         for turn in dialogue.turns:
-            history.append(turn)
-            facts = extractor(history)
-            label = labeler(history)
-            if turn.role is Role.PROVIDER and not facts.is_empty:
-                state = present(state, facts)
-            state = observe_label(state, label, turn, facts)
+            state = step(state, turn, *by_turn.get(turn.index, ()))
             if turn.index >= 8:
                 committed = [c.column_name for c in state.grounded.column_info]
                 staged = [c.column_name for c in state.pending.column_info]
@@ -158,39 +147,8 @@ class TestGoldReplay:
                 assert "category" in [c.column_name for c in state.grounded.column_info]
 
     def test_history_covers_every_turn(self, dialogues_by_id, gold):
-        state = process_dialogue(
-            dialogues_by_id["A"], gold_labeler(gold["A"]), gold_extractor(gold["A"])
-        )
+        state = process_dialogue(dialogues_by_id["A"], gold["A"])
         assert len(state.history) == len(dialogues_by_id["A"].turns)
-
-    def test_failing_extractor_downgrades_to_no_event(self, dialogues_by_id):
-        def broken(history):
-            raise RuntimeError("boom")
-
-        state = process_dialogue(
-            dialogues_by_id["A"],
-            lambda history: GroundingLabel.EXPLICIT,
-            broken,
-        )
-        assert state.grounded.is_empty
-        assert all(t.label is GroundingLabel.NO_EVENT for t in state.history)
-        assert all(t.warning for t in state.history)
-
-    def test_failing_labeler_downgrades_to_no_event(self, dialogues_by_id):
-        def labeler(history):
-            if history[-1].index == 2:
-                raise KeyError("no cached reply")
-            return GroundingLabel.EXPLICIT
-
-        state = process_dialogue(
-            dialogues_by_id["A"], labeler, lambda history: canonicalize({"row_count": 5})
-        )
-        assert [(t.label, t.warning) for t in state.history[:3]] == [
-            (GroundingLabel.EXPLICIT, None),
-            (GroundingLabel.NO_EVENT, "labeler failed: 'no cached reply'"),
-            (GroundingLabel.EXPLICIT, None),
-        ]
-        assert state.history[1].facts.is_empty
 
     def test_a_clarifying_turn_stages_its_facts_only_when_the_provider_speaks(self):
         from convground import Dialogue, GoldAnnotation
@@ -202,21 +160,9 @@ class TestGoldReplay:
                            canonicalize({"column_names": ["type of work"]})),
             GoldAnnotation(3, GroundingLabel.EXPLICIT, EMPTY_KNOWLEDGE),
         ]
-        state = process_dialogue(
-            Dialogue("d", "media", tuple(turns)), gold_labeler(gold), gold_extractor(gold)
-        )
+        state = process_dialogue(Dialogue("d", "media", tuple(turns)), gold)
         assert state.grounded.to_json_dict() == {"row_count": 5}
         assert state.pending.is_empty
-
-    def test_programming_error_in_extractor_propagates(self, dialogues_by_id):
-        def broken(history):
-            raise TypeError("bug")
-
-        with pytest.raises(TypeError, match="bug"):
-            process_dialogue(
-                dialogues_by_id["A"], lambda history: GroundingLabel.EXPLICIT, broken
-            )
-
 
     def test_unmergeable_column_replaces_the_kept_one_newest_wins(self):
         from convground import Dialogue, GoldAnnotation
@@ -234,11 +180,9 @@ class TestGoldReplay:
                            canonicalize({"column_name": "area", "max_value": 3})),
             GoldAnnotation(3, GroundingLabel.IMPLICIT, canonicalize({"row_count": 50})),
         ]
-        state = process_dialogue(
-            Dialogue("bad", "geography", tuple(turns)), gold_labeler(gold), gold_extractor(gold)
-        )
+        state = process_dialogue(Dialogue("bad", "geography", tuple(turns)), gold)
         trace = state.history
-        assert [(t.label, t.warning) for t in trace] == [(GroundingLabel.IMPLICIT, None)] * 3
+        assert [t.label for t in trace] == [GroundingLabel.IMPLICIT] * 3
         assert [(op.op.value, str(op.target)) for op in trace[1].ops] == [
             ("RemoveNode", "column:area size"), ("CreateNode", "column:area"),
         ]
@@ -264,14 +208,12 @@ class TestGoldReplay:
             GoldAnnotation(3, GroundingLabel.EXPLICIT, EMPTY_KNOWLEDGE),
             GoldAnnotation(4, GroundingLabel.IMPLICIT, canonicalize({"row_count": 50})),
         ]
-        state = process_dialogue(
-            Dialogue("bad", "geography", tuple(turns)), gold_labeler(gold), gold_extractor(gold)
-        )
-        assert [(t.label, t.warning) for t in state.history] == [
-            (GroundingLabel.IMPLICIT, None),
-            (GroundingLabel.CLARIFICATION, None),
-            (GroundingLabel.EXPLICIT, None),
-            (GroundingLabel.IMPLICIT, None),
+        state = process_dialogue(Dialogue("bad", "geography", tuple(turns)), gold)
+        assert [t.label for t in state.history] == [
+            GroundingLabel.IMPLICIT,
+            GroundingLabel.CLARIFICATION,
+            GroundingLabel.EXPLICIT,
+            GroundingLabel.IMPLICIT,
         ]
         assert [(op.op.value, str(op.target)) for op in state.history[2].ops] == [
             ("RemoveNode", "column:area size"), ("CreateNode", "column:area"),
@@ -282,17 +224,44 @@ class TestGoldReplay:
         ]
         assert state.grounded.row_count == 50
 
+    def test_a_providers_accepting_turn_presents_its_facts_once(self):
+        # Names that overlap without transitivity: "total" matches "area
+        # total", and then "Area" conflicts with that same column and replaces
+        # it. Folding the accepting turn's facts into the buffer a second time
+        # would meet "total" again, now with nothing to match, and add it.
+        from convground import Dialogue, GoldAnnotation
+
+        turns = [provider_turn(1), provider_turn(2)]
+        gold = [
+            GoldAnnotation(1, GroundingLabel.CLARIFICATION, canonicalize({"column_info": [
+                {"column_name": "area total", "max_value": 1},
+                {"column_name": "size", "max_value": 0},
+                {"column_name": "2020"},
+            ]})),
+            GoldAnnotation(2, GroundingLabel.EXPLICIT, canonicalize({"column_info": [
+                {"column_name": "total"},
+                {"column_name": "%", "max_value": 1},
+                {"column_name": "Area", "max_value": 0},
+            ]})),
+        ]
+        with mock.patch("convground.engine.commit", wraps=engine.commit) as commit:
+            state = process_dialogue(Dialogue("d", "geography", tuple(turns)), gold)
+        # One commit stages turn 2's facts on the pending ones, one accepts.
+        assert commit.call_count == 2
+        assert [c.column_name for c in state.grounded.column_info] == [
+            "size", "2020", "%", "Area",
+        ]
+        assert [str(op.target) for op in state.history[1].ops] == [
+            "column:size", "column:2020", "column:%", "column:Area",
+        ]
+
 
 def test_empty_dialogue_not_representable():
     # A dialogue always has at least one turn; processing a minimal dialogue
-    # with inert labeler/extractor leaves the state empty.
+    # with no annotations leaves the state empty.
     from convground import Dialogue
 
     dialogue = Dialogue("tiny", "media", (Turn(1, Role.SEEKER, "hi"),))
-    state = process_dialogue(
-        dialogue,
-        lambda history: GroundingLabel.NO_EVENT,
-        lambda history: EMPTY_KNOWLEDGE,
-    )
+    state = process_dialogue(dialogue, [])
     assert state.grounded.is_empty
     assert len(state.history) == 1

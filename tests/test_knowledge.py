@@ -524,7 +524,7 @@ RECORDS = {
     "GraphOp": lambda: GraphOp(OpKind.UPDATE_NODE, FactKey("row_count"), 5),
     "TurnTrace": lambda: TurnTrace(
         3, GroundingLabel.IMPLICIT, EMPTY_KNOWLEDGE,
-        (GraphOp(OpKind.CREATE_NODE, FactKey("row_count"), 5),), "labeler failed",
+        (GraphOp(OpKind.CREATE_NODE, FactKey("row_count"), 5),),
     ),
     "GroundingState": lambda: GroundingState(
         GroundedKnowledge(row_count=5), EMPTY_KNOWLEDGE,
