@@ -88,7 +88,8 @@ def run(rows: Iterator[Union[Row, str]], repeats: int) -> int:
 def judge() -> Iterator[Row]:
     """``knowledge_equivalent`` on lists of 8 to 1,024 values: a match of
     case and punctuation variants, a near miss of repeats, two-word values,
-    and integers against floats; then tables of 100 to 1,600 columns."""
+    and integers against floats; then tables of 100 to 1,600 columns, and a
+    batch of 120 small near misses judged as one unit."""
     from convground import canonicalize, knowledge_equivalent
 
     def column(values: list[Any]):
@@ -121,6 +122,31 @@ def judge() -> Iterator[Row]:
         rng.shuffle(shuffled)
         yield judged(f"table of {width} columns", canonicalize({"column_names": names}),
                      canonicalize({"column_names": shuffled}), True)
+    yield _near_misses(rng)
+
+
+def _near_misses(rng: random.Random) -> Row:
+    """120 knowledge pairs shaped like evaluate's near misses: a column of 6
+    to 8 one-word values, all but the last one repeated, whose last value
+    differs, named "{q} {noun} in km2" against "{q} {noun}", beside a column
+    of bounds. Every verdict is false; times are per pair."""
+    from convground import canonicalize, knowledge_equivalent
+
+    syllables = "ka lo mi ne ru ta vo zi be du".split()
+    pairs = []
+    for i, n in enumerate(([6] * 14 + [7] * 5 + [8]) * 6):
+        repeated, last, other = ("".join(rng.sample(syllables, 3)) + str(k) for k in range(3))
+        q, noun = f"{rng.choice(syllables)}side{i}", f"{rng.choice(syllables)}ware{i}"
+        bounds = {"column_name": f"rank{i}", "min_value": 1, "max_value": 10 + i}
+        gold = [{"column_name": f"{q} {noun} in km2", "values": [repeated] * (n - 1) + [last]},
+                bounds]
+        predicted = [bounds,
+                     {"column_name": f"{q} {noun}", "values": [repeated] * (n - 1) + [other]}]
+        pairs.append((canonicalize({"column_info": predicted}),
+                      canonicalize({"column_info": gold})))
+    return Row("120 near misses of 6-8 values",
+               lambda: [knowledge_equivalent(a, b) for a, b in pairs],
+               lambda verdicts: len(verdicts) == 120 and not any(verdicts), len(pairs))
 
 
 def _committed(label: str, kb, deltas: list, expected: list) -> Row:

@@ -130,8 +130,10 @@ def score(
 
     Labels score on exact match; knowledge scores through the equivalence
     judge. Gold turns with no annotated knowledge are scored on label only.
+    A :class:`CoverageError` names every gold turn without a prediction.
     """
     per_turn: list[TurnResult] = []
+    missing: list[str] = []
     for dialogue_id in sorted(gold):
         predicted_by_turn = {
             p.turn_index: p for p in predictions.get(dialogue_id, [])
@@ -139,10 +141,9 @@ def score(
         for annotation in gold[dialogue_id]:
             predicted = predicted_by_turn.get(annotation.turn_index)
             if predicted is None:
-                raise CoverageError(
-                    f"no prediction for dialogue {dialogue_id!r} "
-                    f"turn {annotation.turn_index}"
-                )
+                missing.append(f"dialogue {dialogue_id!r} turn {annotation.turn_index}")
+            if missing:  # no report will be built, so judge no further turns
+                continue
             if annotation.knowledge_delta.is_empty:
                 verdict = KnowledgeVerdict.NO_GOLD
             elif knowledge_equivalent(
@@ -160,6 +161,8 @@ def score(
                     verdict,
                 )
             )
+    if missing:
+        raise CoverageError(f"no prediction for {', '.join(missing)}")
     return EvalReport(per_turn)
 
 

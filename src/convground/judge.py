@@ -11,7 +11,6 @@ one to one (:func:`convground.matching.perfect_matching`).
 from __future__ import annotations
 
 import re
-from operator import attrgetter
 from typing import Any, Optional, Sequence
 
 from . import knowledge
@@ -64,44 +63,30 @@ def _lists_equivalent(a: Sequence[Scalar], b: Sequence[Scalar]) -> bool:
     """Multiset equivalence of two ``values`` lists.
 
     Two strings match when :func:`_texts_equivalent` holds, any other pair
-    only when identical or ``==``. Lists equal item by item once both are
-    sorted need no normalisation at all; the sort serves only that check.
-    Lists of one content word per value match exactly when their sorted
-    words are equal (:func:`_one_words`). Otherwise each distinct string is
-    normalised once, and each left value is seeded with a right value from
-    the same bucket: its content tokens, or, when it has none (a number,
-    "2020", "%"), the value itself. Only the values left over are searched
-    for, and that search may re-route seeded pairs, since equivalence is
-    not transitive.
+    only when identical or ``==``. Lists of one content word per value
+    match exactly when their sorted words are equal (:func:`_one_words`).
+    Otherwise each distinct string is normalised once, and the values pair
+    through :func:`convground.matching.perfect_matching`, keyed by their
+    content tokens or, when they have none (a number, "2020", "%"), by
+    themselves.
     """
     if len(a) != len(b):
         return False
-    if sorted(a, key=str) == sorted(b, key=str):
+    if not a:
         return True
     words = _one_words((*a, *b))
     if words is not None:
         return sorted(words[:len(a)]) == sorted(words[len(a):])
     # A non-string has no entry, so, like a string without content tokens,
-    # it is bucketed by itself and only identity or ``==`` can match it.
+    # it is keyed by itself and only identity or ``==`` can match it.
     # Called through the module, so that a wrapper set on
     # ``knowledge.normalize_term`` (benchmarks/tracing.py) sees these calls.
     terms = {v: knowledge.normalize_term(v) for v in {*a, *b} if isinstance(v, str)}
-    buckets: dict[Any, list[int]] = {}
-    for j, y in enumerate(b):
-        buckets.setdefault(terms.get(y) or y, []).append(j)
-    seed = {}
-    for i, x in enumerate(a):
-        bucket = buckets.get(terms.get(x) or x)
-        if bucket:
-            seed[i] = bucket.pop()
 
-    def eq(i: int, j: int) -> bool:
-        x, y = a[i], b[j]
-        if x is y or x == y:
-            return True
-        return _tokens_equivalent(terms.get(x), terms.get(y))
+    def eq(x: Scalar, y: Scalar) -> bool:
+        return x is y or x == y or _tokens_equivalent(terms.get(x), terms.get(y))
 
-    return perfect_matching(len(a), len(b), eq, seed)
+    return perfect_matching(a, b, lambda v: terms.get(v) or v, eq)
 
 
 def _field_values_equivalent(field: str, a: Any, b: Any) -> bool:
@@ -112,16 +97,12 @@ def _field_values_equivalent(field: str, a: Any, b: Any) -> bool:
     field, and numbers exactly.
     """
     if field == "column":
-        return columns_equivalent(a, b)
+        return _texts_equivalent(a.column_name, b.column_name) and _column_fields_equivalent(a, b)
     if field == "values":
         return _lists_equivalent(a, b)
     if field in _TEXT_FIELDS:
         return _texts_equivalent(str(a), str(b))
     return a is b or a == b
-
-
-def columns_equivalent(a: ColumnKnowledge, b: ColumnKnowledge) -> bool:
-    return _texts_equivalent(a.column_name, b.column_name) and _column_fields_equivalent(a, b)
 
 
 def _column_fields_equivalent(a: ColumnKnowledge, b: ColumnKnowledge) -> bool:
@@ -143,21 +124,15 @@ def fact_equivalent(a: Fact, b: Fact) -> bool:
     )
 
 
-_fact_key = attrgetter("key")
-
-
 def knowledge_equivalent(a: GroundedKnowledge, b: GroundedKnowledge) -> bool:
     """True iff the fact sets of both sides admit a perfect matching under
     :func:`fact_equivalent`.
 
-    Each left fact is seeded with an equivalent right fact of an equal key,
-    or else of its bucket (a column's name terms, else its key: see
-    :func:`convground.knowledge._key_terms`), so only the rest are searched
-    for. Names are normalised once per call at most, and not when equal.
+    Facts pair through :func:`convground.matching.perfect_matching`, keyed
+    by a column's name terms, else by the fact's key (see
+    :func:`convground.knowledge._key_terms`). Each distinct name is
+    normalised once per call.
     """
-    fa, fb = facts(a), facts(b)
-    if len(fa) != len(fb):
-        return False
     terms: dict[str, frozenset[str]] = {}
 
     def name_terms(name: str) -> frozenset[str]:
@@ -165,8 +140,7 @@ def knowledge_equivalent(a: GroundedKnowledge, b: GroundedKnowledge) -> bool:
             terms[name] = knowledge.normalize_term(name)
         return terms[name]
 
-    def eq(i: int, j: int) -> bool:
-        x, y = fa[i], fb[j]
+    def eq(x: Fact, y: Fact) -> bool:
         field = x.key.field
         if field != y.key.field:
             return False
@@ -176,23 +150,4 @@ def knowledge_equivalent(a: GroundedKnowledge, b: GroundedKnowledge) -> bool:
             _column_fields_equivalent(x.value, y.value)
         )
 
-    seed: dict[int, int] = {}
-    refused: set[tuple[int, int]] = set()
-    for bucket in (_fact_key, lambda f: _key_terms(f.key, name_terms)):
-        taken = set(seed.values())
-        buckets: dict[Any, list[int]] = {}
-        for j, y in enumerate(fb):
-            if j not in taken:
-                buckets.setdefault(bucket(y), []).append(j)
-        for i, x in enumerate(fa):
-            candidates = i not in seed and buckets.get(bucket(x))
-            if candidates and (i, candidates[-1]) not in refused:
-                if eq(i, candidates[-1]):
-                    seed[i] = candidates.pop()
-                else:
-                    refused.add((i, candidates[-1]))
-        if len(seed) == len(fa):
-            return True
-    return perfect_matching(
-        len(fa), len(fb), lambda i, j: (i, j) not in refused and eq(i, j), seed
-    )
+    return perfect_matching(facts(a), facts(b), lambda f: _key_terms(f.key, name_terms), eq)

@@ -1,54 +1,67 @@
-"""Perfect bipartite matching by augmenting paths, from an optional seed.
+"""Perfect bipartite matching by augmenting paths, after a keyed first pass.
 
 The equivalence judge in :mod:`convground.judge` pairs list values, and
-the facts of two knowledge objects, one to one with it. For lists it seeds
-the search with pairs it already knows to be equivalent, so only the values
-left over are searched for.
+the facts of two knowledge objects, one to one with it.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Any, Callable, Hashable, Sequence
 
 
 def perfect_matching(
-    n_left: int,
-    n_right: int,
-    eq: Callable[[int, int], bool],
-    seed: Optional[dict[int, int]] = None,
+    left: Sequence[Any],
+    right: Sequence[Any],
+    key: Callable[[Any], Hashable],
+    eq: Callable[[Any, Any], bool],
 ) -> bool:
-    """True iff a one-to-one matching pairs every index on both sides under ``eq(i, j)``.
+    """True iff a one-to-one matching pairs every item on both sides under ``eq(x, y)``.
 
-    ``seed`` maps left indices to distinct right indices, each pair one that
-    ``eq`` holds for; a seeded left index starts matched and runs no search
-    of its own, though later searches may re-route it.
+    First each left item, in order, is offered the last free right item
+    with an equal ``key``: it keeps that item when ``eq`` holds, and the
+    pair is refused otherwise, so ``eq`` is never asked about it again.
+    ``key`` only orders the work; any key gives the same answer.
 
-    Kuhn's augmenting-path algorithm: each unseeded left index in turn
-    searches, depth first, for a path that ends at an unmatched right index.
-    Every left index the search reaches first tries the unmatched right
-    indices, in ascending order, then steps through each matched right index
-    it is equivalent to, at most once per search, to that index's owner. So
-    each search calls ``eq`` at most ``n_left * n_right`` times. By Berge's
-    theorem, whatever matching it starts from, a left index with no
+    Then Kuhn's augmenting-path algorithm: each left item still unmatched
+    in turn searches, depth first, for a path that ends at an unmatched
+    right item. Every left item the search reaches first tries the
+    unmatched right items, in ascending order, then steps through each
+    matched right item it is equivalent to, at most once per search, to
+    that item's owner; so a search may re-route a pair the first pass made.
+    Each search calls ``eq`` at most ``len(left) * len(right)`` times. By
+    Berge's theorem, whatever matching it starts from, a left item with no
     augmenting path means no perfect matching exists, so the first failed
     search decides. The search keeps its own stack, so long lists cannot
     exhaust the interpreter's recursion limit.
     """
-    if n_left != n_right:
+    n = len(right)
+    if len(left) != n:
         return False
-    seed = seed or {}
-    owner = [-1] * n_right  # left index matched to each right index, or -1
-    for i, j in seed.items():
-        owner[j] = i
-    free = [j for j in range(n_right) if owner[j] < 0]  # unmatched right indices, ascending
-    for root in range(n_left):
-        if root in seed:
-            continue
-        visited = [False] * n_right
+    buckets: dict[Hashable, list[int]] = {}
+    for j, y in enumerate(right):
+        buckets.setdefault(key(y), []).append(j)
+    owner = [-1] * n  # left index matched to each right index, or -1
+    refused: set[tuple[int, int]] = set()
+    roots = []
+    for i, x in enumerate(left):
+        bucket = buckets.get(key(x))
+        if bucket:
+            if eq(x, right[bucket[-1]]):
+                owner[bucket.pop()] = i
+                continue
+            refused.add((i, bucket[-1]))
+        roots.append(i)
+
+    def pairs(i: int, j: int) -> bool:
+        return (i, j) not in refused and eq(left[i], right[j])
+
+    free = [j for j in range(n) if owner[j] < 0]  # unmatched right indices, ascending
+    for root in roots:
+        visited = [False] * n
         lefts, cursors, vias = [root], [0], []  # vias[k] links lefts[k] to lefts[k + 1]
         while True:
             i = lefts[-1]
-            j = next((j for j in free if eq(i, j)), -1)
+            j = next((j for j in free if pairs(i, j)), -1)
             if j >= 0:
                 free.remove(j)
                 for k, via in enumerate(vias):
@@ -57,9 +70,9 @@ def perfect_matching(
                 break
             while True:
                 i, j = lefts[-1], cursors[-1]
-                while j < n_right and (owner[j] < 0 or visited[j] or not eq(i, j)):
+                while j < n and (owner[j] < 0 or visited[j] or not pairs(i, j)):
                     j += 1
-                if j < n_right:
+                if j < n:
                     break
                 lefts.pop()
                 cursors.pop()

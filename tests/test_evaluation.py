@@ -49,6 +49,16 @@ class TestScore:
         with pytest.raises(CoverageError, match="dialogue 'A' turn 2"):
             score(gold, incomplete)
 
+    def test_every_missing_turn_is_named_in_gold_order(self, gold, predictions):
+        incomplete = {
+            k: [p for p in v if p.turn_index not in (2, 14)] for k, v in predictions.items()
+        }
+        with pytest.raises(CoverageError) as raised:
+            score(gold, incomplete)
+        assert str(raised.value) == (
+            "no prediction for dialogue 'A' turn 2, dialogue 'B' turn 2, dialogue 'B' turn 14"
+        )
+
     def test_permutation_invariant(self, gold, predictions):
         shuffled = {k: list(reversed(v)) for k, v in predictions.items()}
         assert score(gold, shuffled).to_json_dict() == score(gold, predictions).to_json_dict()

@@ -169,16 +169,17 @@ class TestKnowledgeEquivalent:
 def test_matching_is_polynomial_on_a_near_miss():
     # Eleven repeats and one value only the other side lacks: backtracking
     # tries every ordering of the repeats, about 11! calls.
+    # A key that never repeats leaves every pair to the search.
     left = ["area"] * 12
     right = ["area"] * 11 + ["budget"]
     calls = 0
 
-    def eq(i, j):
+    def eq(x, y):
         nonlocal calls
         calls += 1
-        return left[i] == right[j]
+        return x == y
 
-    assert not perfect_matching(12, 12, eq)
+    assert not perfect_matching(left, right, lambda _: object(), eq)
     assert calls <= 12 ** 3
 
 
@@ -195,23 +196,26 @@ def count_normalize_calls(monkeypatch):
     return calls
 
 
-def test_equal_lists_need_no_normalisation(monkeypatch):
+def test_equal_lists_normalise_each_distinct_string_once(monkeypatch):
     calls = count_normalize_calls(monkeypatch)
     values = [f"city {i}" for i in range(64)]
     assert _lists_equivalent(values, list(reversed(values)))
-    assert calls == []
+    assert sorted(calls) == sorted(values)
 
 
 def test_a_seeded_pair_is_re_routed_when_the_search_needs_its_right_index():
-    # Left 0 matches rights 0 and 1, left 1 only right 0. The seed gives
+    # Left 0 matches rights 0 and 1, left 1 only right 0. The key offers
     # right 0 to left 0, so left 1's search must move left 0 to right 1.
-    pairs = {(0, 0), (0, 1), (1, 0)}
-    assert perfect_matching(2, 2, lambda i, j: (i, j) in pairs, {0: 0})
-    assert not perfect_matching(2, 2, lambda i, j: (i, j) in pairs - {(0, 1)}, {0: 0})
+    key = {"l0": 0, "r0": 0, "l1": 1, "r1": 2}.get
+    pairs = {("l0", "r0"), ("l0", "r1"), ("l1", "r0")}
+    left, right = ["l0", "l1"], ["r0", "r1"]
+    assert perfect_matching(left, right, key, lambda x, y: (x, y) in pairs)
+    without = pairs - {("l0", "r1")}
+    assert not perfect_matching(left, right, key, lambda x, y: (x, y) in without)
 
 
 def test_the_search_repairs_a_seed_that_is_not_transitive():
-    # "area size" is seeded with "area size", so "area" only meets "size"
+    # The key offers "area size" to "area size", so "area" only meets "size"
     # after the search moves "area size" over to it.
     assert _lists_equivalent(["area size", "area"], ["area size", "size"])
     assert _lists_equivalent(["area", "area size"], ["size", "area size"])
@@ -221,25 +225,27 @@ def count_eq_calls(monkeypatch):
     """Count the ``eq`` calls of the list judge's matcher; returns a one-item list."""
     calls = [0]
 
-    def counted(n_left, n_right, eq, seed=None):
-        def counted_eq(i, j):
+    def counted(left, right, key, eq):
+        def counted_eq(x, y):
             calls[0] += 1
-            return eq(i, j)
+            return eq(x, y)
 
-        return perfect_matching(n_left, n_right, counted_eq, seed)
+        return perfect_matching(left, right, key, counted_eq)
 
     monkeypatch.setattr(judge, "perfect_matching", counted)
     return calls
 
 
-def test_case_variants_are_paired_without_an_eq_call(monkeypatch):
+def test_case_variants_cost_one_eq_call_each(monkeypatch):
+    # Values of two words each, which only the matcher decides: the key
+    # offers each value its variant first.
     calls = count_eq_calls(monkeypatch)
-    words = [f"word{chr(ord('a') + i % 26)}{i // 26}" for i in range(64)]
+    values = [f"word{chr(ord('a') + i % 26)}{i // 26} size" for i in range(64)]
     forms = (str, str.title, str.upper, lambda w: f"{w}.")
-    variants = [forms[i % 4](w) for i, w in enumerate(words)]
+    variants = [forms[i % 4](v) for i, v in enumerate(values)]
     random.Random(0).shuffle(variants)
-    assert _lists_equivalent(words, variants)
-    assert calls == [0]
+    assert _lists_equivalent(values, variants)
+    assert calls == [len(values)]
 
 
 def test_a_near_miss_normalises_each_distinct_string_once(monkeypatch):
@@ -261,7 +267,7 @@ def test_one_word_lists_need_no_normalisation(monkeypatch):
     assert calls == []
 
 
-def test_fact_matching_normalises_each_differing_name_once(monkeypatch):
+def test_fact_matching_normalises_each_distinct_name_once_per_call(monkeypatch):
     # More names than the bounded name memo of knowledge.py holds.
     names = [f"total col{i}" for i in range(300)]
     kb = canonicalize({"column_names": names})
@@ -269,9 +275,29 @@ def test_fact_matching_normalises_each_differing_name_once(monkeypatch):
     shouted = canonicalize({"column_names": [n.upper() for n in reversed(names)]})
     calls = count_normalize_calls(monkeypatch)
     assert knowledge_equivalent(kb, reordered)
-    assert calls == []
+    assert sorted(calls) == sorted(names)
+    calls.clear()
     assert knowledge_equivalent(kb, shouted)
     assert sorted(calls) == sorted(names + [n.upper() for n in names])
+
+
+def test_a_one_column_near_miss_judges_its_values_once(monkeypatch):
+    # The keyed offer refuses the pair; the search must not judge it again.
+    calls = []
+    real = judge._lists_equivalent
+
+    def counted(a, b):
+        calls.append((a, b))
+        return real(a, b)
+
+    monkeypatch.setattr(judge, "_lists_equivalent", counted)
+    values = ["lake", "river", "bay", "cove", "sound", "fjord"]
+    gold = canonicalize({"column_info": [{"column_name": "lake area", "values": values}]})
+    near = canonicalize(
+        {"column_info": [{"column_name": "lake area in km2", "values": values[:-1] + ["inlet"]}]}
+    )
+    assert not knowledge_equivalent(near, gold)
+    assert len(calls) == 1
 
 
 class TestIdenticalOrEqual:

@@ -421,20 +421,23 @@ def long_list_pairs(draw):
     return a, b
 
 
-def checked_seeded_matching(n_left, n_right, eq, seed=None):
-    """``perfect_matching`` from the judge's seed, checked against the same
-    search with no seed."""
-    assert len(set(seed.values())) == len(seed)
-    assert all(eq(i, j) for i, j in seed.items())
-    found = perfect_matching(n_left, n_right, eq, seed)
-    assert found == perfect_matching(n_left, n_right, eq)
+def unkeyed(_):
+    """A key that never repeats, so that the search makes every pair."""
+    return object()
+
+
+def checked_keyed_matching(left, right, key, eq):
+    """``perfect_matching`` under the judge's key, checked against the same
+    matching under a key that never repeats."""
+    found = perfect_matching(left, right, key, eq)
+    assert found == perfect_matching(left, right, unkeyed, eq)
     return found
 
 
 @given(long_list_pairs())
 @settings(max_examples=150, deadline=None)
-def test_a_seeded_list_match_agrees_with_an_unseeded_one(pair):
-    with mock.patch("convground.judge.perfect_matching", checked_seeded_matching):
+def test_a_keyed_list_match_agrees_with_an_unkeyed_one(pair):
+    with mock.patch("convground.judge.perfect_matching", checked_keyed_matching):
         _lists_equivalent(*pair)
 
 
@@ -484,12 +487,11 @@ def pool_knowledge_pairs(draw):
 
 @given(pool_knowledge_pairs())
 @settings(max_examples=500, deadline=None)
-def test_a_seeded_fact_match_agrees_with_an_unseeded_one(pair):
+def test_a_keyed_fact_match_agrees_with_an_unkeyed_one(pair):
     a, b = pair
-    fa, fb = facts(a), facts(b)
-    unseeded = perfect_matching(len(fa), len(fb), lambda i, j: fact_equivalent(fa[i], fb[j]))
-    with mock.patch("convground.judge.perfect_matching", checked_seeded_matching):
-        assert knowledge_equivalent(a, b) == unseeded
+    expected = perfect_matching(facts(a), facts(b), unkeyed, fact_equivalent)
+    with mock.patch("convground.judge.perfect_matching", checked_keyed_matching):
+        assert knowledge_equivalent(a, b) == expected
 
 
 @given(POOL_KNOWLEDGE, POOL_KNOWLEDGE)
