@@ -384,7 +384,10 @@ def hashes(variant: str) -> Iterator[Union[Row, str]]:
 
 def cache_load() -> Iterator[Row]:
     """``ResponseCache`` loading a record per request of ``_requests``, with
-    its body, as ``benchmarks/generate.py`` writes a cache."""
+    its body: in the key order that ``ResponseCache.put`` and
+    ``benchmarks/generate.py`` write, which the loader checks span by span,
+    and with every key sorted, which it decodes in full. Each load must
+    equal the responses that ``json.loads`` of each line gives."""
     from convground import ResponseCache
     from convground.llm import request_hash
 
@@ -393,12 +396,18 @@ def cache_load() -> Iterator[Row]:
                 "response": "Output JSON: " + json.dumps({"column_name": rng.choice(WORDS)})}
                for requests in _requests() for request in requests]
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "cache.jsonl"
-        path.write_text("".join(json.dumps(r, ensure_ascii=False) + "\n" for r in records),
-                        encoding="utf-8")
-        yield Row(f"load {len(records):,} records", lambda: ResponseCache(path),
-                  lambda cache: len(cache) == len(records)
-                  and all(cache.get(r["hash"]) == r["response"] for r in records))
+        for order, sort_keys in (("writer's key order", False), ("keys sorted", True)):
+            lines = [json.dumps(r, ensure_ascii=False, sort_keys=sort_keys) + "\n"
+                     for r in records]
+            path = Path(tmp) / f"{order}.jsonl"
+            path.write_text("".join(lines), encoding="utf-8")
+            expected = {r["hash"]: r["response"] for r in map(json.loads, lines)}
+            yield Row(f"load {len(records):,} records, {order}", partial(ResponseCache, path),
+                      partial(_holds_exactly, expected))
+
+
+def _holds_exactly(expected: dict[str, str], cache: Any) -> bool:
+    return len(cache) == len(expected) and all(cache.get(k) == v for k, v in expected.items())
 
 
 # Each case's row generators, each run in its own child interpreter.

@@ -5,7 +5,7 @@ from __future__ import annotations
 import enum
 import json
 from pathlib import Path
-from typing import Any, Iterable, Optional, Union
+from typing import Any, Callable, Iterable, Optional, Union
 
 from .knowledge import EMPTY_KNOWLEDGE, GroundedKnowledge, Record
 from .schema import SchemaError, canonicalize
@@ -128,11 +128,17 @@ class GoldAnnotation(Record):
         self._set("knowledge_delta", knowledge_delta)
 
 
-def _iter_records(path: PathLike):
-    """The JSON record of each non-blank line, with its line number. A file
-    that cannot be opened, or a line that is not UTF-8 JSON, is a ``CorpusError``."""
+# Replay cache lines average about 4 KB: with the default 8 KiB buffer, most
+# of them would straddle a refill.
+_READ_BUFFER = 64 * 1024
+
+
+def _iter_records(path: PathLike, decode: Callable[[str], Any] = json.loads):
+    """The record that ``decode`` reads from each non-blank line, with its
+    line number. A file that cannot be opened, or a line that is not UTF-8
+    JSON, is a ``CorpusError``."""
     try:
-        handle = open(path, "rb")
+        handle = open(path, "rb", buffering=_READ_BUFFER)
     except OSError as exc:
         raise CorpusError(f"{path}: {exc.strerror or exc}") from None
     with handle:
@@ -141,7 +147,7 @@ def _iter_records(path: PathLike):
                 line = raw.decode("utf-8")
                 if not line or line.isspace():  # blank, without copying the line
                     continue
-                record = json.loads(line)
+                record = decode(line)
             except (ValueError, RecursionError) as exc:  # not UTF-8, malformed or too deep
                 raise CorpusError(f"{path}: line {line_no}: {exc}") from None
             yield line_no, record

@@ -196,7 +196,9 @@ class ResponseCache:
     """Line-delimited (hash, request, response) store for record/replay.
 
     A file that does not exist reads as empty when ``missing_ok``, and
-    raises ``CorpusError`` otherwise, as one that cannot be read does.
+    raises ``CorpusError`` otherwise, as one that cannot be read does. Every
+    line is checked as ``json.loads`` checks it; :mod:`convground.cacheline`
+    reads the lines that :meth:`put` writes.
     """
 
     def __init__(self, path: Union[str, Path], missing_ok: bool = True):
@@ -205,7 +207,10 @@ class ResponseCache:
         self._lock = threading.Lock()
         if missing_ok and not self.path.exists():
             return
-        for line_no, record in _iter_records(self.path):
+        # Imported here, so that commands that load no cache never compile it.
+        from . import cacheline
+
+        for line_no, record in _iter_records(self.path, cacheline.Reader()):
             if not (isinstance(record, dict) and isinstance(record.get("hash"), str)
                     and isinstance(record.get("response"), str)):
                 raise CorpusError(

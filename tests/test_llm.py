@@ -1,3 +1,4 @@
+import collections
 import gc
 import hashlib
 import http.server
@@ -22,7 +23,7 @@ from convground import (
     parse_knowledge_json,
     parse_label,
 )
-from convground import literal, llm
+from convground import cacheline, literal, llm
 from convground.dialogue import Role, Turn
 from convground.llm import (
     DEFAULT_MAX_TOKENS,
@@ -589,6 +590,255 @@ class TestCache:
         request = CompletionRequest(messages=tuple(build_classification_prompt(history)))
         result = complete(request, CacheMode.REPLAY, cache=cache)
         assert result.text == "Output label: implicit"
+
+
+def plain_load(path):
+    """The responses of the cache at ``path`` as a plain loader reads them
+    (``json.loads`` per line, then the three checks), or its error text."""
+    responses = {}
+    with open(path, "rb") as handle:
+        for line_no, raw in enumerate(handle, start=1):
+            try:
+                line = raw.decode("utf-8")
+                if line.isspace():
+                    continue
+                record = json.loads(line)
+            except (ValueError, RecursionError) as exc:
+                return f"{path}: line {line_no}: {exc}"
+            if not (isinstance(record, dict) and isinstance(record.get("hash"), str)
+                    and isinstance(record.get("response"), str)):
+                return (f"{path}: line {line_no}: expected an object with text "
+                        "'hash' and 'response'")
+            responses[record["hash"]] = record["response"]
+    return responses
+
+
+def cache_load(path):
+    """What ``ResponseCache`` holds after loading ``path``, or its error text."""
+    try:
+        cache = ResponseCache(path)
+    except CorpusError as exc:
+        return str(exc)
+    return {key: cache.get(key) for key in cache._responses}
+
+
+ESCAPED_TEXTS = ['say "hi"', "back\\slash", "two\nlines", "tab\there", "sep\u2028x",
+                 "naïve 数据", "emoji 🙂", "plain words"]
+
+
+def writer_lines(tmp_path, dialogues=2, turns=4):
+    """The lines that ``ResponseCache.put`` writes for ``dialogues`` whose
+    histories grow a turn at a time: per turn a classification and an
+    incremental extraction request, with texts that JSON must escape."""
+    path = tmp_path / "written.jsonl"
+    cache = ResponseCache(path)
+    for d in range(dialogues):
+        history = []
+        for t in range(1, turns + 1):
+            text = f"{d}{t} {ESCAPED_TEXTS[(d + t) % len(ESCAPED_TEXTS)]} and more"
+            history.append(Turn(t, Role.SEEKER if t % 2 else Role.PROVIDER, text))
+            kb = json.dumps({"row_count": t // 2, "note": text}, ensure_ascii=False)
+            for messages in (build_classification_prompt(history),
+                             build_extraction_prompt(history, kb)):
+                request = CompletionRequest(messages=tuple(messages))
+                cache.put(request_hash(request), request, f'Output "{d}{t}" \\ é')
+    return file_lines(path)
+
+
+def file_lines(path):
+    """The lines of ``path``, each with its newline; ``str.splitlines`` would
+    also split at the U+2028 that JSON leaves unescaped."""
+    return [line + "\n" for line in path.read_text(encoding="utf-8").split("\n")[:-1]]
+
+
+def spans(line):
+    """Where a writer line's hash, head, last message, content, tail and
+    response begin, and where the line ends."""
+    last = line.rfind('{"role": "')
+    return [0, line.index(', "request": '), last, line.index(', "content": "', last),
+            line.rfind('"}], "temperature"') + 1, line.rfind(', "response": "'),
+            len(line.rstrip("\n"))]
+
+
+INSERTED = ['"', "\\", "{", "}", "[", "]", ",", ":", " ", "\u2028", "\x00", "\x1f", "\t",
+            "\r", "\x0c", "é", "数", "🙂", "x", "0", "\\u2028", "\\\\", '\\"', "\\x", "\\u12",
+            "\\ud800", "\\ud83d\\ude42", "null", "1e999", '"role": "', '"response": "']
+
+
+def mutated(rng, line):
+    """``line`` (a writer line) with one seeded fault, as UTF-8 bytes."""
+    body, end = line.rstrip("\n"), line[len(line.rstrip("\n")):]
+    bounds = spans(line)
+    k = rng.randrange(len(bounds) - 1)
+    pos = rng.randint(bounds[k], bounds[k + 1])
+    kind = rng.randrange(10)
+    if kind == 0:
+        body = body[:pos] + body[pos + 1:]
+    elif kind in (1, 2):
+        body = body[:pos] + rng.choice(INSERTED) + body[pos + kind - 1:]
+    elif kind == 3:
+        end = rng.choice([" ", "\t", "\r", "\x0c", "  \r", "\u2028"]) + end
+    elif kind == 4:
+        record = json.loads(body)
+        order = rng.choice([["response", "hash", "request"], ["request", "hash", "response"],
+                            ["hash", "response", "request"]])
+        if rng.random() < 0.5:
+            record["request"] = dict(sorted(record["request"].items()))
+        else:
+            record["request"]["messages"][-1] = dict(
+                reversed(record["request"]["messages"][-1].items()))
+        body = json.dumps({key: record[key] for key in order}, ensure_ascii=False)
+    elif kind == 5:
+        record = json.loads(body)
+        where = rng.choice([record["request"], record["request"]["messages"][-1],
+                            record["request"]["messages"][0]])
+        where[rng.choice(["response", "role", "hash"])] = rng.choice(["x", 5, None, {"hash": "y"}])
+        body = json.dumps(record, ensure_ascii=False)
+    elif kind == 6:
+        body = '{"hash": "duplicate", ' + body[1:]
+    elif kind == 7:
+        deep = "[" * 100_000 + ("]" * 100_000 if rng.random() < 0.5 else "")
+        body = body[:pos] + deep + body[pos:]
+    elif kind == 8:
+        # Brackets on either side of the checker's bracket cap, nested two deep.
+        wide = "[" + ", ".join(["[]"] * rng.randint(30, 80)) + "]"
+        body = body.replace('"gpt-3.5-turbo-1106"', wide, 1) if rng.random() < 0.5 else (
+            body.replace('"max_tokens": 256', '"max_tokens": ' + wide, 1))
+    else:
+        data = (body + end).encode("utf-8")
+        at = len(body[:pos].encode("utf-8"))
+        return data[:at] + rng.choice([b"\xff", b"\xc3", b"\xe6\x95", b"\xed\xa0\x80"]) + data[at:]
+    return (body + end).encode("utf-8")
+
+
+class TestCacheLines:
+    """``ResponseCache`` loads exactly what a plain ``json.loads`` per line
+    loads, though :mod:`convground.cacheline` checks each span of a writer
+    line once."""
+
+    def test_the_fixture_cache_loads_as_a_plain_loader_loads_it(self):
+        path = fixtures.path(fixtures.REPLAY_CACHE)
+        assert cache_load(path) == plain_load(path)
+        assert len(plain_load(path)) == 22
+
+    def test_caches_written_by_put_load_as_a_plain_loader_loads_them(self, tmp_path):
+        lines = writer_lines(tmp_path, dialogues=3, turns=6)
+        path = tmp_path / "cache.jsonl"
+        for text in ("".join(lines), "".join(lines).rstrip("\n"), "\n\n".join(lines)):
+            path.write_text(text, encoding="utf-8")
+            assert cache_load(path) == plain_load(path)
+            assert len(cache_load(path)) == len(lines)
+
+    def test_fuzzed_writer_lines_load_as_a_plain_loader_loads_them(self, tmp_path):
+        rng = random.Random(29)
+        lines = writer_lines(tmp_path)
+        path = tmp_path / "cache.jsonl"
+        outcomes = collections.Counter()
+        for _ in range(2_000):
+            at = rng.randrange(2, len(lines))
+            line = mutated(rng, lines[at])
+            if rng.random() < 0.3 and line.endswith(b"\n"):
+                try:
+                    line = mutated(rng, line.decode("utf-8"))
+                except (ValueError, RecursionError):  # not UTF-8 or not JSON
+                    pass
+            data = "".join(lines[:at]).encode("utf-8") + line + "".join(
+                lines[at + 1:at + 3]).encode("utf-8")
+            path.write_bytes(data)
+            expected = plain_load(path)
+            assert cache_load(path) == expected, line[:300]
+            outcomes[isinstance(expected, dict)] += 1
+        # The faults leave many lines loadable and reject many others.
+        assert min(outcomes.values()) > 400, outcomes
+
+    BROKEN = {
+        # One writer line broken in one span; the line before it has the same
+        # head and tail, so each span that is checked once is already kept.
+        "head": ('"}, {"role": "user"', '"} {"role": "user"', "Expecting ',' delimiter"),
+        "role": ('{"role": "user"', '{"role": "us\\er"', "Invalid \\escape"),
+        "content escape": ("\\nOutput label: ", "\\qOutput label: ", "Invalid \\escape"),
+        "content escape in the repeated history": (
+            "Input dialogue: seeker: 01", "Input dialogue: seeker: \\01", "Invalid \\escape"),
+        "raw control character in the content": (
+            "Output label: ", "Output\x01label: ", "Invalid control character"),
+        "tail": ('"max_tokens": 256}', '"max_tokens": 256]', "Expecting ',' delimiter"),
+        "response": ('"response": "Output', '"response": "\\Output', "Invalid \\escape"),
+    }
+
+    @pytest.mark.parametrize("span", BROKEN)
+    def test_a_request_broken_in_one_span_is_still_rejected(self, tmp_path, span):
+        old, new, message = self.BROKEN[span]
+        first, _, second = writer_lines(tmp_path, dialogues=1, turns=2)[:3]
+        assert second.count(old) >= 1
+        broken = second[::-1].replace(old[::-1], new[::-1], 1)[::-1]  # the last one
+        path = tmp_path / "cache.jsonl"
+        path.write_text(first + broken, encoding="utf-8")
+        with pytest.raises(json.JSONDecodeError) as decoded:
+            json.loads(broken)
+        assert str(decoded.value).startswith(message)
+        with pytest.raises(CorpusError) as excinfo:
+            ResponseCache(path)
+        assert str(excinfo.value) == f"{path}: line 2: {decoded.value}"
+
+    def test_a_scan_resumes_only_outside_an_escape(self, tmp_path):
+        # The second line repeats the first up to some point of its content,
+        # where it closes the string. Cut inside an escape, the second line is
+        # not JSON, though a scan that resumed there would read it as closed.
+        path = tmp_path / "cache.jsonl"
+        for pad in range(4):
+            lines = []
+            request = CompletionRequest(messages=(
+                ChatMessage(MessageRole.SYSTEM, "s"),
+                ChatMessage(MessageRole.USER, "y" * pad + 'x\\ "q" ' * 20 + "Output label: "),
+            ))
+            ResponseCache(path).put(request_hash(request), request, "r")
+            first = path.read_text(encoding="utf-8")
+            body = first.rindex('"content": "') + len('"content": "')
+            end = first.index('"}], ', body)
+            for cut in range(body, end):
+                path.write_text(first + first[:cut] + first[end:], encoding="utf-8")
+                assert cache_load(path) == plain_load(path), first[body:cut]
+
+    @pytest.mark.parametrize("beyond", [0, 1], ids=["at-the-cap", "beyond-the-cap"])
+    def test_a_span_with_many_brackets_is_decoded_in_full(self, tmp_path, beyond):
+        # A head or tail nested about as deep as the interpreter's recursion
+        # limit allows may decode on its own and not in its line.
+        line = writer_lines(tmp_path, dialogues=1, turns=1)[0]
+        head = line[line.index('"request": ') + len('"request": '):line.rfind('{"role": "')]
+        for old, has in (('"model": "gpt-3.5-turbo-1106"', head.count("{") + head.count("[")),
+                         ('"max_tokens": 256', 0)):
+            more = cacheline._MAX_BRACKETS - has + beyond
+            broad = line.replace(old, old[:old.index(":") + 2] + "[" * more + "]" * more)
+            assert (cacheline.Reader().checked(broad) is None) is bool(beyond)
+            (tmp_path / "cache.jsonl").write_text(broad, encoding="utf-8")
+            assert cache_load(tmp_path / "cache.jsonl") == plain_load(tmp_path / "cache.jsonl")
+
+    def test_lines_the_package_writes_take_the_checked_path(self, tmp_path):
+        for lines in (file_lines(fixtures.path(fixtures.REPLAY_CACHE)), writer_lines(tmp_path)):
+            reader = cacheline.Reader()
+            for line in lines:
+                record = json.loads(line)
+                assert reader.checked(line) == (record["hash"], record["response"])
+
+    def test_the_memo_keeps_a_bounded_number_of_spans(self, tmp_path):
+        # 1,000 lines, each with its own head and its own tail.
+        path = tmp_path / "cache.jsonl"
+        cache = ResponseCache(path)
+        for i in range(1_000):
+            request = CompletionRequest(
+                messages=(ChatMessage(MessageRole.SYSTEM, f"system {i}"),
+                          ChatMessage(MessageRole.USER, f"turn {i} " * 10)),
+                max_tokens=i + 1,
+            )
+            cache.put(request_hash(request), request, f"reply {i}")
+        reader, longest = cacheline.Reader(), 0
+        for line in file_lines(path):
+            assert reader.checked(line) is not None
+            assert len(reader.heads) <= 8 and len(reader.tails) <= 8
+            longest = max(longest, len(line))
+        kept = [*reader.heads, *reader.heads.values(), *reader.tails]
+        assert sum(map(len, kept)) <= 24 * longest
+        assert cache_load(path) == plain_load(path) and len(plain_load(path)) == 1_000
 
 
 class TestLiveTransport:

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import convground
-from convground import assessment, dialogue, knowledge, llm, schema
+from convground import assessment, cacheline, dialogue, knowledge, llm, schema
 from convground.assessment import GraphOp, OpKind
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -46,8 +46,8 @@ def _wrong_closing(monkeypatch):
 
 
 def _drop_first_record(monkeypatch):
-    def dropping(path):
-        records = dialogue._iter_records(path)
+    def dropping(path, *decode):
+        records = dialogue._iter_records(path, *decode)
         next(records, None)
         yield from records
 
@@ -76,6 +76,26 @@ def test_a_broken_layer_is_reported_wrong(case, monkeypatch, capsys):
     MUTATIONS[case](monkeypatch)
     assert sweep.run(sweep.CASES[case][0](), repeats=0) > 0
     assert "WRONG" in capsys.readouterr().out
+
+
+def test_each_cache_load_row_reads_its_own_path(monkeypatch, capsys):
+    # A line that the checker reads wrong fails the writer's-order row only:
+    # the sorted-key row takes the full decode.
+    checked = cacheline.Reader.checked
+
+    def misread(reader, line):
+        spans = checked(reader, line)
+        return spans and (spans[0], spans[1] + " ")
+
+    monkeypatch.setattr(cacheline.Reader, "checked", misread)
+    assert sweep.run(sweep.cache_load(), repeats=0) == 1
+    out = capsys.readouterr().out
+    assert "WRONG load 4,000 records, writer's key order" in out
+    assert "WRONG load 4,000 records, keys sorted" not in out
+    # Without the first record, each row is wrong.
+    monkeypatch.undo()
+    _drop_first_record(monkeypatch)
+    assert sweep.run(sweep.cache_load(), repeats=0) == 2
 
 
 def test_each_hash_variant_runs_in_its_own_interpreter():
