@@ -10,8 +10,9 @@ two deltas are then committed in turn, each against the result of the
 commit before, so that knowledge bases merged from merge results are
 digested too. A case that raises ends there. Prints one SHA-256 over every
 result, verdict list, op list and raised error type, then the number of
-cases that raised. Only the public API is used, so any version's ``src``
-can be digested:
+cases that raised. :func:`digest` takes the implementation as arguments
+(``tests/test_reference.py`` digests the reference model with it), and
+only the public API is used, so any version's ``src`` can be digested:
 
     python scripts/commit_digest.py --src src --seed 1 --cases 5000
     python scripts/commit_digest.py --src ../parent/src --seed 1 --cases 5000
@@ -22,6 +23,7 @@ Equal digests mean equal behaviour on those cases.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import random
@@ -62,13 +64,43 @@ def random_knowledge(rng: random.Random) -> dict[str, Any]:
     return raw
 
 
-def outcome_of(commit, kb, delta) -> list[Any]:
+def outcome_of(commit, kb, delta) -> tuple[Any, list[Any]]:
+    """The package's ``commit(kb, delta)``: its result, and the result, the
+    outcomes and the ops in the shapes that are digested."""
     result, outcomes, ops = commit(kb, delta)
-    return [
+    return result, [
         result.to_json_dict(),
         [(str(o.fact.key), o.verdict.value, str(o.matched_key)) for o in outcomes],
         [op.to_json_dict() for op in ops],
     ]
+
+
+def digest(canonicalize, commit, rejected, seed: int, cases: int) -> tuple[str, int]:
+    """The SHA-256 of ``cases`` random cases drawn from ``seed``, and the
+    number of cases that raised ``rejected``, which ends a case.
+
+    ``commit(kb, delta)`` returns the result, which the next commit takes,
+    and the digested shapes of the result, its outcomes and its ops, so any
+    implementation of the commit rules that gives them can be digested.
+    """
+    rng = random.Random(seed)
+    sha = hashlib.sha256()
+    raised = 0
+    for _ in range(cases):
+        raw_kb, raw_delta, *raw_further = [random_knowledge(rng) for _ in range(4)]
+        record: list[Any] = []
+        try:
+            kb, delta = canonicalize(raw_kb), canonicalize(raw_delta)
+            result = commit(kb, delta)[0]
+            record += [commit(kb, delta)[1], commit(kb, delta)[1], commit(result, delta)[1]]
+            for raw in raw_further:
+                result, digested = commit(result, canonicalize(raw))
+                record.append(digested)
+        except rejected as exc:  # recorded by type: implementations must raise alike
+            raised += 1
+            record.append(type(exc).__name__)
+        sha.update(json.dumps(record, sort_keys=True).encode("utf-8") + b"\n")
+    return sha.hexdigest(), raised
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -81,29 +113,11 @@ def main(argv: list[str] | None = None) -> int:
     sys.path.insert(0, str(args.src.resolve()))
     from convground import canonicalize, commit
 
-    rng = random.Random(args.seed)
-    digest = hashlib.sha256()
-    raised = 0
-    for _ in range(args.cases):
-        raw_kb, raw_delta, *raw_further = [random_knowledge(rng) for _ in range(4)]
-        record: list[Any] = []
-        try:
-            kb, delta = canonicalize(raw_kb), canonicalize(raw_delta)
-            result = commit(kb, delta)[0]
-            record += [
-                outcome_of(commit, kb, delta),
-                outcome_of(commit, kb, delta),
-                outcome_of(commit, result, delta),
-            ]
-            for raw in raw_further:
-                later = canonicalize(raw)
-                record.append(outcome_of(commit, result, later))
-                result = commit(result, later)[0]
-        except Exception as exc:  # recorded by type: versions must raise alike
-            raised += 1
-            record.append(type(exc).__name__)
-        digest.update(json.dumps(record, sort_keys=True).encode("utf-8") + b"\n")
-    print(f"digest {digest.hexdigest()}")
+    # Any error is recorded by its type, so versions that raise differently
+    # digest differently instead of stopping the run.
+    package_commit = functools.partial(outcome_of, commit)
+    hexdigest, raised = digest(canonicalize, package_commit, Exception, args.seed, args.cases)
+    print(f"digest {hexdigest}")
     print(f"raised {raised} of {args.cases}")
     return 0
 

@@ -175,8 +175,7 @@ def merge(kb: GroundedKnowledge, ops: list[GraphOp]) -> GroundedKnowledge:
     created facts take new ones or join an equivalent kept column's; the
     result carries its facts by position and that index (see
     :func:`fold_facts`), so the next commit against it normalises only the
-    incoming names it does not hold exactly. A merge that neither creates
-    nor removes a fact shares ``kb``'s index as it is. When every op is an
+    incoming names it does not hold exactly. When every op is an
     instantiation, ``kb`` itself is returned.
     """
     kb_facts, kb_index = indexed_facts(kb)
@@ -198,11 +197,8 @@ def merge(kb: GroundedKnowledge, ops: list[GraphOp]) -> GroundedKnowledge:
         # INSTANTIATE_NODE only requires its target to exist.
     if all(op.op is OpKind.INSTANTIATE_NODE for op in ops):
         return kb
-    removed = kb_facts.keys() - kept.keys()
-    if not created and not removed:
-        return fold_facts(kept, (), kb_index)
     index = kb_index.copy()
-    for i in removed:
+    for i in kb_facts.keys() - kept.keys():
         index.discard(kb_facts[i].key)
     return fold_facts(kept, ((index.add(fact.key), fact) for fact in created.values()), index)
 

@@ -181,15 +181,13 @@ def cmd_annotate(args: argparse.Namespace) -> int:
             print(f"{title}:", file=sys.stderr)
             for line in lines:
                 print(f"  {line}", file=sys.stderr)
-    if any(skipped.values()):
-        return 1
     try:
         save_annotations(results, args.out)
     except OSError as exc:
         return _unwritable(args.out, exc)
     total = sum(len(v) for v in results.values())
     print(f"wrote {total} predictions to {args.out}")
-    return 0
+    return 1 if any(skipped.values()) else 0
 
 
 def cmd_ground(args: argparse.Namespace) -> int:

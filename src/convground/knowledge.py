@@ -255,11 +255,9 @@ def knowledge_from_parts(
 ) -> GroundedKnowledge:
     """:func:`knowledge_from_facts` of the top-level fields ``scalars`` (by
     name), then of ``columns``. Equivalent names share a term (see
-    :class:`KeyIndex`), so only a tree of two or more columns in which two
-    names share a term, or one has none, can fold; any other is assembled
-    as it is, with no fact, key or index."""
-    if len(columns) < 2:
-        return _assembled(scalars, columns)
+    :class:`KeyIndex`), so only a tree in which two names share a term, or
+    one has none, can fold; any other is assembled as it is, with no fact,
+    key or index."""
     terms = [_name_terms(c.column_name) for c in columns]
     if all(terms) and sum(map(len, terms)) == len(frozenset().union(*terms)):
         return _assembled(scalars, columns)

@@ -5,6 +5,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import assume, given, reject, settings
 
+import reference
 from convground import (
     FactKey,
     GraphOp,
@@ -22,17 +23,15 @@ from convground import fixtures, knowledge
 from convground.assessment import AssessmentOutcome, _classify
 from convground.dialogue import load_gold
 from convground.evaluation import score
-from convground.judge import _field_values_equivalent, knowledge_equivalent
+from convground.judge import knowledge_equivalent
 from convground.knowledge import (
     EMPTY_KNOWLEDGE,
     ColumnKnowledge,
     Fact,
     GroundedKnowledge,
     KeyIndex,
-    _bounds_ordered,
     facts,
     indexed_facts,
-    updated_value,
 )
 
 
@@ -372,7 +371,7 @@ def test_a_chain_of_conflicts_keeps_each_posting_list_short():
     assert kb == bounds[1]
 
 
-def test_a_merge_that_creates_and_removes_nothing_shares_the_index():
+def test_a_merge_copies_the_index_and_retires_the_removed_facts():
     kb = commit(EMPTY_KNOWLEDGE, canonicalize({
         "table_domain": "parks", "column_names": ["area size", "name", "2020"],
     }))[0]
@@ -386,8 +385,7 @@ def test_a_merge_that_creates_and_removes_nothing_shares_the_index():
         OpKind.UPDATE_NODE, OpKind.UPDATE_NODE, OpKind.INSTANTIATE_NODE,
     ]
     assert result != kb
-    assert indexed_facts(result)[1] is indexed_facts(kb)[1]
-    # A later commit that creates and removes facts copies the shared index.
+    # A later commit that creates and removes facts writes to a copy.
     later = commit(result, canonicalize({"column_names": ["founded"], "table_domain": "museums"}))[0]
     assert indexed_facts(later)[1] is not indexed_facts(kb)[1]
     assert indexed_facts(kb)[1].exact == before
@@ -428,24 +426,6 @@ def test_a_restated_fact_is_found_by_its_exact_key(monkeypatch):
     assert calls == ["area"]
 
 
-def old_classify(existing, incoming):
-    """``_classify`` as it was: a column is updated whole by ``updated_value``
-    and compared with the committed one field by field, each field equal when
-    identical or ``==``, as a record's ``==`` compares its fields."""
-    ex, inc = existing.value.fields(), incoming.value.fields()
-    union = {**ex, **inc}
-    agree = all(
-        _field_values_equivalent(n, ex[n], inc[n]) for n in set(ex) & set(inc)
-    ) and _bounds_ordered(union.get("min_value"), union.get("max_value"))
-    if not agree:
-        return Verdict.CONFLICT
-    updated = updated_value("column", existing.value, incoming.value)
-    same = (updated.column_name, updated.fields()) == (
-        existing.value.column_name, existing.value.fields()
-    )
-    return Verdict.MATCH if same else Verdict.PARTIAL_MATCH
-
-
 NAN = float("nan")
 
 
@@ -478,7 +458,8 @@ def test_classify_keeps_the_verdicts_of_the_whole_column_rule():
             continue
         pair = (Fact(key, existing), Fact(key, incoming))
         verdict = _classify(*pair)
-        assert verdict is old_classify(*pair), pair
+        expected = reference.classify("column", existing.to_json_dict(), incoming.to_json_dict())
+        assert verdict.value == expected, pair
         seen.add(verdict)
     assert seen == {Verdict.MATCH, Verdict.PARTIAL_MATCH, Verdict.CONFLICT}
 
@@ -557,12 +538,10 @@ def test_assess_keeps_the_verdicts_of_the_whole_column_rule():
 
     for _ in range(1500):
         kb, delta = random_knowledge(), random_knowledge()
-        kb_facts = {f.key: f for f in facts(kb)}
-        for outcome in assess(kb, delta):
-            if outcome.verdict is not Verdict.NOVEL:
-                existing = kb_facts[outcome.matched_key]
-                assert outcome.verdict is old_classify(existing, outcome.fact), (kb, delta)
-            seen.add(outcome.verdict)
+        outcomes = assess(kb, delta)
+        found = [(str(o.fact.key), o.verdict.value, str(o.matched_key)) for o in outcomes]
+        assert found == reference.assess(kb.to_json_dict(), delta.to_json_dict()), (kb, delta)
+        seen.update(o.verdict for o in outcomes)
     assert seen == set(Verdict)
 
 

@@ -180,7 +180,29 @@ class TestAnnotate:
         err = capsys.readouterr().err
         assert "cache misses:" in err
         assert "dialogue A turn 2" in err
-        assert not (tmp_path / "out.jsonl").exists()
+        assert (tmp_path / "out.jsonl").read_text(encoding="utf-8") == ""
+
+    def test_a_missing_reply_costs_only_its_turn(self, tmp_path, capsys, dialogues_by_id):
+        # The classification request of dialogue B turn 14, the last gold turn.
+        history = dialogues_by_id["B"].turns[:14]
+        messages = tuple(build_classification_prompt(history))
+        missing = request_hash(CompletionRequest(messages=messages))
+        lines = fixtures.path(fixtures.REPLAY_CACHE).read_text(encoding="utf-8").splitlines(True)
+        kept = [line for line in lines if json.loads(line)["hash"] != missing]
+        assert len(kept) == len(lines) - 1
+        cache, out = tmp_path / "cache.jsonl", tmp_path / "out.jsonl"
+        cache.write_text("".join(kept), encoding="utf-8")
+        code = run(
+            "annotate", "--corpus", CORPUS, "--gold", GOLD,
+            "--cache", str(cache), "--out", str(out),
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"cache misses:\n  dialogue B turn 14: {missing}\n"
+        assert captured.out == f"wrote 10 predictions to {out}\n"
+        assert sum(len(v) for v in load_gold(out).values()) == 10
+        assert run("evaluate", "--gold", GOLD, "--predictions", str(out)) == 1
+        assert capsys.readouterr().err == "error: no prediction for dialogue 'B' turn 14\n"
 
     def test_incremental_prompts_carry_the_knowledge_committed_so_far(
         self, tmp_path, monkeypatch
@@ -257,7 +279,7 @@ class TestAnnotate:
         assert len(lines) == 4
         # Every gold turn but A 2, whose label failed, reached the extraction parser.
         assert len(parsed) == 10
-        assert not (tmp_path / "out.jsonl").exists()
+        assert sum(len(v) for v in load_gold(tmp_path / "out.jsonl").values()) == 8
 
     def test_hostile_replies_are_listed_as_unparseable(self, tmp_path, capsys):
         records = [
@@ -284,7 +306,7 @@ class TestAnnotate:
         ]
         assert lines[2].startswith("  dialogue B turn 14: unparseable extraction output")
         assert len(lines) == 3
-        assert not (tmp_path / "out.jsonl").exists()
+        assert sum(len(v) for v in load_gold(tmp_path / "out.jsonl").values()) == 9
 
     def test_a_long_unparseable_reply_is_listed_on_a_short_line(self, tmp_path, capsys):
         records = [
@@ -486,7 +508,7 @@ class TestAnnotate:
         # request, and every other reply is recorded.
         assert len(bodies) == 21
         assert len(cache.read_text(encoding="utf-8").splitlines()) == 20
-        assert not out.exists()
+        assert sum(len(v) for v in load_gold(out).values()) == 10
 
     def test_reply_that_is_not_a_completion_is_a_request_error(
         self, tmp_path, capsys, monkeypatch
@@ -508,7 +530,7 @@ class TestAnnotate:
             for line in lines[1:]
         )
         assert not cache.exists()
-        assert not out.exists()
+        assert out.read_text(encoding="utf-8") == ""
 
     def test_unreachable_endpoint_is_listed_per_turn(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr("convground.llm._BACKOFF_SECONDS", 0)

@@ -2,13 +2,13 @@
 
 import itertools
 import math
-import re
 from unittest import mock
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import example, given, settings
 
+import reference
 from convground import (
     EMPTY_KNOWLEDGE,
     ColumnKnowledge,
@@ -29,13 +29,7 @@ from convground import (
     terms_equivalent,
 )
 from convground.judge import _lists_equivalent
-from convground.knowledge import (
-    STOPWORDS,
-    KeyIndex,
-    _texts_equivalent,
-    indexed_facts,
-    normalize_term,
-)
+from convground.knowledge import KeyIndex, indexed_facts, normalize_term
 from convground.matching import perfect_matching
 
 # Single-word names from disjoint vocabularies so that no two generated
@@ -161,41 +155,16 @@ def test_terms_equivalent_symmetric(a, b):
 
 # Overlapping names: "area" is equivalent to "area size" and to "area total",
 # which are not equivalent to each other, so the first match decides.
-OVERLAPPING = st.sampled_from(("area", "area size", "area total", "size", "total"))
-
-
-def overlap(a, b):
-    """Reference equivalence for OVERLAPPING names: one token set contains the other."""
-    ta, tb = set(a.split()), set(b.split())
-    return ta <= tb or tb <= ta
-
+OVERLAPPING_NAMES = ("area", "area size", "area total", "size", "total")
+OVERLAPPING = st.sampled_from(OVERLAPPING_NAMES)
 
 # Names that overlap without transitivity, differ only in case, or have no
 # content tokens at all ("2020", "%"), so only == makes them equivalent.
 POOL_NAMES = ("area", "area size", "area total", "size", "total", "Area", "2020", "%")
-
-
-def pool_keys_equivalent(a, b):
-    """Reference key equivalence for POOL_NAMES: equal keys, or column names
-    whose non-empty sets of lowercased words (numbers and "%" dropped) nest."""
-    if a.field != b.field:
-        return False
-    if a == b or a.field != "column":
-        return True
-    ta = {w for w in a.column.lower().split() if w.isalpha()}
-    tb = {w for w in b.column.lower().split() if w.isalpha()}
-    return bool(ta) and bool(tb) and (ta <= tb or tb <= ta)
-
-
-def regex_normalize_term(term):
-    """The reference ``normalize_term``: units and numbers dropped by regex."""
-    tokens = re.sub(r"[^0-9a-z%]+", " ", term.lower()).split()
-    return frozenset(
-        t for t in tokens
-        if t not in STOPWORDS
-        and not re.match(r"^(?:km2|m2|kg|km|m|%)$", t)
-        and not re.match(r"^\d+(?:[.,]\d+)?$", t)
-    )
+# Names that share the token "name": "name 1" and "name" hold only that
+# token, so they match every name here but "w1" and "w2"; "w1" matches
+# only "name 1 w1".
+SHARED_NAMES = ("name 1 w1", "name 1", "w1", "name 2 w2", "name 2", "w2", "name")
 
 
 @given(st.one_of(
@@ -207,12 +176,12 @@ def regex_normalize_term(term):
 ))
 @settings(max_examples=500)
 def test_normalize_term_agrees_with_the_regex_reference(term):
-    assert normalize_term(term) == regex_normalize_term(term)
+    assert normalize_term(term) == reference.terms(term)
 
 
 POOL_KEYS = st.one_of(
     st.just(FactKey("row_count")),
-    st.sampled_from(POOL_NAMES).map(lambda n: FactKey("column", n)),
+    st.sampled_from(POOL_NAMES + SHARED_NAMES).map(lambda n: FactKey("column", n)),
 )
 INDEX_OPS = st.lists(
     st.one_of(
@@ -225,17 +194,19 @@ INDEX_OPS = st.lists(
 )
 
 
+def first_live(slots, key):
+    """The reference's position of the first live key of ``slots`` (None
+    once discarded) equivalent to ``key``."""
+    return reference.first([None if k is None else str(k) for k in slots], str(key))
+
+
 def check_index_against(index, slots):
-    """``index`` holds the live keys of ``slots`` (None once discarded) exactly,
-    and finds the first live equivalent one for every pool key."""
+    """``index`` holds the live keys of ``slots`` exactly, and finds the
+    first live equivalent one for every pool key."""
     assert index.exact == {key: i for i, key in enumerate(slots) if key is not None}
-    for probe in [FactKey("row_count"), *(FactKey("column", n) for n in POOL_NAMES)]:
-        first = next(
-            (i for i, key in enumerate(slots)
-             if key is not None and pool_keys_equivalent(key, probe)),
-            None,
-        )
-        assert min(index.matches(probe), default=None) == first
+    probes = [FactKey("row_count"), *(FactKey("column", n) for n in POOL_NAMES + SHARED_NAMES)]
+    for probe in probes:
+        assert min(index.matches(probe), default=None) == first_live(slots, probe)
 
 
 @given(INDEX_OPS)
@@ -256,11 +227,7 @@ def test_key_index_returns_first_live_equivalent_position(ops):
                 index.discard(slots[i])
                 slots[i] = None
             continue
-        first = next(
-            (i for i, key in enumerate(slots)
-             if key is not None and pool_keys_equivalent(key, arg)),
-            None,
-        )
+        first = first_live(slots, arg)
         if op == "find":
             assert min(index.matches(arg), default=None) == first
             continue
@@ -275,17 +242,10 @@ def test_key_index_returns_first_live_equivalent_position(ops):
 
 @given(st.lists(st.tuples(OVERLAPPING, st.integers(min_value=0, max_value=9)), max_size=6))
 def test_canonicalize_folds_like_first_match_fold(entries):
-    folded = []  # [name, distinct_count], first-seen name kept
-    for name, count in entries:
-        slot = next((s for s in folded if overlap(s[0], name)), None)
-        if slot is None:
-            folded.append([name, count])
-        else:
-            slot[1] = count
-    kb = canonicalize({"column_info": [
+    tree = {"column_info": [
         {"column_name": name, "distinct_count": count} for name, count in entries
-    ]})
-    assert [[c.column_name, c.distinct_count] for c in kb.column_info] == folded
+    ]}
+    assert canonicalize(tree).to_json_dict() == reference.canonicalize(tree)
 
 
 # POOL_NAMES and names that share no term with any other name, so that a
@@ -321,7 +281,7 @@ def test_canonicalize_is_the_fold_of_its_fragments_facts(fragments):
 @given(st.lists(OVERLAPPING, max_size=5))
 def test_constructor_rejects_exactly_equivalent_pairs(names):
     has_pair = any(
-        overlap(a, b) for i, a in enumerate(names) for b in names[i + 1:]
+        reference.texts_equivalent(a, b) for i, a in enumerate(names) for b in names[i + 1:]
     )
     columns = tuple(ColumnKnowledge(name) for name in names)
     if has_pair:
@@ -339,25 +299,11 @@ LIST_VALUES = st.sampled_from(
 )
 
 
-def scalars_equivalent(a, b):
-    """The rule for two list values, applied pair by pair: text by
-    ``_texts_equivalent``, anything else when identical or ``==``, never text
-    against a non-string."""
-    if isinstance(a, str) and isinstance(b, str):
-        return _texts_equivalent(a, b)
-    if isinstance(a, str) or isinstance(b, str):
-        return False
-    return a is b or a == b
-
 
 @given(st.lists(LIST_VALUES, max_size=6), st.lists(LIST_VALUES, max_size=6))
 @settings(max_examples=200)
 def test_lists_equivalent_agrees_with_brute_force(a, b):
-    expected = len(a) == len(b) and any(
-        all(scalars_equivalent(x, y) for x, y in zip(a, order))
-        for order in itertools.permutations(b)
-    )
-    assert _lists_equivalent(a, b) == expected
+    assert _lists_equivalent(a, b) == reference.values_equivalent("values", a, b)
 
 
 # Values of one content word: case and punctuation variants, and a word
@@ -402,12 +348,7 @@ def one_word_list_pairs(draw):
 @example((["café"], ["CAF"]))
 @settings(max_examples=300)
 def test_one_word_lists_agree_with_brute_force(pair):
-    a, b = pair
-    expected = any(
-        all(scalars_equivalent(x, y) for x, y in zip(a, order))
-        for order in itertools.permutations(b)
-    )
-    assert _lists_equivalent(a, b) == expected
+    assert _lists_equivalent(*pair) == reference.values_equivalent("values", *pair)
 
 
 @st.composite
@@ -571,6 +512,6 @@ def test_no_two_live_keys_of_a_merge_result_are_equivalent(kb, deltas):
         placed, index = indexed_facts(kb)
         keys = [f.key for f in placed.values()]
         assert not any(
-            pool_keys_equivalent(a, b) for a, b in itertools.combinations(keys, 2)
+            reference.keys_equivalent(str(a), str(b)) for a, b in itertools.combinations(keys, 2)
         )
         assert index.exact == {f.key: i for i, f in placed.items()}
