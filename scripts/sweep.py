@@ -261,7 +261,9 @@ def _parsed(label: str, replies: list[tuple[str, Any]]) -> Row:
 def parse() -> Iterator[Union[Row, str]]:
     """``parse_knowledge_json`` per reply shape (200 replies, each with the
     tree it renders); then trees of 1 to 400 columns as JSON, as a literal,
-    and as JSON with no two names sharing a term, so nothing folds."""
+    and as JSON with no two names sharing a term, so nothing folds. Last, a
+    check that no timed call loaded ``ast``."""
+    had_ast = "ast" in sys.modules
     rng = random.Random(0)
     trees = [_tree(rng, rng.randint(0, 3)) for _ in range(200)]
     # Fragments of two or more columns, as a bare sequence renders them.
@@ -281,9 +283,8 @@ def parse() -> Iterator[Union[Row, str]]:
             {**column, "column_name": f"col{i}"} for i, column in enumerate(wide["column_info"])
         ]}
         yield _parsed(f"json, {width} unshared", [(json.dumps(unshared), unshared)])
-    # Last, and read only now: the one shape that needs ast.
-    yield f"ast loaded before the escaped literals: {'yes' if 'ast' in sys.modules else 'no'}"
     yield _parsed("escaped literal", [(repr(t), t) for t in escaped])
+    yield Row("ast left unloaded", lambda: "ast" in sys.modules, lambda loaded: loaded == had_ast)
 
 
 TURN_WORDS = ("table", "row", "column", "year", "city", "total", "area", "naïve", "données",

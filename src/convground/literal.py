@@ -2,120 +2,115 @@
 
 :mod:`convground.llm` imports this module on the first reply that
 ``json.loads`` rejects, so commands that read only JSON (or no reply at all)
-never compile it, nor its patterns, nor ``ast``.
+never compile its patterns.
 """
 
 from __future__ import annotations
 
-import json
 import re
-import threading
-from itertools import accumulate
-from typing import Any, Optional
+from typing import Any
 
-# The tokens of :func:`translated`'s rule but brackets.
-_STRING = r"[^{q}\\\x00-\x1f\x7f-\x9f\ud800-\udfff]*"
-_TOKENS = re.compile("|".join((
-    "'" + _STRING.format(q="'") + "'",
-    '"' + _STRING.format(q='"') + '"',
-    r"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?",
-    "None|True|False|null",
-    r"[{}\[\]:, \t\r\n]+",
-)))
-# Within text of those tokens: the strings and words a translation rewrites,
-# and the text but brackets outside strings.
-_STRINGS = "'[^']*'|\"[^\"]*\""
-_REWRITTEN = re.compile(_STRINGS + "|None|True|False")
-_NOT_BRACKETS = re.compile(_STRINGS + r"""|[^'"{}[\]]+""")
-_JSON_WORDS = {"None": "null", "True": "true", "False": "false"}
-# Python's parser rejects brackets nested 200 deep, which ``json`` reads; a
-# literal nested this deep or deeper is left to ``ast``.
-_MAX_TRANSLATED_DEPTH = 100
-_BRACKET_STEPS = {"[": 1, "{": 1, "]": -1, "}": -1}
+# Brackets nested this deep or deeper are rejected.
+MAX_DEPTH = 100
 
-# A quoted string in either style, escapes included, or else a bare ``null``.
-# An unclosed string runs to the end, so one pass stays linear.
-_NULL_OUTSIDE_STRINGS = re.compile(
-    r"""'(?:[^'\\]|\\[\s\S])*'?|"(?:[^"\\]|\\[\s\S])*"?|\bnull\b"""
-)
-# CPython 3.11.7 keeps the AST constructor's recursion depth per interpreter,
-# not per thread, so two ``annotate --jobs`` threads in ``ast.literal_eval``
-# at once can raise ``SystemError`` ("AST constructor recursion depth
-# mismatch"); replies are read as literals one at a time.
-_LITERAL_LOCK = threading.Lock()
+# What may follow a backslash in a string, as Python reads it. Each escape
+# matches one way only, so a string that does not close fails in one pass.
+_ESCAPE = "|".join((
+    r"""[\\'"abfnrtv\n]|\r\n?""", "[0-7]{3}|[0-7]{1,2}(?![0-7])",
+    "x[0-9a-fA-F]{2}", "u[0-9a-fA-F]{4}", "U[0-9a-fA-F]{8}",
+))
+# A string's body between quotes {q}: characters that stand for themselves,
+# and escapes.
+_CHARS = r"[^{q}\\\n\r\x00\ud800-\udfff]*"
+_BODY = _CHARS + r"(?:\\(?:" + _ESCAPE + ")" + _CHARS + ")*"
+_NUMBER = r"-?(?:0|[1-9][0-9]*)"
+# One token after blanks: an opener (1), or else a closer (2), a string's
+# body (3, 4), a float (5), an integer (6) or a word (7), with the comma or
+# colon that follows it, if any.
+_TOKEN = re.compile("[ \t\r\n]*(?:" + r"([\[{(])|(?:" + "|".join((
+    r"([\]})])",
+    "'(" + _BODY.replace("{q}", "'") + ")'",
+    '"(' + _BODY.replace("{q}", '"') + ')"',
+    "(" + _NUMBER + r"(?:\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+))",
+    "(" + _NUMBER + ")",
+    "(None|True|False|null)",
+)) + ")(?:[ \t\r\n]*[,:])?)")
+_DECODED = re.compile(r"\\(" + _ESCAPE + ")")
+_ESCAPED = {"\\": "\\", "'": "'", '"': '"', "a": "\a", "b": "\b", "f": "\f", "n": "\n",
+            "r": "\r", "t": "\t", "v": "\v", "\n": "", "\r": "", "\r\n": ""}
+_WORDS = {"None": None, "null": None, "True": True, "False": False}
+_CLOSERS = {"(": ")", "[": "]", "{": "}"}
+
+
+def _decoded(escape: re.Match[str]) -> str:
+    code = escape[1]
+    if code in _ESCAPED:
+        return _ESCAPED[code]
+    point = int(code[1:], 16) if code[0] in "xuU" else int(code, 8)
+    if point > 0x10FFFF:  # chr() would raise OverflowError past a C int
+        raise ValueError("a code point out of range")
+    return chr(point)
 
 
 def read(text: str) -> Any:
-    """The value of ``text``, a Python literal in which ``null`` outside
-    strings reads ``None``, or else of ``[text]``, which reads a bare
-    ``{...}, {...}`` sequence.
+    """The value of ``text``, a Python literal of the subset the README
+    declares, in which ``null`` reads ``None``; a bare ``{...}, {...}``
+    sequence reads as a tuple.
 
-    Text that :func:`translated` translates is read by ``json``; any
-    other, or what ``json`` rejects, by ``ast.literal_eval``. Raises
-    ``ValueError`` when neither reading succeeds.
+    One linear pass over the tokens builds the value on an explicit stack.
+    Raises ``ValueError`` for any text outside the subset, for brackets
+    nested ``MAX_DEPTH`` deep, for an unhashable key, and for an integer or
+    a code point out of range.
     """
-    json_text = translated(text)
-    if json_text is not None:
-        for candidate in (json_text, f"[{json_text}]"):
-            try:
-                tree = json.loads(candidate)
-            except (ValueError, RecursionError):
-                continue  # e.g. a trailing comma, or an integer too long to convert
-            if nests_deep(text):
-                break  # Python's parser may reject what json read
-            return tree
-    literal = _NULL_OUTSIDE_STRINGS.sub(lambda m: "None" if m[0] == "null" else m[0], text)
-    import ast  # here: replies that json reads never load it
+    # The open brackets' closers and items; the reply reads as in parentheses
+    # that only its end closes. ``last`` is the last token's last character:
+    # an opener, a comma or a colon, or else "" after a value.
+    frames: list[tuple[str, list[Any]]] = []
+    closer, items, last, end = "", [], "(", 0
+    for token in iter(_TOKEN.scanner(text).match, None):
+        kind, end = token.lastindex, token.end()
+        if kind != 2 and not last:
+            raise ValueError("a value follows a value")
+        if kind == 1:
+            frames.append((closer, items))
+            if len(frames) >= MAX_DEPTH:
+                raise ValueError("brackets nested too deep")
+            closer, items, last = _CLOSERS[token[1]], [], "("
+            continue
+        if kind == 2:
+            if token[2] != closer or last == ":" or closer == "}" and len(items) % 2:
+                raise ValueError("a bracket closes nothing open")
+            value = _closed(closer, items, last)
+            closer, items = frames.pop()
+        elif kind < 5:
+            value = token[kind]
+            if "\\" in value:
+                value = _DECODED.sub(_decoded, value)
+        elif kind == 5:
+            value = float(token[5])
+        elif kind == 6:
+            value = int(token[6])
+        else:
+            value = _WORDS[token[7]]
+        items.append(value)
+        last = text[end - 1]
+        if last not in ",:":
+            last = ""
+        elif (last == ":") != (closer == "}" and len(items) % 2 == 1):
+            raise ValueError("a colon follows no key, or a comma a key")
+    if frames or last == "(" or text[end:].strip(" \t\r\n"):
+        raise ValueError("not a Python literal")
+    return _closed(closer, items, last)
 
-    for candidate in (literal, f"[{literal}]"):
+
+def _closed(closer: str, items: list[Any], last: str) -> Any:
+    """The value of brackets closed after ``items``; ``last`` as in :func:`read`."""
+    if closer == "]":
+        return items
+    if closer == "}":
+        pairs = iter(items)
         try:
-            with _LITERAL_LOCK:
-                return ast.literal_eval(candidate)
-        except (ValueError, TypeError, SyntaxError, MemoryError, RecursionError):
-            continue  # what ``literal_eval`` raises on malformed or too deeply nested text
-    raise ValueError("not a Python literal")
-
-
-def _as_json(token: re.Match[str]) -> str:
-    text = token[0]
-    if text[0] == "'":
-        return '"' + text[1:-1].replace('"', '\\"') + '"'
-    return _JSON_WORDS.get(text, text)
-
-
-def translated(text: str) -> Optional[str]:
-    """``text`` as JSON, or ``None`` when a token of it may mean something
-    else in Python than in JSON.
-
-    Each token must be a string in either quote style without a backslash,
-    a control character or a surrogate; a JSON number; ``None``, ``True``,
-    ``False`` or ``null``; one of ``{}[]:,``; or a space, tab, CR or LF.
-    What ``json.loads`` reads from the result, ``ast.literal_eval`` reads
-    from ``text`` once ``null`` reads ``None`` (but for a bare sequence,
-    which ``json`` reads wrapped as a list and ``ast`` as a tuple), unless
-    brackets nest too deep for Python (see :func:`nests_deep`). What
-    ``json`` rejects (a trailing comma, a set, a key that is not a string)
-    is left to ``ast``. The check is one linear pass of the
-    regular-expression engine, and the rewrite one more.
-    """
-    if "\\" in text:  # the commonest token outside the rule, found without a pass
-        return None
-    if _TOKENS.sub("", text):
-        return None
-    if '"' in text or "None" in text or "True" in text or "False" in text:
-        return _REWRITTEN.sub(_as_json, text)
-    # Every quote delimits a string and no word changes: no call per string,
-    # which for a reply of many short strings would cost as much as ast.
-    return text.replace("'", '"')
-
-
-def nests_deep(text: str) -> bool:
-    """Whether brackets outside the strings of ``text``, which
-    :func:`translated` translates, nest ``_MAX_TRANSLATED_DEPTH`` deep.
-    Asked only of text that ``json`` read, which nests less than the
-    recursion limit deep."""
-    if text.count("[") + text.count("{") < _MAX_TRANSLATED_DEPTH:
-        return False
-    brackets = _NOT_BRACKETS.sub("", text)
-    depth = max(accumulate(map(_BRACKET_STEPS.__getitem__, brackets)), default=0)
-    return depth >= _MAX_TRANSLATED_DEPTH
+            return dict(zip(pairs, pairs))
+        except TypeError:
+            raise ValueError("an unhashable key") from None
+    return items[0] if len(items) == 1 and not last else tuple(items)

@@ -391,7 +391,7 @@ def _parse_tree(text: str) -> Any:
         # An integer too long to convert, or nesting too deep to decode.
         raise KnowledgeParseError(f"unparseable extraction output: {exc}") from None
     # The printed single-quote rendering is Python-literal-like except for
-    # JSON's null; a bare "{...}, {...}" sequence parses once wrapped.
+    # JSON's null; a bare "{...}, {...}" sequence reads as a tuple.
     # Imported here, so that commands that read only JSON never compile it.
     from . import literal
 

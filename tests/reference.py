@@ -1,4 +1,5 @@
-"""A plain model of the README's commit rules, for differential tests.
+"""A plain model of the README's commit rules and of reading a reply, for
+differential tests.
 
 It imports nothing from ``convground``, so no shortcut can leak into it, and
 has no index, no memo and no early return: every lookup is a scan in
@@ -7,6 +8,8 @@ fact is a ``(key, value)`` pair keyed as ``str(FactKey)`` reads; outcomes
 and ops take the shapes ``scripts/commit_digest.py`` digests.
 """
 
+import ast
+import json
 import re
 
 STOPWORDS = {"of", "the", "a", "an", "in", "on", "about", "for", "and",
@@ -138,6 +141,30 @@ def fold(out, fact_list):
         else:
             out[i] = (key, value)
     return out
+
+
+# A quoted string in either style, escapes included, or else a bare ``null``.
+NULL_OUTSIDE_STRINGS = re.compile(
+    r"""'(?:[^'\\]|\\[\s\S])*'?|"(?:[^"\\]|\\[\s\S])*"?|\bnull\b"""
+)
+
+
+def reply_tree(text):
+    """The tree of a reply's text: ``json``'s, else that of ``ast.literal_eval``
+    with ``null`` outside strings read as ``None``, of the text and then of
+    ``[text]``, which reads a bare ``{...}, {...}`` sequence. Raises
+    ``ValueError`` when none reads."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError):
+        pass
+    literal = NULL_OUTSIDE_STRINGS.sub(lambda m: "None" if m[0] == "null" else m[0], text)
+    for candidate in (literal, f"[{literal}]"):
+        try:
+            return ast.literal_eval(candidate)
+        except (ValueError, TypeError, SyntaxError, MemoryError, RecursionError):
+            continue
+    raise ValueError("not a reply tree")
 
 
 def canonicalize(raw):

@@ -834,12 +834,28 @@ def test_cli_import_loads_no_http_client():
     assert out.strip() == "[]"
 
 
+# The fixture cache's first extraction reply, and that reply with escapes.
+PLAIN_REPLY = "Output JSON: {'table_content': 'media dataset'}"
+ESCAPED_REPLY = "Output JSON: {'table_content': 'the \\'media\\' data\\\\set\\nof A'}"
+
+
+def escaped_cache(tmp_path):
+    """A copy of the fixture cache whose first extraction reply has escapes."""
+    lines = Path(CACHE).read_text(encoding="utf-8").splitlines(keepends=True)
+    records = [json.loads(line) for line in lines]
+    (index,) = [i for i, r in enumerate(records) if r["response"] == PLAIN_REPLY]
+    lines[index] = json.dumps({**records[index], "response": ESCAPED_REPLY}) + "\n"
+    path = tmp_path / "escaped_cache.jsonl"
+    path.write_text("".join(lines), encoding="utf-8")
+    return path
+
+
 @pytest.mark.parametrize("command, unloaded", [
     # Records are plain slotted classes. convground.literal is imported only
-    # where annotate parses a reply that is not JSON, and ast only where
-    # such a reply does not translate to JSON, which no fixture reply does.
-    # annotate hashes its requests with the interpreter's built-in SHA-256,
-    # so no offline command loads hashlib, which loads OpenSSL.
+    # where annotate parses a reply that is not JSON, and the package loads
+    # no ast for any reply, escaped or not. annotate hashes its requests with
+    # the interpreter's built-in SHA-256, so no offline command loads
+    # hashlib, which loads OpenSSL.
     (None, {"dataclasses", "inspect", "hashlib", "_hashlib", "ast", "convground.literal"}),
     (["ground", "--corpus", CORPUS, "--gold", GOLD],
      {"hashlib", "_hashlib", "ast", "convground.literal"}),
@@ -847,10 +863,14 @@ def test_cli_import_loads_no_http_client():
      {"hashlib", "_hashlib", "ast", "convground.literal"}),
     (["annotate", "--corpus", CORPUS, "--gold", GOLD, "--cache", CACHE, "--mode", "replay"],
      {"hashlib", "_hashlib", "ast"}),
-], ids=["import", "ground", "evaluate", "annotate"])
+    (["annotate", "--corpus", CORPUS, "--gold", GOLD, "--cache", escaped_cache, "--mode",
+      "replay"], {"hashlib", "_hashlib", "ast"}),
+], ids=["import", "ground", "evaluate", "annotate", "annotate-escaped"])
 def test_start_up_loads_no_dataclasses_and_commands_no_openssl(tmp_path, command, unloaded):
     src = Path(__file__).resolve().parents[1] / "src"
-    argv = None if command is None else [*command, "--out", str(tmp_path / "out")]
+    argv = None if command is None else [
+        str(arg(tmp_path)) if callable(arg) else arg for arg in command
+    ] + ["--out", str(tmp_path / "out")]
     code = (
         "import sys; bare = set(sys.modules); import convground.cli; "
         f"{argv!r} is None or convground.cli.main({argv!r}); "
@@ -863,6 +883,9 @@ def test_start_up_loads_no_dataclasses_and_commands_no_openssl(tmp_path, command
     loaded = ast.literal_eval(out.splitlines()[-1])
     assert "convground.cli" in loaded
     assert unloaded.isdisjoint(loaded)
+    if escaped_cache in (command or ()):
+        predictions = (tmp_path / "out").read_text(encoding="utf-8")
+        assert '"table_content": "the \'media\' data\\\\set\\nof A"' in predictions
 
 
 def test_readme_flag_table_matches_the_parser():

@@ -9,6 +9,7 @@ import threading
 
 import pytest
 
+import reference
 from convground import (
     CacheMissError,
     CacheMode,
@@ -16,6 +17,7 @@ from convground import (
     CorpusError,
     GroundingLabel,
     ResponseCache,
+    SchemaError,
     canonicalize,
     complete,
     fixtures,
@@ -191,9 +193,12 @@ class TestParseKnowledgeJson:
         ("-" * 100_000 + "1", "offset 0"),
         ("Output JSON:  ", "empty extraction output"),
         ("```json\n```", "empty extraction output"),
+        ("{'table_content': '\\UFFFFFFFF'}", "^unparseable extraction output at offset 1"),
+        ("{'table_content': '\\U80000000'}", "^unparseable extraction output at offset 1"),
     ], ids=["list-of-int", "list-of-dict", "deep-json", "long-integer",
             "unhashable-key", "mixed-keys", "deep-expression", "deep-unary",
-            "empty-after-prefix", "empty-fence"])
+            "empty-after-prefix", "empty-fence", "code-point-ffffffff",
+            "code-point-80000000"])
     def test_hostile_reply_raises_a_parse_error(self, raw, message):
         with pytest.raises(KnowledgeParseError, match=message):
             parse_knowledge_json(raw)
@@ -223,16 +228,17 @@ class TestParseKnowledgeJson:
         assert len(message) < 200
 
     def test_threads_reading_python_literal_replies_at_once_all_succeed(self):
-        # A literal reply that json cannot read once translated (here, for
-        # its escaped quotes) is read by ast.literal_eval. Threads switch
-        # every microsecond while the collector runs the finalizers (Python
-        # code) of garbage cycles, so a thread is often interrupted inside
-        # the AST constructor while another one enters it.
+        # The literal reader takes no lock: it holds none and imports no
+        # threading. Threads switch every microsecond while the collector
+        # runs the finalizers (Python code) of garbage cycles, so a thread is
+        # often interrupted inside a reading while another one starts one.
         raw = "{'column_info': [" + ", ".join(
             f"{{'column_name': 'c{i}\\'s', 'values': ['a', 'b'], 'max_value': {i}}}"
             for i in range(20)
         ) + "]}"
-        assert literal.translated(raw) is None
+        locks = (type(threading.Lock()), type(threading.RLock()))
+        assert threading not in vars(literal).values()
+        assert not any(isinstance(value, locks) for value in vars(literal).values())
         expected = parse_knowledge_json(raw)
         assert expected.column_info[0].column_name == "c0's"
 
@@ -269,9 +275,9 @@ class TestParseKnowledgeJson:
         assert failures == []
 
 
-# Pieces of Python-literal replies: tokens that json reads once translated,
-# and tokens it must leave to ast.literal_eval, which reads some and rejects
-# the rest.
+# Pieces of Python-literal replies: atoms of the subset that the README
+# declares, and foreign atoms, which the reader reads as ast.literal_eval
+# does or rejects.
 _LITERAL_ATOMS = (
     "None", "True", "False", "null", "0", "-0", "12", "-7", "3.5", "-0.0", "1e5", "2E-3",
     "1e400", "-1E+02", "''", '""', "'a'", '"b"', "'it\"s'", '"it\'s"', "'null'", "'None'",
@@ -285,6 +291,18 @@ _FOREIGN_ATOMS = (
     "(1,)", "(1, 2)", "{1, 2}", "{'a'}", "...", "\x0c", "\xa0", "١", "1 2", "[1][0]",
     "None1", "nullx", "TrueFalse", "9" * 4400, "'unclosed", '"unclosed', "# c\n1",
 )
+# The foreign atoms that the reader rejects, as the README lists them: first
+# those that ast.literal_eval rejects too, then those it reads.
+_REJECTED_ATOMS = {
+    "true", "false", "NaN", "Infinity", "-Infinity", "01", "--1", "f'x'", "'cr\rx'", "'\x00'",
+    "'\ud800'", "'\udfff'", "\xa0", "١", "1 2", "[1][0]", "None1", "nullx", "TrueFalse",
+    "9" * 4400, "'unclosed", '"unclosed',
+    "1_0", "00", ".5", "1.", "+1", "- 1", "1j", "1+2j", "0x1F", "b'x'", "r'x'", "u'x'", "rb'x'",
+    "'''t'''", '"""t"""', "'a' 'b'", "'a''b'", "{1, 2}", "{'a'}", "...", "\x0c", "# c\n1",
+}
+# What else a fuzzed reply may plant that the README rejects.
+_SET, _DEEP, _ADJACENT = "a set", "brackets nested 100 deep", "adjacent strings"
+_REJECTED_SHAPES = _REJECTED_ATOMS | {_SET, _DEEP, _ADJACENT}
 _LITERAL_KEYS = (
     "table_domain", "row_count", "column_count", "column_info", "column_names",
     "column_name", "description", "values", "distinct_count", "min_value", "max_value",
@@ -292,10 +310,61 @@ _LITERAL_KEYS = (
 _SEPARATORS = (", ", ",", ",\n", " , ", ",\t", ",\r\n", ",\r", "\n")
 
 
-def _literal_value(rng: random.Random, depth: int) -> str:
+@pytest.mark.parametrize("atom", _LITERAL_ATOMS + _FOREIGN_ATOMS,
+                         ids=lambda atom: ascii(atom)[1:-1][:24])
+def test_each_atom_is_read_or_rejected_as_the_readme_says(atom):
+    raw = "{'column_name': 'c', 'values': [" + atom + "]}"
+    if atom in _REJECTED_ATOMS:
+        with pytest.raises(KnowledgeParseError, match="^unparseable extraction output at offset"):
+            parse_knowledge_json(raw)
+    else:
+        assert repr(literal.read(raw)) == repr(reference.reply_tree(raw))
+        assert not _reading(raw).startswith("error: unparseable")
+
+
+@pytest.mark.parametrize("text, value", [
+    ("(1)", 1),
+    ("((1))", 1),
+    ("(1,)", (1,)),
+    ("( )", ()),
+    ("[1, (2), (3,),]", [1, 2, (3,)]),
+    ("{1: 2, 'a': 3, 1: 4,}", {1: 4, "a": 3}),
+    ("{(1, (2,)): None, None: null}", {(1, (2,)): None, None: None}),
+    ("{'a': 1}, {'b': 2},", ({"a": 1}, {"b": 2})),
+    ("{'a': 1}\r\n,\t{'b': 2}", ({"a": 1}, {"b": 2})),
+    ("'\\\\ \\' \\\" \\a\\b\\f\\n\\r\\t\\v'", "\\ ' \" \a\b\f\n\r\t\v"),
+    ("'\\0\\101\\1011\\x41\\u00e9\\U0001F642'", "\0AA1Aé🙂"),
+    ("'a\\\nb\\\r\nc'", "abc"),
+    ("[" * 98 + "{}" + "]" * 98, json.loads("[" * 98 + "{}" + "]" * 98)),
+], ids=["paren", "parens", "one-tuple", "empty-tuple", "trailing-commas", "later-key-wins",
+        "tuple-and-word-keys", "bare-sequence", "bare-sequence-on-lines", "escapes",
+        "code-escapes", "line-continuations", "nested-99-deep"])
+def test_the_reader_reads_its_subset(text, value):
+    read = literal.read(text)
+    assert read == value
+    assert type(read) is type(value)
+
+
+@pytest.mark.parametrize("text", [
+    pytest.param("[" * 100 + "]" * 100, id="nested-100-deep"),
+    pytest.param("[" * 99 + "(1)" + "]" * 99, id="nested-100-deep-in-parens"),
+    "{[1]: 2}", "{([1],): 2}", "{1, 2}", "{'a'}", "{'a': 1: 2}", "[1: 2]", "{'a' 1}", "[,]",
+    "[1,,]", "(,)", ",", "(", "[1)",
+    "'\\d'", "'\\N{DASH}'", "'\\x4'", "'\\U00110000'", "'\\U80000000'", "'\\UFFFFFFFF'",
+    "'\\'", "'a\nb'", "[1] \\\n",
+    "1 # c", "\x0c1", "1\x0b",
+], ids=lambda text: ascii(text)[1:-1][:24])
+def test_the_reader_rejects_what_is_outside_its_subset(text):
+    with pytest.raises(ValueError):
+        literal.read(text)
+
+
+def _literal_value(rng: random.Random, depth: int, planted: set[str]) -> str:
     shape = rng.random()
     if depth > 3 or shape < 0.35:
-        return rng.choice(_FOREIGN_ATOMS if rng.random() < 0.1 else _LITERAL_ATOMS)
+        atom = rng.choice(_FOREIGN_ATOMS if rng.random() < 0.1 else _LITERAL_ATOMS)
+        planted.add(atom)
+        return atom
     sep = rng.choice(_SEPARATORS[:-1])
     items = range(rng.randint(0, 4))
     trailing = rng.choice(("", "", "", ",")) if items else ""
@@ -303,15 +372,18 @@ def _literal_value(rng: random.Random, depth: int) -> str:
         quote = rng.choice("'\"")
         keys = [quote + rng.choice(_LITERAL_KEYS) + quote if rng.random() < 0.97
                 else rng.choice(("1", "None", "(1, 2)", "'extra'")) for _ in items]
-        body = sep.join(key + rng.choice((": ", ":", " :\n")) + _literal_value(rng, depth + 1)
-                        for key in keys)
+        body = sep.join(key + rng.choice((": ", ":", " :\n"))
+                        + _literal_value(rng, depth + 1, planted) for key in keys)
         return "{" + body + trailing + "}"
     brackets = rng.choice(("[]", "[]", "()", "{}"))
-    body = sep.join(_literal_value(rng, depth + 1) for _ in items)
+    if brackets == "{}" and items:
+        planted.add(_SET)
+    body = sep.join(_literal_value(rng, depth + 1, planted) for _ in items)
     return brackets[0] + body + trailing + brackets[1]
 
 
-def _literal_reply(rng: random.Random) -> str:
+def _literal_reply(rng: random.Random, planted: set[str]) -> str:
+    """A fuzzed reply; adds each atom and rejected shape it holds to ``planted``."""
     shape = rng.random()
     if shape < 0.25:  # a well-formed tree, so that many readings reach canonicalize
         columns = [{"column_name": rng.choice(("area", "area size", "2020", "rank")),
@@ -321,12 +393,18 @@ def _literal_reply(rng: random.Random) -> str:
         text = repr({"row_count": rng.choice((5, None)), "column_info": columns})
         text = text.replace("None", "null") if rng.random() < 0.5 else text
     elif shape < 0.9:
-        text = _literal_value(rng, 0)
+        text = _literal_value(rng, 0, planted)
     else:
         depth = rng.choice((98, 99, 100, 101, 198, 199, 200, 250))
-        text = "[" * depth + rng.choice(("{'row_count': 1}", "'a'", "null")) + "]" * depth
+        inner = rng.choice(("{'row_count': 1}", "'a'", "null"))
+        if depth + inner.startswith("{") >= 100:
+            planted.add(_DEEP)
+        text = "[" * depth + inner + "]" * depth
     if rng.random() < 0.2:  # a bare sequence, on one line or several
-        text = rng.choice(_SEPARATORS).join((text, _literal_value(rng, 1)))
+        sep, value = rng.choice(_SEPARATORS), _literal_value(rng, 1, planted)
+        if sep == "\n" and text[-1] in "'\"" and value[0] in "'\"":
+            planted.add(_ADJACENT)
+        text = sep.join((text, value))
     return text
 
 
@@ -337,18 +415,40 @@ def _reading(raw: str) -> str:
         return f"error: {exc}"
 
 
-def test_literal_replies_read_through_json_as_through_ast(monkeypatch):
-    # Each reply's knowledge, or error message, is the one that reading it
-    # with ast.literal_eval alone gives.
+def _reference_reading(raw: str) -> str:
+    """``_reading`` through ``reference.reply_tree`` in place of the package's
+    reader, with "unparseable" for a reply that it does not read."""
+    text = raw.strip()
+    if not text:
+        return "error: empty extraction output"
+    try:
+        tree = reference.reply_tree(text)
+    except ValueError:
+        return "unparseable"
+    try:
+        return repr(canonicalize(tree))
+    except SchemaError as exc:
+        return f"error: {exc}"
+
+
+def test_literal_replies_read_as_the_reference_reads_them():
+    # Each reply reads the knowledge, or the error, that the reference's tree
+    # of it reads. A reading moves only to "unparseable", and only for a
+    # reply holding a shape that the README rejects.
     rng = random.Random(22)
-    replies = [_literal_reply(rng) for _ in range(6000)]
-    translated = sum(literal.translated(raw) is not None for raw in replies)
-    readings = [_reading(raw) for raw in replies]
-    monkeypatch.setattr(literal, "translated", lambda text: None)
-    differ = [(raw, reading, other) for raw, reading in zip(replies, readings)
-              for other in (_reading(raw),) if other != reading]
-    assert differ[:3] == []
-    assert translated > 2000
+    planted = [set() for _ in range(6000)]
+    replies = [_literal_reply(rng, shapes) for shapes in planted]
+    readings, moved = [], collections.Counter()
+    for raw, shapes in zip(replies, planted):
+        reading = _reading(raw)
+        readings.append(reading)
+        read_as = "unparseable" if reading.startswith("error: unparseable") else reading
+        expected = _reference_reading(raw)
+        if read_as != expected:
+            assert read_as == "unparseable" and shapes & _REJECTED_SHAPES, (raw, reading, expected)
+            moved["schema error" if expected.startswith("error: ") else "read"] += 1
+    # Pinned, so that a move on accepted syntax inside such a reply shows.
+    assert moved == {"schema error": 665, "read": 2}
     assert sum(not r.startswith("error") for r in readings) > 1000
 
 
